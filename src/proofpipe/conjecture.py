@@ -23,7 +23,7 @@ from .core import (
     Polarity,
     Problem,
 )
-from .dialectic import EMPTY_CONTEXT, DialecticEngine, GradeParseFailure
+from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, GradeParseFailure, Leaf
 from .gateway import BackendFailure, BudgetExceeded, ScriptError
 
 _HEADER_PREFIX_RE = re.compile(r"^\s*(?:conjecture|negation(?:\s+of\s+conjecture)?)\s*\d*\s*[:.]\s*", re.IGNORECASE)
@@ -39,6 +39,10 @@ _REFERENTIAL_PHRASES = (
     "defined earlier",
     "the set s from",
 )
+
+
+# Side failures that mark a pair unresolved instead of stopping verification.
+_SIDE_FAILURES = (BackendFailure, GradeParseFailure, ScriptError)
 
 
 class ParseError(Exception):
@@ -286,23 +290,40 @@ class ConjectureEngine:
         """Bisection-verify each pair in a fresh, detached context.
 
         Both sides are solved as new problems with empty additional
-        materials and graded once each. A model failure on either side
-        marks the pair unresolved (distinct from ambiguous); both kinds
-        enter the failure context.
+        materials and graded once each; all sides of all pairs run at once
+        as one fork/join group. A model failure on either side marks the
+        pair unresolved (distinct from ambiguous); both kinds enter the
+        failure context. Budget exhaustion on any side is raised once every
+        side has finished.
         """
         proven: list[Lemma] = []
         failed: list[FailureRecord] = []
         attempts: list[SideAttempt] = []
+        branches = []
         for pair in pairs:
-            try:
-                pos = self._solve_side(pair, "pos", pair.conjecture, phase)
-                neg = self._solve_side(pair, "neg", pair.negation, phase)
-            except (BackendFailure, GradeParseFailure, ScriptError) as exc:
+            for side, statement in (("pos", pair.conjecture), ("neg", pair.negation)):
+                # Contextual detachment: the side is a brand-new problem with
+                # no materials from the parent proof.
+                side_problem = Problem(id=f"{pair.id}.{side}", statement=statement)
+                branches.append(Branch(side_problem, EMPTY_CONTEXT, Origin.FRESH))
+        leaves = self.dialectic.fork_join(branches, phase)
+        stop: Optional[BaseException] = None  # budget exhaustion or an unexpected error
+        for pair in pairs:
+            # Each side is recorded right after its leaf is committed, where a
+            # sequential run records it; every leaf is taken, even after a stop.
+            pos = self._side_attempt(pair, "pos", next(leaves), phase)
+            neg = self._side_attempt(pair, "neg", next(leaves), phase)
+            errors = [r for r in (pos, neg) if isinstance(r, BaseException)]
+            if stop is None:
+                stop = next((e for e in errors if not isinstance(e, _SIDE_FAILURES)), None)
+            if stop is not None:
+                continue
+            if errors:
                 record = FailureRecord(
                     pair_id=pair.id,
                     conjecture=pair.conjecture,
                     reason=FailureReason.UNRESOLVED,
-                    detail=f"{type(exc).__name__}: {exc}",
+                    detail=f"{type(errors[0]).__name__}: {errors[0]}",
                 )
                 failed.append(record)
                 self._trace.append(
@@ -333,24 +354,23 @@ class ConjectureEngine:
             )
             proven.append(lemma)
             self._trace.append(self.dialectic.run_id, phase, "pair_proven", lemma.to_dict())
-        return VerifyOutcome(tuple(proven), tuple(failed), tuple(attempts))
-
-    def _solve_side(self, pair: HypothesisPair, side: str, statement: str, phase: int) -> SideAttempt:
-        # Contextual detachment: the side is a brand-new problem with no
-        # materials from the parent proof.
-        side_problem = Problem(id=f"{pair.id}.{side}", statement=statement, additional_materials=None)
-        try:
-            solution = self.dialectic.dialectic_solve(
-                side_problem, EMPTY_CONTEXT, 1, phase=phase, origin=Origin.FRESH
-            )[0]
-        except BudgetExceeded as exc:
+        if isinstance(stop, BudgetExceeded):
             # Side attempts answer the side problem, not the main one; they
             # must never be salvaged into the main solution memory.
-            raise BudgetExceeded(partial=[]) from exc
+            raise BudgetExceeded(partial=[]) from stop
+        if stop is not None:
+            raise stop
+        return VerifyOutcome(tuple(proven), tuple(failed), tuple(attempts))
+
+    def _side_attempt(self, pair: HypothesisPair, side: str, leaf: Leaf, phase: int) -> SideAttempt | BaseException:
+        """The side's attempt, recorded in the trace, or the error that stopped it."""
+        if leaf.error is not None:
+            return leaf.error
+        solution = leaf.solution
         attempt = SideAttempt(
             pair_id=pair.id,
             side=side,
-            statement=statement,
+            statement=leaf.branch.problem.statement,
             proof_text=solution.proof_text,
             score=solution.grade.score if solution.grade else 0,
         )
@@ -361,7 +381,7 @@ class ConjectureEngine:
             {
                 "pair_id": pair.id,
                 "side": side,
-                "statement": statement,
+                "statement": attempt.statement,
                 "score": attempt.score,
                 "proof_text": attempt.proof_text,
             },

@@ -145,9 +145,8 @@ class GradeReport:
 class CandidateSolution:
     """A proof attempt with provenance: which phase and context produced it.
 
-    ``cost_at_creation_micro`` is the ledger grand total (micro-USD) at the
-    moment the solution was produced; it feeds the deterministic tie-break
-    in :func:`best`.
+    ``id`` is allocated when the solve that produces the solution is forked,
+    so ids sort in creation order; :func:`best` breaks ties on it.
     """
 
     id: str
@@ -157,7 +156,6 @@ class CandidateSolution:
     phase: int
     context_digest: str
     grade: Optional[GradeReport] = None
-    cost_at_creation_micro: int = 0
 
     def __post_init__(self) -> None:
         if not self.proof_text:
@@ -177,11 +175,11 @@ class CandidateSolution:
             "phase": self.phase,
             "context_digest": self.context_digest,
             "grade": self.grade.to_dict() if self.grade else None,
-            "cost_at_creation_micro": self.cost_at_creation_micro,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateSolution":
+        # Older checkpoints also carry "cost_at_creation_micro"; it is ignored.
         return cls(
             id=d["id"],
             problem_id=d["problem_id"],
@@ -190,7 +188,6 @@ class CandidateSolution:
             phase=d["phase"],
             context_digest=d["context_digest"],
             grade=GradeReport.from_dict(d["grade"]) if d.get("grade") else None,
-            cost_at_creation_micro=d.get("cost_at_creation_micro", 0),
         )
 
 
@@ -490,18 +487,14 @@ class GradingRecord:
 def comparator_key(solution: CandidateSolution) -> tuple:
     """Total-order key for ranking graded solutions.
 
-    Higher score wins; ties break on fewer issues, then lower ledger cost
-    at creation, then lexicographic id. The ordering is deterministic so
-    any permutation of a set selects the same best element.
+    Higher score wins; ties break on fewer issues, then on the id, which
+    is zero-padded and allocated in creation order, so the earlier solution
+    wins. The ordering is deterministic so any permutation of a set selects
+    the same best element.
     """
     if solution.grade is None:
         raise ValueError(f"solution {solution.id} is ungraded")
-    return (
-        -solution.grade.score,
-        len(solution.grade.issues),
-        solution.cost_at_creation_micro,
-        solution.id,
-    )
+    return (-solution.grade.score, len(solution.grade.issues), solution.id)
 
 
 def best(solutions: Iterable[CandidateSolution]) -> CandidateSolution:

@@ -3,9 +3,11 @@
 One branch is a fixed chain: draft the proof, run the lazy-phrase censor
 over it, re-draft once if the censor objects, grade, refine against the
 grade's feedback, re-grade. The refined, re-graded solution is the branch
-output. The module also owns grader-transcript parsing and the
-N-consecutive-clean-grades acceptance check; it never decides when the
-outer loop stops.
+output. Independent branches run concurrently as one fork/join group
+(:meth:`DialecticEngine.fork_join`) whose trace, ledger and ids are those
+of running the branches one after another. The module also owns
+grader-transcript parsing and the N-consecutive-clean-grades acceptance
+check; it never decides when the outer loop stops.
 """
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from decimal import Decimal
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     FALLACY_CAP,
@@ -29,7 +30,7 @@ from .core import (
     Severity,
     digest,
 )
-from .gateway import BudgetExceeded, ModelGateway, ModelRequest
+from .gateway import BudgetExceeded, Lane, ModelGateway, ModelRequest
 from .prompts import PromptRegistry
 from .trace import RunTrace
 
@@ -195,6 +196,43 @@ class IdAllocator:
         return cls(run_id=d["run_id"], counters=dict(d["counters"]))
 
 
+@dataclass(frozen=True)
+class Branch:
+    """One solve branch to run: a problem, the context it is solved in, and
+    the provenance its solution gets.
+
+    ``index`` is the branch number the trace records: the branch's position
+    within one fan-out of a context. A caller that gives each branch a
+    context of its own leaves every index at 0.
+    """
+
+    problem: Problem
+    ctx: SolveContext
+    origin: Origin
+    index: int = 0
+
+
+class Leaf(Lane):
+    """A branch of a fork/join group, and the trace it records into.
+
+    While the branch runs on its own thread, its events are held here, each
+    with the tokens the leaf had consumed when it was recorded, so the join
+    can commit them with the budget a sequential run would have had left.
+    """
+
+    def __init__(self, branch: Branch, solution_id: str, earlier: Sequence[Lane]):
+        super().__init__(earlier)
+        self.branch = branch
+        self.solution_id = solution_id
+        self.events: list[tuple] = []
+        self.solution: Optional[CandidateSolution] = None
+        self.error: Optional[BaseException] = None
+
+    def append(self, run_id: str, phase: int, kind: str, payload: dict, budget_remaining: Optional[int] = None) -> None:
+        spent = None if budget_remaining is None else self.ledger.total_tokens()
+        self.events.append((run_id, phase, kind, payload, spent))
+
+
 class DialecticEngine:
     """Executes solve branches and grading against one gateway."""
 
@@ -206,7 +244,6 @@ class DialecticEngine:
         trace: RunTrace,
         run_id: str,
         ids: Optional[IdAllocator] = None,
-        max_workers: int = 1,
     ):
         self.gateway = gateway
         self.registry = registry
@@ -214,7 +251,7 @@ class DialecticEngine:
         self.trace = trace
         self.run_id = run_id
         self.ids = ids or IdAllocator(run_id)
-        self.max_workers = max_workers
+        self.lane: Optional[Lane] = None  # set on the engine that runs one leaf
 
     # -- gateway plumbing ---------------------------------------------------
 
@@ -227,6 +264,7 @@ class DialecticEngine:
             temperature=self.config.temperatures.get(role, 1.0),
             max_output_tokens=self.config.max_output_tokens,
             run_id=self.run_id,
+            lane=self.lane,
         )
         return prompt, self.gateway.complete(req)
 
@@ -318,7 +356,9 @@ class DialecticEngine:
         )
         return report
 
-    def _branch(self, problem: Problem, ctx: SolveContext, branch: int, phase: int, origin: Origin) -> CandidateSolution:
+    def _branch(
+        self, problem: Problem, ctx: SolveContext, branch: int, phase: int, origin: Origin, solution_id: str
+    ) -> CandidateSolution:
         materials = self._materials(problem, ctx)
         ctx_digest = ctx.digest(self.config.memory_prompt_cap)
         draft_resp = self._call(
@@ -369,14 +409,13 @@ class DialecticEngine:
 
         final_grade = self.grade(refined, problem, phase, "regrade", {"branch": branch})
         return CandidateSolution(
-            id=self.ids.next("s"),
+            id=solution_id,
             problem_id=problem.id,
             proof_text=refined,
             origin=origin,
             phase=phase,
             context_digest=ctx_digest,
             grade=final_grade,
-            cost_at_creation_micro=int(self.gateway.ledger.grand_total() * Decimal(1_000_000)),
         )
 
     def _as_solution(self, problem, proof, phase, origin, ctx_digest, grade=None) -> CandidateSolution:
@@ -407,24 +446,76 @@ class DialecticEngine:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
+        return self.solve_branches([Branch(problem, ctx, origin, b) for b in range(count)], phase)
+
+    def solve_branches(self, branches: Sequence[Branch], phase: int) -> list[CandidateSolution]:
+        """Solve ``branches`` as one fork/join group; solutions in branch order.
+
+        Every branch runs to its end even when a sibling fails. The first
+        failure in branch order is raised after the join; when it is budget
+        exhaustion, every completed branch rides along, in branch order, on
+        the raised :class:`BudgetExceeded`.
+        """
         done: list[CandidateSolution] = []
-        if self.max_workers > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                futures = [
-                    pool.submit(self._branch, problem, ctx, b, phase, origin) for b in range(count)
-                ]
-                try:
-                    for fut in futures:
-                        done.append(fut.result())
-                except BudgetExceeded as exc:
-                    raise BudgetExceeded(partial=done) from exc
-            return done
-        for b in range(count):
-            try:
-                done.append(self._branch(problem, ctx, b, phase, origin))
-            except BudgetExceeded as exc:
-                raise BudgetExceeded(partial=done) from exc
+        error: Optional[BaseException] = None
+        for leaf in self.fork_join(branches, phase):
+            if leaf.error is None:
+                done.append(leaf.solution)
+            elif error is None:
+                error = leaf.error
+        if isinstance(error, BudgetExceeded):
+            raise BudgetExceeded(partial=done) from error
+        if error is not None:
+            raise error
         return done
+
+    def fork_join(self, branches: Sequence[Branch], phase: int) -> Iterator[Leaf]:
+        """Run every branch at once, each on its own thread; yield the leaves
+        in branch order.
+
+        Solution ids are allocated at the fork, in branch order. Each leaf
+        records its events and ledger entries into itself; the join commits
+        them leaf by leaf in branch order, with ``budget_remaining``
+        recomputed as a running total, so trace, ledger and ids are those of
+        a run that solved the branches one after another. A leaf is yielded
+        right after its commit: what the caller records before taking the
+        next leaf lands where that sequential run would have put it. The
+        caller must take every leaf, or the ledger will miss the calls of
+        the leaves it left.
+        """
+        leaves: list[Leaf] = []
+        for branch in branches:
+            leaves.append(Leaf(branch, self.ids.next("s"), earlier=tuple(leaves)))
+        if not leaves:
+            return
+        remaining = self.gateway.tokens_remaining
+        # One thread per leaf, so every leaf's calls can be in flight at once.
+        with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
+            futures = [pool.submit(self._run_leaf, leaf, phase) for leaf in leaves]
+        for leaf, future in zip(leaves, futures):
+            leaf.error = future.exception()
+            if leaf.error is None:
+                leaf.solution = future.result()
+        for leaf in leaves:
+            remaining = self._commit(leaf, remaining)
+            yield leaf
+
+    def _run_leaf(self, leaf: Leaf, phase: int) -> CandidateSolution:
+        engine = DialecticEngine(self.gateway, self.registry, self.config, leaf, self.run_id, self.ids)
+        engine.lane = leaf
+        branch = leaf.branch
+        try:
+            return engine._branch(branch.problem, branch.ctx, branch.index, phase, branch.origin, leaf.solution_id)
+        finally:
+            leaf.done.set()
+
+    def _commit(self, leaf: Leaf, remaining: int) -> int:
+        """Write one leaf's events and ledger entries; return the budget left after it."""
+        for run_id, phase, kind, payload, spent in leaf.events:
+            self.trace.append(run_id, phase, kind, payload, None if spent is None else remaining - spent)
+        for e in leaf.ledger.entries:
+            self.gateway.ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
+        return remaining - leaf.ledger.total_tokens()
 
     def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
         """True iff ``n`` fresh grades in a row are perfect with zero issues.

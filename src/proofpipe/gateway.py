@@ -6,18 +6,22 @@ append-only :class:`CostLedger`, and enforces a hard token budget.
 
 Money is exact decimal throughout: per-call cost is computed with
 :class:`decimal.Decimal` and totals are exact sums, so a ledger of any
-size shows zero float drift. The token budget is enforced at admission;
-in the default mode a run may overshoot by at most the one call that was
-in flight when the budget ran out (strict mode pre-reserves each call's
-``max_output_tokens`` instead and never admits a call that could not fit).
+size shows zero float drift. The token budget is enforced at admission: a
+call is admitted while the tokens consumed plus the ``max_output_tokens``
+reserved by calls in flight stay under the budget. In the default mode a
+run overshoots by less than one call's ``max_output_tokens`` plus whatever
+the calls in flight use beyond their reservations (strict mode also
+reserves the new call's ``max_output_tokens`` and never admits a call that
+could not fit).
 """
 from __future__ import annotations
 
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Optional, Sequence
 
@@ -53,6 +57,7 @@ class ModelRequest:
     temperature: float
     max_output_tokens: int
     run_id: str = ""
+    lane: Optional[Lane] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
@@ -295,6 +300,26 @@ class CostLedger:
         return "\n".join(lines) + "\n"
 
 
+class Lane:
+    """The calls of one leaf of a fork/join group, as the gateway sees them.
+
+    A request made for a leaf carries its lane. The gateway holds the
+    call's ledger entry in ``ledger`` until the group commits the leaves in
+    leaf order, and ``ScriptedBackend`` calls ``wait_turn`` before answering
+    a request whose reply depends on the order of earlier calls.
+    """
+
+    def __init__(self, earlier: Sequence["Lane"]):
+        self._earlier = tuple(earlier)
+        self.done = threading.Event()
+        self.ledger = CostLedger()
+
+    def wait_turn(self) -> None:
+        """Block until every earlier leaf of the group has finished."""
+        for lane in self._earlier:
+            lane.done.wait()
+
+
 @dataclass
 class ScriptRule:
     """One scripted behavior: a role plus optional prompt matcher.
@@ -322,6 +347,10 @@ class ScriptRule:
 
     def exhausted(self) -> bool:
         return not self.repeat_last and self.cursor >= len(self.responses)
+
+    def settled(self) -> bool:
+        """True once every further hit gets the same reply, whatever the order."""
+        return self.repeat_last and self.cursor >= len(self.responses) - 1
 
     def take(self) -> dict:
         idx = min(self.cursor, len(self.responses) - 1) if self.repeat_last else self.cursor
@@ -354,6 +383,13 @@ class ScriptedBackend:
     The same script driven by the same request sequence always yields the
     same response sequence. Cursor state can be snapshotted and restored,
     which is what makes checkpoint resume bit-identical.
+
+    Replies follow logical call order, not arrival order. A request made
+    for a leaf of a fork/join group whose first matching rule is not yet
+    settled waits until the earlier leaves of its group have finished, so
+    every reply that depends on a cursor is handed out in the order a
+    sequential, leaf-by-leaf run would ask for it. Settled rules answer at
+    once: their reply is the same whichever leaf asks first.
     """
 
     backend_id = "scripted"
@@ -362,21 +398,34 @@ class ScriptedBackend:
         self._rules = list(rules)
         self._lock = threading.Lock()
 
+    def _match(self, req: ModelRequest) -> Optional[ScriptRule]:
+        for rule in self._rules:
+            if rule.matches(req) and not rule.exhausted():
+                return rule
+        return None
+
     def complete(self, req: ModelRequest) -> ModelResponse:
+        if req.lane is not None:
+            with self._lock:
+                rule = self._match(req)
+            # Cursors only grow, so a settled first match stays settled and
+            # no other rule can take its place while the lock is released.
+            if rule is not None and not rule.settled():
+                req.lane.wait_turn()
         with self._lock:
-            for rule in self._rules:
-                if rule.matches(req) and not rule.exhausted():
-                    entry = rule.take()
-                    if entry.get("fail"):
-                        raise TransientBackendError(entry.get("text", "scripted failure"))
-                    text = entry["text"]
-                    return ModelResponse(
-                        text=text,
-                        usage=_synthetic_usage(req.prompt, text, entry.get("usage")),
-                        backend_id=self.backend_id,
-                        latency_ms=0.0,
-                    )
-        raise ScriptError(f"no scripted response for role={req.role!r} prompt={req.prompt[:80]!r}")
+            rule = self._match(req)
+            if rule is None:
+                raise ScriptError(f"no scripted response for role={req.role!r} prompt={req.prompt[:80]!r}")
+            entry = rule.take()
+        if entry.get("fail"):
+            raise TransientBackendError(entry.get("text", "scripted failure"))
+        text = entry["text"]
+        return ModelResponse(
+            text=text,
+            usage=_synthetic_usage(req.prompt, text, entry.get("usage")),
+            backend_id=self.backend_id,
+            latency_ms=0.0,
+        )
 
     def snapshot(self) -> list[int]:
         with self._lock:
@@ -438,20 +487,26 @@ class HttpBackend:
         try:
             with urllib.request.urlopen(http_req, timeout=600) as resp:
                 payload = json.load(resp)
+        except urllib.error.HTTPError as exc:
+            # A client error other than timeout or rate limiting (bad key,
+            # bad request) fails the same way on every retry.
+            if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise BackendFailure(f"HTTP {exc.code}: {exc.reason}") from exc
+            raise TransientBackendError(str(exc)) from exc
         except Exception as exc:  # noqa: BLE001 - network errors are retryable
             raise TransientBackendError(str(exc)) from exc
         latency = (time.monotonic() - start) * 1000
-        usage = payload.get("usage", {})
-        return ModelResponse(
-            text=payload["choices"][0]["message"]["content"],
-            usage=Usage(
-                input_tokens=usage.get("prompt_tokens", 0),
-                output_tokens=usage.get("completion_tokens", 0),
-                thinking_tokens=usage.get("reasoning_tokens", 0),
-            ),
-            backend_id=self.backend_id,
-            latency_ms=latency,
-        )
+        try:
+            text = payload["choices"][0]["message"]["content"]
+            counts = payload.get("usage", {})
+            usage = Usage(
+                input_tokens=counts.get("prompt_tokens", 0),
+                output_tokens=counts.get("completion_tokens", 0),
+                thinking_tokens=counts.get("reasoning_tokens", 0),
+            )
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+            raise BackendFailure(f"malformed response payload: {exc!r}") from exc
+        return ModelResponse(text=text, usage=usage, backend_id=self.backend_id, latency_ms=latency)
 
 
 class ModelGateway:
@@ -527,7 +582,8 @@ class ModelGateway:
         finally:
             self._settle(req, usage)
         price = self.price_table.get(response.backend_id)
-        self.ledger.append(req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))
+        ledger = self.ledger if req.lane is None else req.lane.ledger
+        ledger.append(req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))
         return response
 
     def _call_with_retry(self, req: ModelRequest) -> ModelResponse:

@@ -1,6 +1,7 @@
 """Four-phase pipeline state machine.
 
-Phase 1 explores with a small solver fan-out; while solutions stall, each
+Phase 1 explores with a small solver fan-out (the K branches of every
+solving round run as one concurrent group); while solutions stall, each
 outer iteration extracts conjecture pairs from the best attempts, verifies
 them by bisection in detached contexts, and feeds the winners back as
 lemma memory for guided solving (one solver always stays fresh for
@@ -30,7 +31,7 @@ from .core import (
     best,
     rank,
 )
-from .dialectic import EMPTY_CONTEXT, DialecticEngine, IdAllocator, SolveContext
+from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
 from .gateway import BudgetExceeded, ModelGateway, ModelRequest
 from .prompts import PromptRegistry
 from .trace import SCHEMA_VERSION, RunTrace, first_divergence
@@ -128,12 +129,10 @@ class Orchestrator:
         gateway: ModelGateway,
         registry: PromptRegistry,
         config: PipelineConfig,
-        max_workers: int = 1,
     ):
         self.gateway = gateway
         self.registry = registry
         self.config = config
-        self.max_workers = max_workers
 
     # -- public entry points --------------------------------------------------
 
@@ -149,7 +148,8 @@ class Orchestrator:
 
         The judge sees both finals plus each run's solution-sequence
         history; a missing decision tag is re-prompted once and then falls
-        back to the comparator over the two finals.
+        back to the comparator over the two finals, as does a judge call
+        the token budget refuses. The runs execute one after another.
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
@@ -250,15 +250,7 @@ class Orchestrator:
             trace.append("meta", 0, "script_attachment", {"script": backend.to_dict()})
 
     def _engines(self, trace: RunTrace, run_id: str, ids: Optional[IdAllocator] = None):
-        engine = DialecticEngine(
-            self.gateway,
-            self.registry,
-            self.config,
-            trace,
-            run_id,
-            ids=ids,
-            max_workers=self.max_workers,
-        )
+        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, ids=ids)
         return engine, ConjectureEngine(engine)
 
     def _run_single(self, problem: Problem, trace: RunTrace, run_id: str) -> PipelineResult:
@@ -283,11 +275,11 @@ class Orchestrator:
                 for i in range(position[1], cfg.initial_iterations + 1):
                     trace.append(run_id, 1, "phase_start", {"phase": 1, "iteration": i})
                     prior = list(s_base)  # contexts come from the previous iteration's memory
-                    pending.extend(engine.dialectic_solve(problem, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH))
+                    branches = [Branch(problem, EMPTY_CONTEXT, Origin.FRESH)]
                     for k in range(1, cfg.solver_width):
                         ctx = select_kth_top(prior, k)
-                        origin = Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL
-                        pending.extend(engine.dialectic_solve(problem, ctx, 1, phase=1, origin=origin))
+                        branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
+                    pending.extend(engine.solve_branches(branches, phase=1))
                     batch = list(pending)
                     pending.clear()
                     s_base.extend(batch)
@@ -331,11 +323,9 @@ class Orchestrator:
 
                     trace.append(run_id, 3, "phase_start", {"phase": 3, "iteration": l})
                     ctx = self._guided_context(state, outcome)
-                    if cfg.solver_width > 1:
-                        pending.extend(
-                            engine.dialectic_solve(problem, ctx, cfg.solver_width - 1, phase=3, origin=Origin.GUIDED)
-                        )
-                    pending.extend(engine.dialectic_solve(problem, EMPTY_CONTEXT, 1, phase=3, origin=Origin.FRESH))
+                    branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
+                    branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
+                    pending.extend(engine.solve_branches(branches, phase=3))
                     batch = list(pending)
                     pending.clear()
                     state.add_solutions(batch)
@@ -515,17 +505,22 @@ class Orchestrator:
             "solution_b": b.solution.proof_text,
             "additional_materials": self._history_blob(a) + "\n\n" + self._history_blob(b),
         }
+        reason = "no decision tag after re-prompt"
         for attempt in range(2):
             prompt = self.registry.render("answer_combiner", slots)
-            resp = self.gateway.complete(
-                ModelRequest(
-                    role="judge",
-                    prompt=prompt,
-                    temperature=self.config.temperatures.get("judge", 1.0),
-                    max_output_tokens=self.config.max_output_tokens,
-                    run_id="aggregate",
+            try:
+                resp = self.gateway.complete(
+                    ModelRequest(
+                        role="judge",
+                        prompt=prompt,
+                        temperature=self.config.temperatures.get("judge", 1.0),
+                        max_output_tokens=self.config.max_output_tokens,
+                        run_id="aggregate",
+                    )
                 )
-            )
+            except BudgetExceeded:
+                reason = "token budget exhausted before a decision"
+                break
             decision = extract_decision(resp.text)
             trace.append(
                 "aggregate",
@@ -545,7 +540,7 @@ class Orchestrator:
                 return a
             if decision == "B":
                 return b
-        trace.append("aggregate", 4, "judge_fallback", {"reason": "no decision tag after re-prompt"})
+        trace.append("aggregate", 4, "judge_fallback", {"reason": reason})
         return a if best([a.solution, b.solution]) is a.solution else b
 
     def _history_blob(self, result: PipelineResult) -> str:

@@ -1,0 +1,303 @@
+"""Fork/join groups: real overlap, and results independent of timing."""
+import random
+import threading
+import time
+
+import pytest
+
+from proofpipe.conjecture import ConjectureEngine
+from proofpipe.core import HypothesisPair, Origin, Problem
+from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine
+from proofpipe.gateway import BudgetExceeded, ModelGateway, ModelRequest, ScriptedBackend, ScriptRule
+from proofpipe.orchestrator import STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED, Orchestrator, replay
+from proofpipe.trace import RunTrace, signature
+
+from conftest import (
+    clean_problem,
+    grader_text,
+    parser_json,
+    rules_all_twos,
+    rules_clean,
+    rules_well,
+    small_config,
+    well_problem,
+)
+
+PROBLEM = Problem(id="p1", statement="Prove that 1 + 1 = 2 in Peano arithmetic.")
+
+
+class Wrapper:
+    """A backend around a scripted one, forwarding what the orchestrator uses."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+
+    def snapshot(self):
+        return self.inner.snapshot()
+
+    def restore(self, cursors):
+        self.inner.restore(cursors)
+
+    def to_dict(self):
+        return self.inner.to_dict()
+
+    def complete(self, req):
+        return self.inner.complete(req)
+
+
+class BarrierBackend(Wrapper):
+    """Holds each call (of ``role``, if given) until ``parties`` such calls
+    are in flight at once."""
+
+    def __init__(self, inner, parties, role=None):
+        super().__init__(inner)
+        self.barrier = threading.Barrier(parties)
+        self.role = role
+
+    def complete(self, req):
+        if self.role in (None, req.role):
+            self.barrier.wait(timeout=10)  # BrokenBarrierError unless all parties arrive
+        return self.inner.complete(req)
+
+
+class JitterBackend(Wrapper):
+    """Sleeps a seeded random 0-3 ms before each call."""
+
+    def __init__(self, inner, seed):
+        super().__init__(inner)
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        with self.lock:
+            delay = self.rng.uniform(0.0, 0.003)
+        time.sleep(delay)
+        return self.inner.complete(req)
+
+
+def gateway_for(backend, config, **kwargs):
+    return ModelGateway(
+        backend,
+        token_budget=config.token_budget,
+        retry_attempts=config.retry_attempts,
+        strict_budget=config.strict_budget,
+        sleep=lambda _: None,
+        **kwargs,
+    )
+
+
+def side_rules():
+    return [
+        ScriptRule("solver", "POS_", [{"text": "POS_PROOF: direct."}], repeat_last=True),
+        ScriptRule("solver", "NEG_", [{"text": "NEG_ATTEMPT: no counterexample."}], repeat_last=True),
+        ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
+        ScriptRule("grader", "POS_PROOF", [{"text": grader_text(7)}], repeat_last=True),
+        ScriptRule("grader", None, [{"text": grader_text(3, issues=(("gap", "Fallacy"),))}], repeat_last=True),
+    ]
+
+
+PAIRS = [HypothesisPair(id=f"h{i}", conjecture=f"POS_{i}: claim {i}", negation=f"NEG_{i}: not claim {i}") for i in range(3)]
+
+
+class TestOverlap:
+    """Each call waits on a barrier as wide as the group: the tests pass only
+    if every leaf of the group has a call in flight at the same time."""
+
+    def test_k_branches_in_flight_at_once(self, registry):
+        config = small_config()
+        gateway = gateway_for(BarrierBackend(ScriptedBackend(rules_clean()), 4), config)
+        engine = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
+        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
+        assert [s.id for s in out] == [f"run1.s000{b}" for b in range(4)]
+
+    def test_all_six_sides_in_flight_at_once(self, registry):
+        config = small_config()
+        gateway = gateway_for(BarrierBackend(ScriptedBackend(side_rules()), 2 * len(PAIRS)), config)
+        engine = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
+        outcome = ConjectureEngine(engine).verify_hypotheses(PAIRS, tau=7)
+        assert [lemma.pair_id for lemma in outcome.proven] == ["h0", "h1", "h2"]
+        assert len(outcome.attempts) == 6
+
+    def test_orchestrator_round_is_one_group(self, registry):
+        # Only censor calls wait on the barrier: they come from branches, and
+        # the clean run's only round is phase 1's four branches.
+        config = small_config(solver_width=4)
+        backend = BarrierBackend(ScriptedBackend(rules_clean()), 4, role="processor")
+        gateway = gateway_for(backend, config)
+        result = Orchestrator(gateway, registry, config).run(clean_problem(), trace=RunTrace(clock=lambda: 0.0))
+        assert result.status == STATUS_VERIFIED
+        assert result.trace.count("censor") == 4
+
+
+def rules_copy(rules):
+    return [ScriptRule(r.role, r.match, list(r.responses), r.repeat_last) for r in rules]
+
+
+class TestTurnOrder:
+    def test_cursor_replies_follow_branch_order(self, registry):
+        # Not repeat_last: every reply depends on how many came before it.
+        solver = [{"text": f"S{i}"} for i in range(8)]
+        rules = [
+            ScriptRule("solver", None, solver),
+            ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
+            ScriptRule("grader", None, [{"text": grader_text(6, issues=(("slip", "Slip"),))}], repeat_last=True),
+        ]
+        config = small_config()
+        for seed in range(5):
+            gateway = gateway_for(JitterBackend(ScriptedBackend(rules_copy(rules)), seed), config)
+            engine = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
+            out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
+            # branch b drafts with reply 2b and refines with reply 2b+1
+            assert [s.proof_text for s in out] == ["S1", "S3", "S5", "S7"], seed
+
+
+def rules_cursored():
+    """All-twos, but replies walk through cursor-ordered lists first."""
+    return [
+        ScriptRule("solver", None, [{"text": f"WEAK_PROOF_{i}: a sketch."} for i in range(5)], repeat_last=True),
+        ScriptRule("processor", None, [{"text": "- it is clear that"}, {"text": "NO_ISSUES"}], repeat_last=True),
+        ScriptRule(
+            "grader",
+            None,
+            [{"text": grader_text(2, issues=((f"unsupported step {i}", "Fallacy"),))} for i in range(4)],
+            repeat_last=True,
+        ),
+        ScriptRule("extractor", None, [{"text": "Two conjectures."}], repeat_last=True),
+        ScriptRule(
+            "parser",
+            None,
+            [{"text": parser_json(["CONJ_A: a.", "CONJ_B: b."], ["NEG_A: not a.", "NEG_B: not b."])}],
+            repeat_last=True,
+        ),
+    ]
+
+
+def rules_two_run_judge():
+    return rules_well() + [ScriptRule("judge", None, [{"text": "<decision>B</decision>"}], repeat_last=True)]
+
+
+SCENARIOS = {
+    "clean": (rules_clean, clean_problem, dict(), False),
+    "well": (rules_well, well_problem, dict(initial_iterations=2, conjecture_iterations=2), False),
+    "all_twos": (rules_all_twos, clean_problem, dict(initial_iterations=2, conjecture_iterations=2), False),
+    "cursored": (rules_cursored, clean_problem, dict(solver_width=4, conjecture_iterations=2), False),
+    "two_run_judge": (rules_two_run_judge, well_problem, dict(parallel_runs=2), True),
+}
+
+
+def run_scenario(name, registry, seed):
+    make_rules, make_problem, overrides, parallel = SCENARIOS[name]
+    config = small_config(**overrides)
+    gateway = gateway_for(JitterBackend(ScriptedBackend(make_rules()), seed), config)
+    orch = Orchestrator(gateway, registry, config)
+    trace = RunTrace(clock=lambda: 0.0)
+    result = orch.run_parallel(make_problem(), trace=trace) if parallel else orch.run(make_problem(), trace=trace)
+    return result, gateway, config
+
+
+def fingerprint(result, gateway):
+    events = [(e.run_id, e.phase, e.kind, e.digest, e.budget_remaining) for e in result.trace.events]
+    ids = [s.id for s in result.state.solution_memory]
+    return events, signature(result.trace), gateway.ledger.to_dict(), ids, result.solution.id, result.solution.proof_text
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_determinism_under_jitter(name, registry):
+    runs = [run_scenario(name, registry, seed) for seed in range(5)]
+    first = fingerprint(*runs[0][:2])
+    for result, gateway, _ in runs[1:]:
+        assert fingerprint(result, gateway) == first
+    result, gateway, config = runs[0]
+    assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+    trace = result.trace
+
+    # Replies are a function of the logical order: feeding the recorded
+    # prompts, in trace order, to a fresh backend gives every recorded reply.
+    fresh = ScriptedBackend(SCENARIOS[name][0]())
+    calls = [e.payload for e in trace.events if "prompt" in e.payload and "response" in e.payload]
+    assert len(calls) == len(gateway.ledger.entries)
+    for payload in calls:
+        req = ModelRequest(payload["role"], payload["prompt"], 0.0, config.max_output_tokens)
+        assert fresh.complete(req).text == payload["response"]
+
+    # Each call event records the budget left after every call before it in
+    # trace order, as a sequential run would.
+    spent = 0
+    for e in trace.events:
+        if "usage" in e.payload:
+            spent += sum(e.payload["usage"].values())
+            assert e.budget_remaining == config.token_budget - spent, (e.seq, e.kind)
+
+    assert replay(trace, registry=registry) is None
+
+    entries = [e.to_dict() for e in gateway.ledger.entries]
+    results = {e.run_id: e.payload["proof_text"] for e in trace.of_kind("result")}
+    for checkpoint_id, snap in trace.checkpoints.items():
+        run_id = snap["state"]["run_id"]
+        last = max(i for i, e in enumerate(entries) if e["run_id"] == run_id)
+        resume_gateway = gateway_for(
+            JitterBackend(ScriptedBackend(SCENARIOS[name][0]()), 99), config
+        )
+        resumed = Orchestrator(resume_gateway, registry, config).resume(trace, checkpoint_id)
+        assert resumed.solution.proof_text == results[run_id], checkpoint_id
+        assert [e.to_dict() for e in resume_gateway.ledger.entries] == entries[: last + 1], checkpoint_id
+
+
+def _criterion_9_budgets():
+    rng = random.Random(7)
+    return [1, 5] + [rng.randrange(100, 20_000) for _ in range(8)]
+
+
+# The budgets of acceptance criterion 9 and of test_orchestrator.TestBudget.
+BUDGETS = _criterion_9_budgets() + [700, 2500, 6000, 11_000, 12_000, 17_500]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_budget_safety_under_jitter(budget, registry):
+    config = small_config(token_budget=budget)
+    gateway = gateway_for(JitterBackend(ScriptedBackend(rules_well()), budget), config)
+    result = Orchestrator(gateway, registry, config).run(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+    assert result.status in (STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED)
+    assert gateway.tokens_consumed <= budget + config.max_output_tokens
+    assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+    assert result.trace.of_kind("result")
+    if result.status == STATUS_BUDGET_EXHAUSTED and result.solution is not None:
+        assert result.solution.grade is not None
+
+
+class RefusingGateway(ModelGateway):
+    """Refuses the refine call of the branch whose draft carries ``marker``."""
+
+    def __init__(self, *args, marker, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.marker = marker
+
+    def complete(self, req):
+        if req.role == "solver" and self.marker in req.prompt and "[Prior Candidate Solutions]" in req.prompt:
+            raise BudgetExceeded()
+        return super().complete(req)
+
+
+def test_budget_in_one_leaf_salvages_its_siblings(registry):
+    # Drafts and refines take solver replies in branch order: branch 1
+    # drafts the marked proof, and its refine is refused.
+    solver = ["DRAFT_0", "REFINED_0", "DRAFT_1 REFUSE_ME", "DRAFT_2", "REFINED_2"]
+    rules = [
+        ScriptRule("solver", None, [{"text": t} for t in solver], repeat_last=True),
+        ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
+        ScriptRule("grader", None, [{"text": grader_text(6, issues=(("slip", "Slip"),))}], repeat_last=True),
+    ]
+    config = small_config(solver_width=3)
+    gateway = RefusingGateway(
+        JitterBackend(ScriptedBackend(rules), 0),
+        token_budget=config.token_budget,
+        sleep=lambda _: None,
+        marker="REFUSE_ME",
+    )
+    result = Orchestrator(gateway, registry, config).run(clean_problem(), trace=RunTrace(clock=lambda: 0.0))
+    assert result.status == STATUS_BUDGET_EXHAUSTED
+    memory = result.state.solution_memory
+    assert [(s.id, s.proof_text) for s in memory] == [("run1.s0000", "REFINED_0"), ("run1.s0002", "REFINED_2")]
+    assert result.trace.of_kind("budget_exhausted")[0].payload["salvaged"] == 2
+    assert gateway.ledger.total_tokens() == gateway.tokens_consumed

@@ -23,7 +23,7 @@ from proofpipe.core import (
 )
 
 
-def sol(id_, score, issues=0, cost=0, text=None, graded=True):
+def sol(id_, score, issues=0, text=None, graded=True):
     grade = None
     if graded:
         grade = GradeReport(
@@ -38,7 +38,6 @@ def sol(id_, score, issues=0, cost=0, text=None, graded=True):
         phase=1,
         context_digest="d",
         grade=grade,
-        cost_at_creation_micro=cost,
     )
 
 
@@ -68,9 +67,10 @@ class TestBest:
     def test_tie_break_fewer_issues(self):
         assert best([sol("A", 6, issues=2), sol("B", 6, issues=1)]).id == "B"
 
-    def test_tie_break_cost_then_id(self):
-        assert best([sol("A", 6, cost=10), sol("B", 6, cost=5)]).id == "B"
-        assert best([sol("B", 6), sol("A", 6)]).id == "A"
+    def test_tie_break_creation_ordered_id(self):
+        # ids are zero-padded and allocated in creation order: the earlier wins
+        assert best([sol("run1.s0001", 6), sol("run1.s0000", 6)]).id == "run1.s0000"
+        assert best([sol("run2.s0000", 6), sol("run1.s0003", 6)]).id == "run1.s0003"
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no candidates"):
@@ -83,17 +83,17 @@ class TestBest:
     @given(
         st.permutations(
             [
-                ("A", 6, 2, 5),
-                ("B", 6, 1, 9),
-                ("C", 7, 0, 50),
-                ("D", 7, 0, 3),
-                ("E", 2, 0, 0),
+                ("A", 6, 2),
+                ("B", 6, 1),
+                ("C", 7, 0),
+                ("D", 7, 0),
+                ("E", 2, 0),
             ]
         )
     )
     def test_permutation_invariance(self, rows):
-        pool = [sol(i, s, issues=n, cost=c) for i, s, n, c in rows]
-        assert best(pool).id == "D"  # score 7, cheaper than C
+        pool = [sol(i, s, issues=n) for i, s, n in rows]
+        assert best(pool).id == "C"  # score 7, created before D
 
     def test_rank_dedupes_by_text(self):
         a, b = sol("A", 6, text="same"), sol("B", 7, text="same")
@@ -103,8 +103,12 @@ class TestBest:
 
 class TestRoundTrips:
     def test_solution_roundtrip(self):
-        s = sol("A", 6, issues=1, cost=12)
+        s = sol("A", 6, issues=1)
         assert CandidateSolution.from_dict(s.to_dict()) == s
+
+    def test_solution_from_older_checkpoint(self):
+        s = sol("A", 6, issues=1)
+        assert CandidateSolution.from_dict({**s.to_dict(), "cost_at_creation_micro": 12}) == s
 
     def test_lemma_validation_and_roundtrip(self):
         lem = Lemma("stmt", Polarity.NEGATIVE, "pf", g_pos=3, g_neg=7, pair_id="h1")

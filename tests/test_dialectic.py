@@ -249,7 +249,7 @@ def test_parallel_branches_ordered_by_index(registry):
     config = small_config()
     gateway = make_gateway(rules_clean(), config)
     trace = RunTrace(clock=lambda: 0.0)
-    engine = DialecticEngine(gateway, registry, config, trace, "run1", max_workers=3)
+    engine = DialecticEngine(gateway, registry, config, trace, "run1")
     out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 3, phase=1, origin=Origin.FRESH)
     assert len(out) == 3
     assert all(s.grade.score == 7 for s in out)

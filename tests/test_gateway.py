@@ -1,4 +1,8 @@
 """Gateway behavior: exact money, budget enforcement, scripted determinism."""
+import io
+import json
+import urllib.error
+import urllib.request
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +15,7 @@ from proofpipe.gateway import (
     BackendFailure,
     BudgetExceeded,
     CostLedger,
+    HttpBackend,
     ModelGateway,
     ModelRequest,
     Price,
@@ -270,3 +275,53 @@ def test_price_table_from_config_and_missing_backend():
 def test_usage_rejects_negative():
     with pytest.raises(ValueError):
         Usage(-1, 0)
+
+
+class TestHttpBackend:
+    """Offline: ``urllib.request.urlopen`` is replaced by a stub."""
+
+    def _gateway(self, monkeypatch, outcome):
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(request)
+            if isinstance(outcome, int):
+                raise urllib.error.HTTPError(request.full_url, outcome, "refused", {}, io.BytesIO(b""))
+            return io.BytesIO(json.dumps(outcome).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        backend = HttpBackend("http://localhost:9/v1/chat", "m", "bad-key", backend_id="flat-10")
+        return ModelGateway(backend, token_budget=10_000, retry_attempts=3, sleep=lambda _: None), calls
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_error_fails_without_retry(self, monkeypatch, status):
+        gw, calls = self._gateway(monkeypatch, status)
+        with pytest.raises(BackendFailure, match=str(status)):
+            gw.complete(req())
+        assert len(calls) == 1
+        assert gw.tokens_consumed == 0 and not gw.ledger.entries
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_timeout_rate_limit_and_server_errors_are_retried(self, monkeypatch, status):
+        gw, calls = self._gateway(monkeypatch, status)
+        with pytest.raises(BackendFailure):
+            gw.complete(req())
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("payload", [{}, {"choices": []}, {"choices": [{"message": {}}]}, []])
+    def test_malformed_payload_is_backend_failure(self, monkeypatch, payload):
+        gw, calls = self._gateway(monkeypatch, payload)
+        with pytest.raises(BackendFailure, match="malformed"):
+            gw.complete(req())
+        assert len(calls) == 1
+        assert not gw.ledger.entries
+
+    def test_well_formed_payload(self, monkeypatch):
+        payload = {
+            "choices": [{"message": {"content": "proof"}}],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 5},
+        }
+        gw, _ = self._gateway(monkeypatch, payload)
+        resp = gw.complete(req())
+        assert resp.text == "proof" and resp.usage == Usage(7, 5, 0)
+        assert gw.tokens_consumed == 12

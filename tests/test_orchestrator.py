@@ -227,6 +227,22 @@ class TestJudge:
         assert trace.count("judge_fallback") == 1
         assert result.solution is not None
 
+    def test_budget_exhausted_at_judge_falls_back(self, registry):
+        rules = self._two_run_rules(["<decision>B</decision>"])
+        config = small_config(parallel_runs=2)
+        _, unlimited = run_pipeline(rules, config, registry, parallel=True, n=2)
+        judge_tokens = sum(e.usage.total for e in unlimited.ledger.entries if e.role == "judge")
+        # Exactly enough for both runs: the judge call is the first one refused.
+        config = small_config(parallel_runs=2, token_budget=unlimited.tokens_consumed - judge_tokens)
+        result, gateway = run_pipeline(self._two_run_rules(["<decision>B</decision>"]), config, registry, parallel=True, n=2)
+        trace = result.trace
+        assert trace.count("judge") == 0
+        assert [e.payload["reason"] for e in trace.of_kind("judge_fallback")] == ["token budget exhausted before a decision"]
+        assert result.solution is not None
+        assert result.state.run_id == "run1"  # equal finals: the comparator keeps the earlier solution
+        assert trace.of_kind("result")[-1].run_id == "aggregate"
+        assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+
     def test_single_run_no_judge(self, registry):
         config = small_config(parallel_runs=1)
         result, _ = run_pipeline(rules_clean(), config, registry, parallel=True, n=1)
