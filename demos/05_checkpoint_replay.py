@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Checkpointing, resume, and replay verification.
 
-A scripted run snapshots its full state at every phase boundary. Resuming
-from any snapshot (same script, fresh process) reproduces the original
-final solution and the byte-identical ledger. A replay re-executes the
+A scripted run records a small checkpoint marker at every phase boundary.
+Resuming from any marker (same script, fresh process) rebuilds the run's
+state and ledger from the trace events before it and reproduces the
+original final solution and the byte-identical ledger. A replay re-executes the
 whole trace from its embedded script and reports the first divergence,
 which is how you detect a trace that no longer matches its script.
 

@@ -25,8 +25,6 @@ from .gateway import (
     ModelGateway,
     PriceTable,
     ScriptedBackend,
-    Usage,
-    cost_of,
     estimate_max_budget,
 )
 from .metrics import (
@@ -42,6 +40,7 @@ from .orchestrator import (
     STATUS_VERIFIED,
     Orchestrator,
     ReplayError,
+    ledger_from_trace,
     replay,
 )
 from .prompts import PromptRegistry
@@ -177,21 +176,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         problem = load_problem(args.problem)
         config, backend_cfg = load_config(args.config, args)
-        backend = build_backend(backend_cfg)
+        gateway = ModelGateway(
+            build_backend(backend_cfg),
+            token_budget=config.token_budget,
+            price_table=PriceTable.from_config(config.price_table) if config.price_table else DEFAULT_PRICES,
+            retry_attempts=config.retry_attempts,
+            strict_budget=config.strict_budget,
+        )
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.USAGE
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    price_table = PriceTable.from_config(config.price_table) if config.price_table else DEFAULT_PRICES
-    gateway = ModelGateway(
-        backend,
-        token_budget=config.token_budget,
-        price_table=price_table,
-        retry_attempts=config.retry_attempts,
-        strict_budget=config.strict_budget,
-    )
     registry = PromptRegistry.load()
     orch = Orchestrator(gateway, registry, config)
     trace = RunTrace(path=out_dir / "trace.jsonl")
@@ -235,23 +232,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return ExitCode.VERIFIED
 
 
-def _ledger_from_trace(path: Path) -> CostLedger:
-    trace = RunTrace.load(path)
-    header = trace.header or {}
-    raw_prices = (header.get("config") or {}).get("price_table") or {}
-    price_table = PriceTable.from_config(raw_prices) if raw_prices else DEFAULT_PRICES
-    backend_id = (header.get("backend") or {}).get("backend_id", "scripted")
-    ledger = CostLedger()
-    for event in trace.events:
-        payload = event.payload
-        if "usage" in payload and "role" in payload:
-            usage = Usage.from_dict(payload["usage"])
-            ledger.append(
-                event.run_id, payload["role"], backend_id, usage, cost_of(usage, price_table.get(backend_id))
-            )
-    return ledger
-
-
 def cmd_cost(args: argparse.Namespace) -> int:
     if args.estimate:
         try:
@@ -268,7 +248,9 @@ def cmd_cost(args: argparse.Namespace) -> int:
     path = Path(args.ledger)
     try:
         if path.suffix == ".jsonl":
-            ledger = _ledger_from_trace(path)
+            trace = RunTrace.load(path)
+            raw_prices = ((trace.header or {}).get("config") or {}).get("price_table")
+            ledger = ledger_from_trace(trace, PriceTable.from_config(raw_prices) if raw_prices else DEFAULT_PRICES)
         else:
             data = json.loads(path.read_text(encoding="utf-8"))
             ledger = CostLedger()

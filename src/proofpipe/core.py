@@ -2,9 +2,9 @@
 
 Everything here is plain data: no I/O, no model calls. Types are immutable
 values except :class:`RunState`, which is mutated only by the orchestrator
-(single writer; readers may snapshot). Every type serializes to a canonical
-JSON dict via ``to_dict`` / ``from_dict`` — that dict is the schema used by
-the run-trace log.
+(single writer). Every immutable type serializes to a canonical JSON dict
+via ``to_dict`` / ``from_dict`` — that dict is the schema used by the
+run-trace log, from which a resumed run rebuilds its :class:`RunState`.
 """
 from __future__ import annotations
 
@@ -437,29 +437,6 @@ class RunState:
         if self.conjecture_iter >= self.config.conjecture_iterations:
             raise ValueError("conjecture iteration counter exceeded its limit")
         self.conjecture_iter += 1
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config": self.config.to_dict(),
-            "solution_memory": [s.to_dict() for s in self.solution_memory],
-            "lemma_memory": [l.to_dict() for l in self.lemma_memory],
-            "failure_context": [f.to_dict() for f in self.failure_context],
-            "phase1_iter": self.phase1_iter,
-            "conjecture_iter": self.conjecture_iter,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunState":
-        return cls(
-            run_id=d["run_id"],
-            config=PipelineConfig.from_dict(d["config"]),
-            solution_memory=[CandidateSolution.from_dict(s) for s in d["solution_memory"]],
-            lemma_memory=[Lemma.from_dict(l) for l in d["lemma_memory"]],
-            failure_context=[FailureRecord.from_dict(f) for f in d["failure_context"]],
-            phase1_iter=d["phase1_iter"],
-            conjecture_iter=d["conjecture_iter"],
-        )
 
 
 @dataclass(frozen=True)

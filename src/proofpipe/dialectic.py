@@ -451,6 +451,8 @@ class DialecticEngine:
     def solve_branches(self, branches: Sequence[Branch], phase: int) -> list[CandidateSolution]:
         """Solve ``branches`` as one fork/join group; solutions in branch order.
 
+        Each completed solution is recorded as a ``solution`` event right
+        after its branch's calls; resume rebuilds solution memory from these.
         Every branch runs to its end even when a sibling fails. The first
         failure in branch order is raised after the join; when it is budget
         exhaustion, every completed branch rides along, in branch order, on
@@ -461,6 +463,7 @@ class DialecticEngine:
         for leaf in self.fork_join(branches, phase):
             if leaf.error is None:
                 done.append(leaf.solution)
+                self.trace.append(self.run_id, phase, "solution", leaf.solution.to_dict())
             elif error is None:
                 error = leaf.error
         if isinstance(error, BudgetExceeded):

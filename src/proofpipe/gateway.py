@@ -132,6 +132,9 @@ class PriceTable:
             )
         return cls(prices)
 
+    def __contains__(self, backend_id: str) -> bool:
+        return backend_id in self._prices
+
     def get(self, backend_id: str) -> Price:
         if backend_id not in self._prices:
             raise KeyError(f"no price configured for backend {backend_id!r}")
@@ -529,6 +532,9 @@ class ModelGateway:
     ):
         if token_budget <= 0:
             raise ValueError("token_budget must be positive")
+        # Pricing an unpriced call would fail after its tokens were counted.
+        if backend.backend_id not in price_table:
+            raise ValueError(f"no price configured for backend {backend.backend_id!r}")
         self.backend = backend
         self.ledger = ledger if ledger is not None else CostLedger()
         self.price_table = price_table
@@ -550,12 +556,14 @@ class ModelGateway:
         with self._lock:
             return self._budget - self._consumed
 
-    def restore_accounting(self, consumed: int) -> None:
-        """Reset the consumption counter from a checkpoint snapshot."""
+    def restore(self, ledger: CostLedger) -> None:
+        """Continue from ``ledger`` (rebuilt from a trace on resume): it becomes
+        this gateway's ledger, and its token total the tokens consumed."""
         with self._lock:
             if self._inflight_reserved:
                 raise RuntimeError("cannot restore accounting with calls in flight")
-            self._consumed = consumed
+            self.ledger = ledger
+            self._consumed = ledger.total_tokens()
 
     def _admit(self, req: ModelRequest) -> None:
         with self._lock:

@@ -11,9 +11,10 @@ at the softer threshold, and keeps whichever of (incumbent, enhanced)
 grades higher on average. Two whole-pipeline runs can be aggregated by a
 judge call that must end with an explicit decision tag.
 
-Every step appends to a :class:`RunTrace`; state snapshots at phase
-boundaries allow a run to be resumed, and under a scripted backend a
-resumed run reproduces the original bit for bit.
+Every step appends to a :class:`RunTrace`, the only store of run state:
+checkpoints at phase boundaries are small markers, and resuming from one
+folds the events before it back into the run's state and ledger. Under a
+scripted backend a resumed run reproduces the original bit for bit.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from typing import Optional, Sequence
 from .conjecture import ConjectureEngine, ExtractionFailure, VerifyOutcome
 from .core import (
     CandidateSolution,
+    FailureRecord,
+    Lemma,
     Origin,
     PipelineConfig,
     Problem,
@@ -32,9 +35,9 @@ from .core import (
     rank,
 )
 from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
-from .gateway import BudgetExceeded, ModelGateway, ModelRequest
+from .gateway import BudgetExceeded, CostLedger, ModelGateway, ModelRequest, PriceTable, Usage, cost_of
 from .prompts import PromptRegistry
-from .trace import SCHEMA_VERSION, RunTrace, first_divergence
+from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
 
 STATUS_VERIFIED = "verified"
 STATUS_BEST_EFFORT = "best_effort"
@@ -87,6 +90,33 @@ def select_kth_top(solutions: Sequence[CandidateSolution], k: int) -> SolveConte
 def select_top(solutions: Sequence[CandidateSolution], n: int) -> list[CandidateSolution]:
     graded = [s for s in solutions if s.grade is not None]
     return rank(graded)[:n]
+
+
+def ledger_from_trace(trace: RunTrace, price_table: PriceTable, end: Optional[int] = None) -> CostLedger:
+    """The ledger of the calls recorded before seq ``end`` (all by default):
+    one per event with a ``role`` and a ``usage``, priced at the header's backend."""
+    backend_id = ((trace.header or {}).get("backend") or {}).get("backend_id", "scripted")
+    price = price_table.get(backend_id)
+    ledger = CostLedger()
+    for event in trace.events[:end]:
+        payload = event.payload
+        if "usage" in payload and "role" in payload:
+            usage = Usage.from_dict(payload["usage"])
+            ledger.append(event.run_id, payload["role"], backend_id, usage, cost_of(usage, price))
+    return ledger
+
+
+def _fold_memory(state: RunState, events: Sequence[TraceEvent]) -> None:
+    """Refill a run's memories from its events, in the order they were recorded."""
+    for event in events:
+        if event.run_id != state.run_id:
+            continue
+        if event.kind == "solution":
+            state.add_solutions([CandidateSolution.from_dict(event.payload)])
+        elif event.kind == "pair_proven":
+            state.add_lemmas([Lemma.from_dict(event.payload)])
+        elif event.kind == "pair_failed":
+            state.add_failures([FailureRecord.from_dict(event.payload)])
 
 
 def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
@@ -174,51 +204,53 @@ class Orchestrator:
         return PipelineResult(current.solution, current.status, current.state, trace)
 
     def resume(self, source: RunTrace, checkpoint_id: str) -> PipelineResult:
-        """Continue a run from a stored snapshot.
+        """Continue a run from a checkpoint marker.
 
-        The caller supplies an orchestrator whose gateway wraps a backend
-        compatible with the original (for scripted backends: the same
-        script). Events after the checkpoint are discarded; under scripted
-        backends the continuation reproduces them exactly.
+        What the marker does not hold is folded from the events before it
+        (the ledger is priced with this gateway's table). The caller
+        supplies an orchestrator whose gateway wraps a backend compatible
+        with the original (for scripted backends: the same script). Events
+        after the checkpoint are discarded; under scripted backends the
+        continuation reproduces them exactly.
         """
         if checkpoint_id not in source.checkpoints:
             raise ResumeError(f"unknown checkpoint {checkpoint_id!r}")
-        snap = source.checkpoints[checkpoint_id]
+        marker = source.checkpoints[checkpoint_id]
+        header = source.header
+        if header is None:
+            raise ResumeError("trace has no header event")
         try:
-            if snap["schema_version"] != SCHEMA_VERSION:
-                raise ResumeError(f"snapshot schema {snap['schema_version']} != {SCHEMA_VERSION}")
-            if snap["template_version"] != self.registry.version():
+            if header["schema_version"] != SCHEMA_VERSION:
+                raise ResumeError(f"trace schema {header['schema_version']} != {SCHEMA_VERSION}")
+            if header["resumed_from"] is not None:
+                raise ResumeError("the trace of a resumed run lacks the events before its checkpoint")
+            if header["template_version"] != self.registry.version():
                 raise ResumeError("checkpoint was taken with different prompt templates")
-            position = tuple(snap["position"])
-            state = RunState.from_dict(snap["state"])
-            s_base = [CandidateSolution.from_dict(d) for d in snap["s_base"]]
-            ids = IdAllocator.from_dict(snap["ids"])
-            problem = Problem.from_dict(snap["problem"])
+            if PipelineConfig.from_dict(header["config"]).to_dict() != self.config.to_dict():
+                raise ResumeError("checkpoint was taken under a different pipeline config")
+            problem = Problem.from_dict(header["problem"])
+            position = tuple(marker["position"])
+            state = RunState(config=self.config, **marker["state"])
+            _fold_memory(state, source.events[: marker["seq"]])
+            ids = IdAllocator.from_dict(marker["ids"])
+            ledger = ledger_from_trace(source, self.gateway.price_table, end=marker["seq"])
+            cursors = marker["cursors"]
+            result = marker["result"] if position[0] == "final" else None
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ResumeError):
-                raise
             raise ResumeError(f"corrupt checkpoint: {exc}") from exc
-        if state.config.to_dict() != self.config.to_dict():
-            raise ResumeError("checkpoint was taken under a different pipeline config")
 
-        self.gateway.restore_accounting(snap["gateway"]["consumed"])
-        self.gateway.ledger.restore(snap["ledger"])
-        if snap.get("cursors") is not None:
+        self.gateway.restore(ledger)
+        if cursors is not None:
             if not hasattr(self.gateway.backend, "restore"):
-                raise ResumeError("snapshot carries scripted cursors but backend is not scripted")
-            self.gateway.backend.restore(snap["cursors"])
+                raise ResumeError("checkpoint carries scripted cursors but backend is not scripted")
+            self.gateway.backend.restore(cursors)
 
         trace = RunTrace()
         self._write_header(trace, problem, mode="single", resumed_from=checkpoint_id)
-        if position[0] == "final":
-            result_payload = snap["result"]
-            solution = (
-                CandidateSolution.from_dict(result_payload["solution"])
-                if result_payload.get("solution")
-                else None
-            )
-            return PipelineResult(solution, result_payload["status"], state, trace)
-        return self._machine(problem, trace, state.run_id, state, s_base, ids, position)
+        if result is not None:
+            solution = next((s for s in state.solution_memory if s.id == result["solution_id"]), None)
+            return PipelineResult(solution, result["status"], state, trace)
+        return self._machine(problem, trace, state, ids, position)
 
     # -- internals -------------------------------------------------------------
 
@@ -226,9 +258,7 @@ class Orchestrator:
         if trace.header is not None:
             return
         backend = self.gateway.backend
-        descriptor: dict = {"kind": "scripted" if hasattr(backend, "snapshot") else "live"}
-        if hasattr(backend, "backend_id"):
-            descriptor["backend_id"] = backend.backend_id
+        descriptor = {"kind": "scripted" if hasattr(backend, "snapshot") else "live", "backend_id": backend.backend_id}
         trace.append(
             "meta",
             0,
@@ -249,49 +279,40 @@ class Orchestrator:
         if hasattr(backend, "to_dict"):
             trace.append("meta", 0, "script_attachment", {"script": backend.to_dict()})
 
-    def _engines(self, trace: RunTrace, run_id: str, ids: Optional[IdAllocator] = None):
-        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, ids=ids)
-        return engine, ConjectureEngine(engine)
-
     def _run_single(self, problem: Problem, trace: RunTrace, run_id: str) -> PipelineResult:
         state = RunState(run_id=run_id, config=self.config)
-        return self._machine(problem, trace, run_id, state, [], IdAllocator(run_id), ("p1", 1))
+        return self._machine(problem, trace, state, IdAllocator(run_id), ("p1", 1))
 
     def _machine(
         self,
         problem: Problem,
         trace: RunTrace,
-        run_id: str,
         state: RunState,
-        s_base: list[CandidateSolution],
         ids: IdAllocator,
         position: tuple,
     ) -> PipelineResult:
-        engine, conj = self._engines(trace, run_id, ids)
+        run_id = state.run_id
+        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, ids=ids)
+        conj = ConjectureEngine(engine)
         cfg = self.config
-        pending: list[CandidateSolution] = []  # completed but not yet filed; salvage on wind-down
         try:
             if position[0] == "p1":
                 for i in range(position[1], cfg.initial_iterations + 1):
                     trace.append(run_id, 1, "phase_start", {"phase": 1, "iteration": i})
-                    prior = list(s_base)  # contexts come from the previous iteration's memory
+                    # contexts come from the previous iterations' solutions
                     branches = [Branch(problem, EMPTY_CONTEXT, Origin.FRESH)]
                     for k in range(1, cfg.solver_width):
-                        ctx = select_kth_top(prior, k)
+                        ctx = select_kth_top(state.solution_memory, k)
                         branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
-                    pending.extend(engine.solve_branches(branches, phase=1))
-                    batch = list(pending)
-                    pending.clear()
-                    s_base.extend(batch)
+                    batch = engine.solve_branches(branches, phase=1)
+                    state.add_solutions(batch)
                     state.bump_phase1()
                     winner = self._check_verified(batch, problem, engine, trace, run_id)
                     if winner is not None:
-                        return self._finish(problem, trace, run_id, state, s_base, engine, winner, STATUS_VERIFIED)
+                        return self._finish(trace, state, engine, winner, STATUS_VERIFIED)
                     if i < cfg.initial_iterations:
-                        self._checkpoint(trace, problem, run_id, state, s_base, engine, f"p1.i{i}", ("p1", i + 1))
-                state.add_solutions(s_base)
-                s_base = []
-                self._checkpoint(trace, problem, run_id, state, s_base, engine, "p1.done", ("outer", 1))
+                        self._checkpoint(trace, state, engine, f"p1.i{i}", ("p1", i + 1))
+                self._checkpoint(trace, state, engine, "p1.done", ("outer", 1))
                 position = ("outer", 1)
 
             if position[0] == "outer":
@@ -313,9 +334,7 @@ class Orchestrator:
                             )
                         except ExtractionFailure as exc:
                             trace.append(run_id, 2, "extraction_failed", {"error": str(exc)})
-                            self._checkpoint(
-                                trace, problem, run_id, state, s_base, engine, f"outer.l{l}", self._after_outer(l)
-                            )
+                            self._checkpoint(trace, state, engine, f"outer.l{l}", self._after_outer(l))
                             continue
                         outcome = conj.verify_hypotheses(extraction.pairs, cfg.tau, phase=2)
                         state.add_lemmas(outcome.proven)
@@ -325,33 +344,28 @@ class Orchestrator:
                     ctx = self._guided_context(state, outcome)
                     branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
                     branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
-                    pending.extend(engine.solve_branches(branches, phase=3))
-                    batch = list(pending)
-                    pending.clear()
+                    batch = engine.solve_branches(branches, phase=3)
                     state.add_solutions(batch)
                     winner = self._check_verified(batch, problem, engine, trace, run_id)
                     if winner is not None:
-                        return self._finish(problem, trace, run_id, state, s_base, engine, winner, STATUS_VERIFIED)
-                    self._checkpoint(trace, problem, run_id, state, s_base, engine, f"outer.l{l}", self._after_outer(l))
+                        return self._finish(trace, state, engine, winner, STATUS_VERIFIED)
+                    self._checkpoint(trace, state, engine, f"outer.l{l}", self._after_outer(l))
                 position = ("p4", 0)
 
-            return self._phase4(problem, trace, run_id, state, s_base, engine, conj, pending)
+            return self._phase4(problem, trace, state, engine, conj)
         except BudgetExceeded as exc:
-            salvaged = list(pending) + list(exc.partial or [])
-            pending.clear()
-            state.add_solutions(salvaged)
-            pool = state.solution_memory + s_base
+            # the completed branches of the refused round are salvaged
+            state.add_solutions(exc.partial)
+            graded = [s for s in state.solution_memory if s.grade]
             trace.append(
                 run_id,
                 0,
                 "budget_exhausted",
-                {"salvaged": len(salvaged), "graded_pool": len([s for s in pool if s.grade])},
+                {"salvaged": len(exc.partial), "graded_pool": len(graded)},
                 self.gateway.tokens_remaining,
             )
-            solution = best(pool) if any(s.grade for s in pool) else None
-            return self._finish(
-                problem, trace, run_id, state, s_base, engine, solution, STATUS_BUDGET_EXHAUSTED
-            )
+            solution = best(graded) if graded else None
+            return self._finish(trace, state, engine, solution, STATUS_BUDGET_EXHAUSTED)
 
     def _after_outer(self, l: int) -> tuple:
         return ("outer", l + 1) if l < self.config.conjecture_iterations else ("p4", 0)
@@ -373,16 +387,17 @@ class Orchestrator:
             prior = (best(graded),)
         return SolveContext(lemmas=tuple(state.lemma_memory), feedback=tuple(feedback), prior_solutions=prior)
 
-    def _phase4(self, problem, trace, run_id, state, s_base, engine, conj, pending) -> PipelineResult:
+    def _phase4(self, problem, trace, state, engine, conj) -> PipelineResult:
         cfg = self.config
+        run_id = state.run_id
         trace.append(run_id, 4, "phase_start", {"phase": 4})
         graded = [s for s in state.solution_memory if s.grade]
         if not graded:
-            return self._finish(problem, trace, run_id, state, s_base, engine, None, STATUS_BEST_EFFORT)
+            return self._finish(trace, state, engine, None, STATUS_BEST_EFFORT)
         s_star = best(graded)
         g_check = engine.grade_independent(s_star, problem, cfg.verify_repeats, phase=4)
         if all(g.clean_perfect for g in g_check):
-            return self._finish(problem, trace, run_id, state, s_base, engine, s_star, STATUS_VERIFIED)
+            return self._finish(trace, state, engine, s_star, STATUS_VERIFIED)
 
         check_issue_texts = [i.text for g in g_check for i in g.issues]
         enhance_feedback: list[str] = []
@@ -413,11 +428,7 @@ class Orchestrator:
             feedback=tuple(enhance_feedback + check_issue_texts),
             prior_solutions=(s_star,),
         )
-        pending.extend(
-            engine.dialectic_solve(problem, ctx, cfg.solver_width, phase=4, origin=Origin.POST_ENHANCED)
-        )
-        batch = list(pending)
-        pending.clear()
+        batch = engine.dialectic_solve(problem, ctx, cfg.solver_width, phase=4, origin=Origin.POST_ENHANCED)
         state.add_solutions(batch)
         s_better = best(batch)
         g_better = engine.grade_independent(s_better, problem, cfg.verify_repeats, phase=4)
@@ -428,7 +439,7 @@ class Orchestrator:
         else:
             final, final_grades = s_star, g_check
         status = STATUS_VERIFIED if all(g.clean_perfect for g in final_grades) else STATUS_BEST_EFFORT
-        return self._finish(problem, trace, run_id, state, s_base, engine, final, status)
+        return self._finish(trace, state, engine, final, status)
 
     def _check_verified(self, batch, problem, engine, trace, run_id) -> Optional[CandidateSolution]:
         """Try the N-consecutive-clean-grades gate on the batch's candidates.
@@ -451,32 +462,31 @@ class Orchestrator:
             trace.append(run_id, candidate.phase, "verify_failed", {"solution_id": candidate.id})
         return None
 
-    def _checkpoint(self, trace, problem, run_id, state, s_base, engine, checkpoint_id: str, position: tuple, result: Optional[dict] = None) -> None:
-        snapshot = {
-            "schema_version": SCHEMA_VERSION,
-            "checkpoint_id": checkpoint_id,
-            "position": list(position),
-            "template_version": self.registry.version(),
-            "problem": problem.to_dict(),
-            "state": state.to_dict(),
-            "s_base": [s.to_dict() for s in s_base],
-            "ids": engine.ids.to_dict(),
-            "gateway": {"consumed": self.gateway.tokens_consumed},
-            "ledger": [e.to_dict() for e in self.gateway.ledger.entries],
-            "cursors": self.gateway.backend.snapshot() if hasattr(self.gateway.backend, "snapshot") else None,
-            "result": result,
-        }
-        phase = {"p1": 1, "outer": 3, "p4": 4, "final": 4}.get(position[0], 0)
-        trace.checkpoint(checkpoint_id, snapshot, run_id, phase)
+    def _checkpoint(self, trace, state, engine, name: str, position: tuple, result: Optional[dict] = None) -> None:
+        """Record checkpoint ``<run_id>.<name>`` as a marker of constant size.
 
-    def _finish(self, problem, trace, run_id, state, s_base, engine, solution, status) -> PipelineResult:
-        result_payload = {
-            "status": status,
-            "solution": solution.to_dict() if solution else None,
+        ``seq`` is the marker's own event: resume folds the events before it.
+        """
+        marker = {
+            "position": list(position),
+            "state": {
+                "run_id": state.run_id,
+                "phase1_iter": state.phase1_iter,
+                "conjecture_iter": state.conjecture_iter,
+            },
+            "ids": engine.ids.to_dict(),
+            "cursors": self.gateway.backend.snapshot() if hasattr(self.gateway.backend, "snapshot") else None,
+            "seq": len(trace.events),
         }
-        self._checkpoint(
-            trace, problem, run_id, state, s_base, engine, f"{run_id}.final", ("final",), result_payload
-        )
+        if result is not None:
+            marker["result"] = result
+        phase = {"p1": 1, "outer": 3, "p4": 4, "final": 4}.get(position[0], 0)
+        trace.checkpoint(f"{state.run_id}.{name}", marker, state.run_id, phase)
+
+    def _finish(self, trace, state, engine, solution, status) -> PipelineResult:
+        run_id = state.run_id
+        result = {"status": status, "solution_id": solution.id if solution else None}
+        self._checkpoint(trace, state, engine, "final", ("final",), result)
         trace.append(
             run_id,
             4,

@@ -25,7 +25,6 @@ ROLE_IDS = (
     "grader_council",
     "grader_simplified",
     "conjecture_extractor",
-    "solution_parser",
     "answer_processor",
     "conjecture_parser",
     "answer_combiner",

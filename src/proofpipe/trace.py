@@ -1,11 +1,13 @@
-"""Append-only run trace with checkpoint snapshots.
+"""Append-only run trace with checkpoint markers.
 
 Events are JSONL-friendly dicts: an envelope (seq, ts, run id, phase, kind,
 payload digest, budget remaining) around a JSON payload. The digest covers
 only the payload, never the envelope, so wall-clock timestamps do not break
-replay comparison. Checkpoints are full snapshots recorded as events and
-kept addressable by id; when the trace is backed by a file they are also
-written as separate snapshot files next to it.
+replay comparison. The trace is the only store of run state: a checkpoint
+is a small marker (loop position, id counters, scripted cursors and its own
+seq) recorded as an event and kept addressable by id, and resuming from it
+folds the events before it. When the trace is backed by a file, each marker
+is also written to ``checkpoints/<id>.json`` next to it.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 
 from .core import digest
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class RunTrace:
             ckpt_dir = self.path.parent / "checkpoints"
             ckpt_dir.mkdir(parents=True, exist_ok=True)
             tmp = ckpt_dir / f".{checkpoint_id}.tmp"
-            tmp.write_text(json.dumps(snapshot, ensure_ascii=False, indent=1), encoding="utf-8")
+            tmp.write_text(json.dumps(snapshot, ensure_ascii=False), encoding="utf-8")
             tmp.replace(ckpt_dir / f"{checkpoint_id}.json")
 
     def count(self, kind: str, run_id: Optional[str] = None) -> int:
@@ -125,13 +127,20 @@ class RunTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunTrace":
+        """Read a trace back, dropping a torn last line (unterminated and
+        unparseable, as a crash mid-append leaves it); other bad lines raise."""
         trace = cls()
-        with Path(path).open("r", encoding="utf-8") as fh:
+        with Path(path).open("rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                event = TraceEvent.from_dict(json.loads(line))
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    if not line.endswith(b"\n"):  # only the last line can lack one
+                        break
+                    raise
+                event = TraceEvent.from_dict(record)
                 trace.events.append(event)
                 if event.kind == "checkpoint":
                     trace.checkpoints[event.payload["checkpoint_id"]] = event.payload["snapshot"]

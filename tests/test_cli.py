@@ -106,6 +106,20 @@ class TestSolve:
         )
         assert code == ExitCode.USAGE
 
+    def test_unpriced_backend_is_usage_error(self, tmp_path, problem_file, monkeypatch, capsys):
+        monkeypatch.setenv("PROOFPIPE_TEST_KEY", "k")
+        config = tmp_path / "http.ini"
+        config.write_text(
+            "[backend]\nkind = http\nendpoint = http://localhost:9/v1/chat\nmodel = m\n"
+            "api_key_env = PROOFPIPE_TEST_KEY\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        code = run_cli("solve", problem_file, "--config", config, "--out", out)
+        assert code == ExitCode.USAGE
+        assert "no price configured for backend 'http'" in capsys.readouterr().err
+        assert not (out / "trace.jsonl").exists()
+
 
 class TestProblemFile:
     def test_text_format(self, tmp_path):
@@ -191,6 +205,66 @@ class TestCostCommand:
 
     def test_cost_requires_input(self, capsys):
         assert run_cli("cost") == ExitCode.USAGE
+
+
+class TestTornTrace:
+    """A crash mid-append leaves the last line of trace.jsonl cut short."""
+
+    def _solve(self, tmp_path, problem_file):
+        from conftest import rules_all_twos
+
+        script = tmp_path / "twos.json"
+        script.write_text(json.dumps(ScriptedBackend(rules_all_twos()).to_dict()), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(
+            "solve", problem_file, "--script", script, "--out", out, "--parallel-runs", 1,
+            "--solver-width", 2, "--conjecture-iterations", 2,
+        )
+        assert code == ExitCode.BEST_EFFORT
+        return out, script
+
+    def test_cost_and_resume_survive_a_torn_last_line(self, tmp_path, problem_file, capsys, registry):
+        from proofpipe.core import PipelineConfig
+        from proofpipe.gateway import ModelGateway
+        from proofpipe.orchestrator import Orchestrator
+        from proofpipe.trace import RunTrace
+
+        out, script = self._solve(tmp_path, problem_file)
+        trace_path = out / "trace.jsonl"
+        data = trace_path.read_bytes()
+        last_start = data.rstrip(b"\n").rfind(b"\n") + 1
+        trace_path.write_bytes(data[: last_start + (len(data) - last_start) // 2])
+        capsys.readouterr()
+
+        assert run_cli("cost", trace_path) == ExitCode.VERIFIED
+        total = capsys.readouterr().out.strip().splitlines()[-1]
+        ledger = json.loads((out / "ledger.json").read_text(encoding="utf-8"))
+        assert total == f"total: ${ledger['totals']['grand']}"
+
+        trace = RunTrace.load(trace_path)
+        assert len(trace.events) == data.count(b"\n") - 1
+        text = (out / "solution.txt").read_text(encoding="utf-8").strip()
+        config = PipelineConfig.from_dict(trace.header["config"])
+        assert list(trace.checkpoints)[-1] == "run1.final"
+        for checkpoint_id in trace.checkpoints:
+            gateway = ModelGateway(ScriptedBackend.from_file(script), token_budget=config.token_budget)
+            resumed = Orchestrator(gateway, registry, config).resume(trace, checkpoint_id)
+            assert resumed.solution.proof_text == text, checkpoint_id
+            assert gateway.ledger.to_dict() == ledger, checkpoint_id
+
+    def test_bad_line_before_the_end_still_raises(self, tmp_path, problem_file):
+        from proofpipe.trace import RunTrace
+
+        out, _ = self._solve(tmp_path, problem_file)
+        trace_path = out / "trace.jsonl"
+        lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        trace_path.write_text("".join(lines[:3] + ["{torn\n"] + lines[3:]), encoding="utf-8")
+        with pytest.raises(ValueError):
+            RunTrace.load(trace_path)
+        # a complete (newline-terminated) last line is no torn append either
+        trace_path.write_text("".join(lines + ["{torn\n"]), encoding="utf-8")
+        with pytest.raises(ValueError):
+            RunTrace.load(trace_path)
 
 
 class TestReplayCommand:

@@ -161,13 +161,6 @@ class TestRunState:
         with pytest.raises(ValueError):
             state.bump_phase1()
 
-    def test_roundtrip(self):
-        state = RunState(run_id="r", config=PipelineConfig())
-        state.add_solutions([sol("A", 6)])
-        state.bump_phase1()
-        restored = RunState.from_dict(state.to_dict())
-        assert restored.to_dict() == state.to_dict()
-
 
 @given(st.integers(min_value=0, max_value=7).filter(lambda s: s != 5), st.integers(0, 3))
 def test_comparator_total_order_consistency(score, issues):

@@ -316,6 +316,12 @@ class TestHttpBackend:
         assert len(calls) == 1
         assert not gw.ledger.entries
 
+    def test_unpriced_backend_rejected_before_any_call(self):
+        with pytest.raises(ValueError, match="no price configured for backend 'http'"):
+            ModelGateway(HttpBackend("http://localhost:9/v1/chat", "m", "key"), token_budget=10_000)
+        with pytest.raises(ValueError, match="'scripted'"):
+            ModelGateway(ScriptedBackend([]), token_budget=10_000, price_table=PriceTable({}))
+
     def test_well_formed_payload(self, monkeypatch):
         payload = {
             "choices": [{"message": {"content": "proof"}}],

@@ -86,6 +86,17 @@ class TestInstantSuccess:
         assert len(checks) >= 3
         assert all(e.payload["score"] == 7 and e.payload["issue_count"] == 0 for e in checks[-3:])
 
+    def test_phase_one_attempts_reach_memory_and_judge(self, registry):
+        config = small_config(parallel_runs=2)
+        rules = rules_clean() + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
+        result, _ = run_pipeline(rules, config, registry, parallel=True, n=2)
+        assert result.status == STATUS_VERIFIED
+        memory = result.state.solution_memory
+        assert [s.id for s in memory] == ["run1.s0000", "run1.s0001"]
+        assert all(s.phase == 1 for s in memory)
+        prompt = result.trace.of_kind("judge")[0].payload["prompt"]
+        assert "--- attempt 1 (phase 1, graded 7/7) ---" in prompt
+
 
 class TestCognitiveWell:
     def test_full_pipeline_escapes(self, registry):
@@ -365,12 +376,12 @@ class TestResume:
         gateway = make_gateway(rules_well(), config)
         orch = Orchestrator(gateway, other_registry, config)
         with pytest.raises(ResumeError, match="template"):
-            orch.resume(original.trace, "p1.done")
+            orch.resume(original.trace, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        snap = dict(original.trace.checkpoints["p1.done"])
+        snap = dict(original.trace.checkpoints["run1.p1.done"])
         del snap["state"]
         original.trace.checkpoints["broken"] = snap
         orch, _ = self._fresh_orchestrator(config, registry)
@@ -384,7 +395,51 @@ class TestResume:
         gateway = make_gateway(rules_well(), other)
         orch = Orchestrator(gateway, registry, other)
         with pytest.raises(ResumeError, match="config"):
-            orch.resume(original.trace, "p1.done")
+            orch.resume(original.trace, "run1.p1.done")
+
+
+    def test_two_run_checkpoints_are_per_run(self, registry):
+        config = small_config(parallel_runs=2)
+        rules = lambda: rules_well() + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
+        original, orig_gateway = run_pipeline(rules(), config, registry, problem=well_problem(), parallel=True, n=2)
+        ids = [e.payload["checkpoint_id"] for e in original.trace.of_kind("checkpoint")]
+        assert len(ids) == len(set(ids)) == len(original.trace.checkpoints)
+        for run_id in ("run1", "run2"):
+            own = [c for c in ids if c.startswith(run_id + ".")]
+            assert f"{run_id}.p1.done" in own and f"{run_id}.final" in own
+        assert len(ids) == len([c for c in ids if c.startswith(("run1.", "run2."))])
+
+        run1_text = next(e.payload["proof_text"] for e in original.trace.of_kind("result") if e.run_id == "run1")
+        entries = [e.to_dict() for e in orig_gateway.ledger.entries]
+        last = max(i for i, e in enumerate(entries) if e["run_id"] == "run1")
+        gateway = make_gateway(rules(), config)
+        resumed = Orchestrator(gateway, registry, config).resume(original.trace, "run1.p1.done")
+        assert resumed.state.run_id == "run1"
+        assert resumed.solution.proof_text == run1_text
+        assert [e.to_dict() for e in gateway.ledger.entries] == entries[: last + 1]
+
+    def test_resumed_trace_is_not_resumable(self, registry):
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        orch, _ = self._fresh_orchestrator(config, registry)
+        resumed = orch.resume(original.trace, "run1.p1.done")
+        orch, _ = self._fresh_orchestrator(config, registry)
+        with pytest.raises(ResumeError, match="resumed run"):
+            orch.resume(resumed.trace, "run1.final")
+
+    def test_checkpoint_markers_stay_small(self, registry):
+        import json
+
+        from proofpipe.core import PipelineConfig
+
+        config = PipelineConfig()
+        rules = rules_all_twos() + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
+        result, _ = run_pipeline(rules, config, registry, parallel=True, n=2)
+        checkpoints = result.trace.of_kind("checkpoint")
+        assert len(checkpoints) == 2 * (config.conjecture_iterations + 2)
+        for event in checkpoints:
+            size = len(json.dumps(event.to_dict(), ensure_ascii=False))
+            assert size < 2048, (event.payload["checkpoint_id"], size)
 
 
 class TestReplay:

@@ -23,7 +23,6 @@ def test_all_roles_load(registry):
         "grader_council",
         "grader_simplified",
         "conjecture_extractor",
-        "solution_parser",
         "answer_processor",
         "conjecture_parser",
         "answer_combiner",
