@@ -29,6 +29,7 @@ from .core import (
 from .gateway import (
     BackendFailure,
     BudgetExceeded,
+    CallFailed,
     CostLedger,
     ModelGateway,
     ModelRequest,

@@ -5,6 +5,7 @@ Exit codes are a stable contract:
   1  best-effort solution (ran out of iterations, not tokens)
   2  usage / input error
   3  budget exhausted (best partial artifacts still written)
+  4  internal error: a bug in proofpipe (the traceback goes to stderr)
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import configparser
 import json
 import os
 import sys
+import traceback
 from decimal import Decimal, InvalidOperation
 from enum import IntEnum
 from pathlib import Path
@@ -52,6 +54,7 @@ class ExitCode(IntEnum):
     BEST_EFFORT = 1
     USAGE = 2
     BUDGET_EXHAUSTED = 3
+    INTERNAL = 4
 
 
 _STATUS_TO_EXIT = {
@@ -335,7 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except Exception:  # noqa: BLE001 - anything a subcommand lets escape is a bug
+        traceback.print_exc()
+        return ExitCode.INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ strict JSON by a parser-role call and then validated locally. Each
 surviving (conjecture, negation) pair is verified by solving both sides as
 brand-new problems with no parent-proof context; exactly one side clearing
 the threshold yields a lemma, anything else lands in the failure context.
+A side that a failed call ended (a backend error, a missing script rule, an
+unparseable grade) proves nothing: its pair is recorded as unresolved and
+the other pairs go on.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from .core import (
     Polarity,
     Problem,
 )
-from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, GradeParseFailure, Leaf
-from .gateway import BackendFailure, BudgetExceeded, ScriptError
+from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, Leaf
+from .gateway import BudgetExceeded, CallFailed, failure_text
 
 _HEADER_PREFIX_RE = re.compile(r"^\s*(?:conjecture|negation(?:\s+of\s+conjecture)?)\s*\d*\s*[:.]\s*", re.IGNORECASE)
 
@@ -41,20 +44,20 @@ _REFERENTIAL_PHRASES = (
 )
 
 
-# Side failures that mark a pair unresolved instead of stopping verification.
-_SIDE_FAILURES = (BackendFailure, GradeParseFailure, ScriptError)
+class ExtractionFailure(CallFailed):
+    """Extraction could not produce a valid result, even after a re-prompt.
+
+    Raised as its subclass :class:`ParseError` once the parser's last reply
+    still breaks the strict JSON contract.
+    """
 
 
-class ParseError(Exception):
+class ParseError(ExtractionFailure):
     """No JSON object could be recovered from the text."""
 
 
 class SchemaError(ParseError):
     """JSON recovered, but it violates the strict output contract."""
-
-
-class ExtractionFailure(Exception):
-    """Extraction could not produce a valid result, even after a re-prompt."""
 
 
 @dataclass(frozen=True)
@@ -244,8 +247,16 @@ class ConjectureEngine:
             "extract",
             {"seed_ids": [s.id for s in seeds]},
         ).text
-
-        parsed = self._parse_with_retry(raw, phase)
+        parsed = self.dialectic._call(
+            "parser",
+            "conjecture_parser",
+            {"solution": raw},
+            phase,
+            "extract_parse",
+            {},
+            parse=lambda text: (parse_conjectures(text), {}),
+            attempts=2,
+        )
         pairs = []
         for c, n in zip(parsed.conjectures, parsed.negations):
             pair = HypothesisPair(
@@ -268,23 +279,6 @@ class ConjectureEngine:
             )
             pairs = pairs[:budget]
         return ExtractionResult(pairs=tuple(pairs), rewritten_proof=parsed.proof)
-
-    def _parse_with_retry(self, raw: str, phase: int) -> ParsedConjectures:
-        last_error: Optional[Exception] = None
-        for attempt in range(2):
-            parser_text = self.dialectic._call(
-                "parser",
-                "conjecture_parser",
-                {"solution": raw},
-                phase,
-                "extract_parse",
-                {"attempt": attempt},
-            ).text
-            try:
-                return parse_conjectures(parser_text)
-            except ParseError as exc:
-                last_error = exc
-        raise ExtractionFailure(f"conjecture parsing failed after re-prompt: {last_error}")
 
     def verify_hypotheses(self, pairs: Sequence[HypothesisPair], tau: int, phase: int = 2) -> VerifyOutcome:
         """Bisection-verify each pair in a fresh, detached context.
@@ -315,7 +309,7 @@ class ConjectureEngine:
             neg = self._side_attempt(pair, "neg", next(leaves), phase)
             errors = [r for r in (pos, neg) if isinstance(r, BaseException)]
             if stop is None:
-                stop = next((e for e in errors if not isinstance(e, _SIDE_FAILURES)), None)
+                stop = next((e for e in errors if not isinstance(e, CallFailed)), None)
             if stop is not None:
                 continue
             if errors:
@@ -323,7 +317,7 @@ class ConjectureEngine:
                     pair_id=pair.id,
                     conjecture=pair.conjecture,
                     reason=FailureReason.UNRESOLVED,
-                    detail=f"{type(errors[0]).__name__}: {errors[0]}",
+                    detail=failure_text(errors[0]),
                 )
                 failed.append(record)
                 self._trace.append(

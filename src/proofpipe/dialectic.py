@@ -8,6 +8,14 @@ output. Independent branches run concurrently as one fork/join group
 of running the branches one after another. The module also owns
 grader-transcript parsing and the N-consecutive-clean-grades acceptance
 check; it never decides when the outer loop stops.
+
+:meth:`DialecticEngine._call` is the one call path of the package: every
+model call, including those of conjecture extraction and the judge, is
+rendered, sent, recorded as one trace event and, where its reply must
+parse, checked there. A failed call (:class:`~proofpipe.gateway.CallFailed`)
+ends only the unit that made it: a branch is dropped and recorded as
+``branch_failed``, a verify-gate grade fails the gate, and an independent
+grade counts as a 0.
 """
 from __future__ import annotations
 
@@ -30,7 +38,7 @@ from .core import (
     Severity,
     digest,
 )
-from .gateway import BudgetExceeded, Lane, ModelGateway, ModelRequest
+from .gateway import BudgetExceeded, CallFailed, Lane, ModelGateway, ModelRequest, failure_text
 from .prompts import PromptRegistry
 from .trace import RunTrace
 
@@ -42,7 +50,7 @@ _FINAL_GRADE_RE = re.compile(r"Final Grade\W{0,40}?(\d+)", re.IGNORECASE | re.DO
 _BLUEPRINT_MARKERS = ("The Final Blueprint", "Proof_Submitted_for_Review")
 
 
-class GradeParseFailure(Exception):
+class GradeParseFailure(CallFailed):
     """The grader transcript carried no recognizable final score."""
 
 
@@ -165,6 +173,11 @@ def parse_grade_transcript(transcript: str) -> GradeReport:
     )
 
 
+def _graded(transcript: str) -> tuple[GradeReport, dict]:
+    report = parse_grade_transcript(transcript)
+    return report, {"score": report.score, "issue_count": len(report.issues), "notes": list(report.notes)}
+
+
 def _section(transcript: str, header: str) -> str:
     """Text between a named section header and the next bold/section header."""
     pattern = re.compile(re.escape(header) + r"[^\n]*\n(.*?)(?=\n\s*\*\*[A-Z]|\Z)", re.DOTALL | re.IGNORECASE)
@@ -255,10 +268,21 @@ class DialecticEngine:
 
     # -- gateway plumbing ---------------------------------------------------
 
-    def _request(self, role: str, template_id: str, slots: dict):
-        """Render a template and call the gateway; no trace side effects."""
+    def _call(
+        self, role: str, template_id: str, slots: dict, phase: int, kind: str, extra: dict, parse=None, attempts: int = 1
+    ):
+        """Render a template, call the gateway as ``role`` and record the call
+        as one ``kind`` event; every model call of a run goes through here.
+
+        Without ``parse`` the response is returned. ``parse`` maps the reply
+        text to ``(value, fields)``: the fields join the event's payload and
+        the value is returned. A reply it rejects is recorded with
+        ``parse_error`` and re-prompted until ``attempts`` calls have been
+        made; then the parse error is raised. With more than one attempt
+        allowed, each event records its ``attempt``.
+        """
         prompt = self.registry.render(template_id, slots)
-        req = ModelRequest(
+        request = ModelRequest(
             role=role,
             prompt=prompt,
             temperature=self.config.temperatures.get(role, 1.0),
@@ -266,22 +290,20 @@ class DialecticEngine:
             run_id=self.run_id,
             lane=self.lane,
         )
-        return prompt, self.gateway.complete(req)
-
-    def _record(self, phase: int, kind: str, role: str, prompt: str, resp, extra: dict) -> None:
-        payload = {
-            "role": role,
-            "prompt": prompt,
-            "response": resp.text,
-            "usage": resp.usage.to_dict(),
-            **extra,
-        }
-        self.trace.append(self.run_id, phase, kind, payload, self.gateway.tokens_remaining)
-
-    def _call(self, role: str, template_id: str, slots: dict, phase: int, kind: str, extra: dict):
-        prompt, resp = self._request(role, template_id, slots)
-        self._record(phase, kind, role, prompt, resp, extra)
-        return resp
+        for attempt in range(attempts):
+            resp = self.gateway.complete(request)
+            payload = {"role": role, "prompt": prompt, "response": resp.text, "usage": resp.usage.to_dict(), **extra}
+            if attempts > 1:
+                payload["attempt"] = attempt
+            error = None
+            try:
+                value, fields = parse(resp.text) if parse else (resp, {})
+            except CallFailed as exc:
+                error, fields = exc, {"parse_error": str(exc)}
+            self.trace.append(self.run_id, phase, kind, {**payload, **fields}, self.gateway.tokens_remaining)
+            if error is None:
+                return value
+        raise error
 
     def _materials(self, problem: Problem, ctx: SolveContext) -> str:
         parts = []
@@ -314,47 +336,19 @@ class DialecticEngine:
         return [text if text else "(unparseable processor response)"]
 
     def grade(
-        self,
-        proof_text: str,
-        problem: Problem,
-        phase: int,
-        kind: str = "grade",
-        extra: Optional[dict] = None,
-        materials: str = "",
+        self, proof_text: str, problem: Problem, phase: int, kind: str = "grade", extra: Optional[dict] = None
     ) -> GradeReport:
+        """Grade ``proof_text``; a grader gets no materials and is not re-prompted."""
         variant = self.config.grader_variant_by_phase.get(phase, self.config.grader_variant)
-        prompt, resp = self._request(
+        return self._call(
             "grader",
             variant,
-            {"problem": problem.statement, "solution": proof_text, "additional_materials": materials},
-        )
-        try:
-            report = parse_grade_transcript(resp.text)
-        except GradeParseFailure:
-            self._record(
-                phase,
-                kind,
-                "grader",
-                prompt,
-                resp,
-                {**(extra or {}), "solution_digest": digest(proof_text), "parse_failure": True},
-            )
-            raise
-        self._record(
+            {"problem": problem.statement, "solution": proof_text},
             phase,
             kind,
-            "grader",
-            prompt,
-            resp,
-            {
-                **(extra or {}),
-                "solution_digest": digest(proof_text),
-                "score": report.score,
-                "issue_count": len(report.issues),
-                "notes": list(report.notes),
-            },
+            {**(extra or {}), "solution_digest": digest(proof_text)},
+            parse=_graded,
         )
-        return report
 
     def _branch(
         self, problem: Problem, ctx: SolveContext, branch: int, phase: int, origin: Origin, solution_id: str
@@ -453,10 +447,12 @@ class DialecticEngine:
 
         Each completed solution is recorded as a ``solution`` event right
         after its branch's calls; resume rebuilds solution memory from these.
-        Every branch runs to its end even when a sibling fails. The first
-        failure in branch order is raised after the join; when it is budget
-        exhaustion, every completed branch rides along, in branch order, on
-        the raised :class:`BudgetExceeded`.
+        A branch that a failed call ended is dropped and recorded as a
+        ``branch_failed`` event in its place. Every branch runs to its end
+        even when a sibling fails. Any other error is raised after the join,
+        the first in branch order; when it is budget exhaustion, every
+        completed branch rides along, in branch order, on the raised
+        :class:`BudgetExceeded`.
         """
         done: list[CandidateSolution] = []
         error: Optional[BaseException] = None
@@ -464,6 +460,9 @@ class DialecticEngine:
             if leaf.error is None:
                 done.append(leaf.solution)
                 self.trace.append(self.run_id, phase, "solution", leaf.solution.to_dict())
+            elif isinstance(leaf.error, CallFailed):
+                failure = {"solution_id": leaf.solution_id, "error": failure_text(leaf.error)}
+                self.trace.append(self.run_id, phase, "branch_failed", failure)
             elif error is None:
                 error = leaf.error
         if isinstance(error, BudgetExceeded):
@@ -523,33 +522,38 @@ class DialecticEngine:
     def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
         """True iff ``n`` fresh grades in a row are perfect with zero issues.
 
-        Short-circuits on the first miss; every check grade is traced with
-        the exact solution text it judged.
+        Short-circuits on the first miss; a grade whose call failed is a
+        miss. Every check grade is traced with the exact solution text it
+        judged.
         """
         n = n if n is not None else self.config.verify_repeats
         if n < 1:
             raise ValueError("n must be >= 1")
         for ordinal in range(n):
-            report = self.grade(
-                solution.proof_text,
-                problem,
-                phase=solution.phase,
-                kind="check_grade",
-                extra={"solution_id": solution.id, "ordinal": ordinal, "text": solution.proof_text},
-            )
+            try:
+                report = self._check_grade(solution, problem, solution.phase, ordinal)
+            except CallFailed:
+                return False
             if not report.clean_perfect:
                 return False
         return True
 
     def grade_independent(self, solution: CandidateSolution, problem: Problem, n: int, phase: int) -> list[GradeReport]:
-        """N fresh grades with no short-circuit (mean-score comparisons)."""
-        return [
-            self.grade(
-                solution.proof_text,
-                problem,
-                phase=phase,
-                kind="check_grade",
-                extra={"solution_id": solution.id, "ordinal": i, "text": solution.proof_text},
-            )
-            for i in range(n)
-        ]
+        """N fresh grades with no short-circuit (mean-score comparisons); a
+        grade whose call failed counts as a 0, with the error in its notes."""
+        reports = []
+        for ordinal in range(n):
+            try:
+                reports.append(self._check_grade(solution, problem, phase, ordinal))
+            except CallFailed as exc:
+                reports.append(GradeReport(score=0, notes=(failure_text(exc),)))
+        return reports
+
+    def _check_grade(self, solution: CandidateSolution, problem: Problem, phase: int, ordinal: int) -> GradeReport:
+        return self.grade(
+            solution.proof_text,
+            problem,
+            phase=phase,
+            kind="check_grade",
+            extra={"solution_id": solution.id, "ordinal": ordinal, "text": solution.proof_text},
+        )

@@ -38,7 +38,21 @@ class BudgetExceeded(Exception):
         self.partial = partial if partial is not None else []
 
 
-class BackendFailure(Exception):
+class CallFailed(Exception):
+    """A model call gave no usable reply.
+
+    It ends only the unit of work that made the call (a branch, a bisection
+    side, an extraction, a grade, the judge); the run records it and goes
+    on. Budget exhaustion is not a call failure: it ends the run.
+    """
+
+
+def failure_text(exc: BaseException) -> str:
+    """An error as failure records store it: ``Type: message``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+class BackendFailure(CallFailed):
     """A backend call failed permanently (after retries)."""
 
 
@@ -46,7 +60,7 @@ class TransientBackendError(Exception):
     """A backend call failed in a retryable way."""
 
 
-class ScriptError(Exception):
+class ScriptError(CallFailed):
     """The scripted backend had no rule left for a request."""
 
 
@@ -440,9 +454,6 @@ class ScriptedBackend:
                 raise ValueError("cursor snapshot does not match script shape")
             for rule, cur in zip(self._rules, cursors):
                 rule.cursor = cur
-
-    def reset(self) -> None:
-        self.restore([0] * len(self._rules))
 
     def to_dict(self) -> dict:
         return {"rules": [r.to_dict() for r in self._rules]}

@@ -11,6 +11,10 @@ at the softer threshold, and keeps whichever of (incumbent, enhanced)
 grades higher on average. Two whole-pipeline runs can be aggregated by a
 judge call that must end with an explicit decision tag.
 
+A failed model call ends only the unit that made it (a branch, a bisection
+side, an extraction, a grade, the judge) and is recorded; the run goes on.
+Only budget exhaustion ends a run early.
+
 Every step appends to a :class:`RunTrace`, the only store of run state:
 checkpoints at phase boundaries are small markers, and resuming from one
 folds the events before it back into the run's state and ledger. Under a
@@ -22,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .conjecture import ConjectureEngine, ExtractionFailure, VerifyOutcome
+from .conjecture import ConjectureEngine, VerifyOutcome
 from .core import (
     CandidateSolution,
     FailureRecord,
@@ -35,7 +39,7 @@ from .core import (
     rank,
 )
 from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
-from .gateway import BudgetExceeded, CostLedger, ModelGateway, ModelRequest, PriceTable, Usage, cost_of
+from .gateway import BudgetExceeded, CallFailed, CostLedger, ModelGateway, PriceTable, Usage, cost_of, failure_text
 from .prompts import PromptRegistry
 from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
 
@@ -70,6 +74,13 @@ def extract_decision(text: str) -> Optional[str]:
     """The judge's verdict: the last well-formed decision tag wins."""
     matches = _DECISION_RE.findall(text)
     return matches[-1] if matches else None
+
+
+def _decided(text: str) -> tuple[str, dict]:
+    decision = extract_decision(text)
+    if decision is None:
+        raise CallFailed("no decision tag")
+    return decision, {"decision": decision}
 
 
 def select_kth_top(solutions: Sequence[CandidateSolution], k: int) -> SolveContext:
@@ -178,8 +189,9 @@ class Orchestrator:
 
         The judge sees both finals plus each run's solution-sequence
         history; a missing decision tag is re-prompted once and then falls
-        back to the comparator over the two finals, as does a judge call
-        the token budget refuses. The runs execute one after another.
+        back to the comparator over the two finals, as do a failed judge
+        call and one the token budget refuses. The runs execute one after
+        another.
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
@@ -332,13 +344,13 @@ class Orchestrator:
                                 state.failure_context,
                                 phase=2,
                             )
-                        except ExtractionFailure as exc:
-                            trace.append(run_id, 2, "extraction_failed", {"error": str(exc)})
-                            self._checkpoint(trace, state, engine, f"outer.l{l}", self._after_outer(l))
-                            continue
-                        outcome = conj.verify_hypotheses(extraction.pairs, cfg.tau, phase=2)
-                        state.add_lemmas(outcome.proven)
-                        state.add_failures(outcome.failed)
+                        except CallFailed as exc:
+                            # Only the extraction is lost; the guided round still runs.
+                            trace.append(run_id, 2, "extraction_failed", {"error": failure_text(exc)})
+                        else:
+                            outcome = conj.verify_hypotheses(extraction.pairs, cfg.tau, phase=2)
+                            state.add_lemmas(outcome.proven)
+                            state.add_failures(outcome.failed)
 
                     trace.append(run_id, 3, "phase_start", {"phase": 3, "iteration": l})
                     ctx = self._guided_context(state, outcome)
@@ -412,8 +424,8 @@ class Orchestrator:
                     extra_reports=check_issue_texts,
                     phase=4,
                 )
-            except ExtractionFailure as exc:
-                trace.append(run_id, 4, "extraction_failed", {"error": str(exc), "session": session})
+            except CallFailed as exc:
+                trace.append(run_id, 4, "extraction_failed", {"error": failure_text(exc), "session": session})
                 continue
             outcome = conj.verify_hypotheses(extraction.pairs, cfg.tau_e, phase=4)
             state.add_lemmas(outcome.proven)
@@ -430,14 +442,13 @@ class Orchestrator:
         )
         batch = engine.dialectic_solve(problem, ctx, cfg.solver_width, phase=4, origin=Origin.POST_ENHANCED)
         state.add_solutions(batch)
-        s_better = best(batch)
-        g_better = engine.grade_independent(s_better, problem, cfg.verify_repeats, phase=4)
-
-        # argmax over mean independent grades; ties keep the incumbent
-        if sum(g.score for g in g_better) > sum(g.score for g in g_check):
-            final, final_grades = s_better, g_better
-        else:
-            final, final_grades = s_star, g_check
+        final, final_grades = s_star, g_check
+        if batch:  # a round in which every branch failed keeps the incumbent
+            s_better = best(batch)
+            g_better = engine.grade_independent(s_better, problem, cfg.verify_repeats, phase=4)
+            # argmax over mean independent grades; ties keep the incumbent
+            if sum(g.score for g in g_better) > sum(g.score for g in g_check):
+                final, final_grades = s_better, g_better
         status = STATUS_VERIFIED if all(g.clean_perfect for g in final_grades) else STATUS_BEST_EFFORT
         return self._finish(trace, state, engine, final, status)
 
@@ -515,41 +526,14 @@ class Orchestrator:
             "solution_b": b.solution.proof_text,
             "additional_materials": self._history_blob(a) + "\n\n" + self._history_blob(b),
         }
-        reason = "no decision tag after re-prompt"
-        for attempt in range(2):
-            prompt = self.registry.render("answer_combiner", slots)
-            try:
-                resp = self.gateway.complete(
-                    ModelRequest(
-                        role="judge",
-                        prompt=prompt,
-                        temperature=self.config.temperatures.get("judge", 1.0),
-                        max_output_tokens=self.config.max_output_tokens,
-                        run_id="aggregate",
-                    )
-                )
-            except BudgetExceeded:
-                reason = "token budget exhausted before a decision"
-                break
-            decision = extract_decision(resp.text)
-            trace.append(
-                "aggregate",
-                4,
-                "judge",
-                {
-                    "role": "judge",
-                    "attempt": attempt,
-                    "prompt": prompt,
-                    "response": resp.text,
-                    "decision": decision,
-                    "usage": resp.usage.to_dict(),
-                },
-                self.gateway.tokens_remaining,
-            )
-            if decision == "A":
-                return a
-            if decision == "B":
-                return b
+        judge = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
+        try:
+            decision = judge._call("judge", "answer_combiner", slots, 4, "judge", {}, parse=_decided, attempts=2)
+            return a if decision == "A" else b
+        except BudgetExceeded:
+            reason = "token budget exhausted before a decision"
+        except CallFailed as exc:
+            reason = failure_text(exc)
         trace.append("aggregate", 4, "judge_fallback", {"reason": reason})
         return a if best([a.solution, b.solution]) is a.solution else b
 

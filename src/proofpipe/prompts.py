@@ -19,17 +19,6 @@ SLOT_OPEN = "{{slot:"
 SLOT_CLOSE = "}}"
 EMPTY_MARKER = "(none provided)"
 
-ROLE_IDS = (
-    "solver",
-    "solver_alt",
-    "grader_council",
-    "grader_simplified",
-    "conjecture_extractor",
-    "answer_processor",
-    "conjecture_parser",
-    "answer_combiner",
-)
-
 
 class MissingSlot(KeyError):
     def __init__(self, name: str):

@@ -120,6 +120,19 @@ class TestSolve:
         assert "no price configured for backend 'http'" in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
 
+    def test_bug_exits_internal_with_traceback(self, tmp_path, clean_script, problem_file, monkeypatch, capsys):
+        from proofpipe.orchestrator import Orchestrator
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("an invariant broke")
+
+        monkeypatch.setattr(Orchestrator, "run_parallel", broken)
+        code = run_cli("solve", problem_file, "--script", clean_script, "--out", tmp_path / "o")
+        assert code == ExitCode.INTERNAL == 4
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: an invariant broke" in err
+
 
 class TestProblemFile:
     def test_text_format(self, tmp_path):
