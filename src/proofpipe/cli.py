@@ -15,11 +15,12 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 from enum import IntEnum
 from pathlib import Path
 
-from .core import PipelineConfig, Problem, TEMPERATURE_PROFILES
+from .core import PipelineConfig, Problem
 from .gateway import (
     DEFAULT_PRICES,
     CostLedger,
@@ -63,12 +64,19 @@ _STATUS_TO_EXIT = {
     STATUS_BUDGET_EXHAUSTED: ExitCode.BUDGET_EXHAUSTED,
 }
 
-# The shipped run profiles: "advanced" is the full two-run aggregated setup,
-# "single" trades the second run and judge call for cost.
-PROFILES = {
-    "advanced": {},
-    "single": {"parallel_runs": 1},
-}
+# Every PipelineConfig field but the price table, which [prices] sets.
+PIPELINE_KEYS = frozenset(f.name for f in fields(PipelineConfig)) - {"price_table"}
+# The pipeline settings `solve` also takes as integer flags.
+SOLVE_FLAGS = (
+    "initial_iterations",
+    "conjecture_iterations",
+    "solver_width",
+    "extraction_budget",
+    "verify_repeats",
+    "parallel_runs",
+    "token_budget",
+    "max_output_tokens",
+)
 
 
 def load_problem(path: str | Path) -> Problem:
@@ -108,20 +116,19 @@ def load_problem(path: str | Path) -> Problem:
 
 
 def load_config(path: str | Path | None, args: argparse.Namespace) -> tuple[PipelineConfig, dict]:
-    """Merge: profile defaults < config file < command-line flags."""
-    values: dict = dict(PROFILES[args.profile])
+    """Merge: defaults < config file < command-line flags."""
+    values: dict = {}
     backend_cfg: dict = {"kind": "scripted"}
     if path:
         parser = configparser.ConfigParser()
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         if parser.has_section("pipeline"):
             for key, raw in parser.items("pipeline"):
-                if key == "temperature_profile":
-                    values["temperatures"] = dict(TEMPERATURE_PROFILES[raw])
-                elif key in ("strict_budget",):
+                if key not in PIPELINE_KEYS:
+                    raise ValueError(f"unknown [pipeline] key {key!r} in {path}")
+                if key == "strict_budget":
                     values[key] = parser.getboolean("pipeline", key)
-                elif key in ("grader_variant", "solver_variant"):
-                    values[key] = raw
                 else:
                     values[key] = int(raw)
         if parser.has_section("backend"):
@@ -135,16 +142,7 @@ def load_config(path: str | Path | None, args: argparse.Namespace) -> tuple[Pipe
                     "output_usd_per_million": rate_out,
                 }
             values["price_table"] = price_table
-    for flag in (
-        "initial_iterations",
-        "conjecture_iterations",
-        "solver_width",
-        "extraction_budget",
-        "verify_repeats",
-        "parallel_runs",
-        "token_budget",
-        "max_output_tokens",
-    ):
+    for flag in SOLVE_FLAGS:
         value = getattr(args, flag, None)
         if value is not None:
             values[flag] = value
@@ -186,12 +184,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             retry_attempts=config.retry_attempts,
             strict_budget=config.strict_budget,
         )
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.USAGE
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     registry = PromptRegistry.load()
     orch = Orchestrator(gateway, registry, config)
     trace = RunTrace(path=out_dir / "trace.jsonl")
@@ -228,10 +226,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     print(text)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
-        (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        (out_dir / "confusion.csv").write_text(confusion_csv(report), encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
+            (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+            (out_dir / "confusion.csv").write_text(confusion_csv(report), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return ExitCode.USAGE
     return ExitCode.VERIFIED
 
 
@@ -272,7 +274,11 @@ def cmd_cost(args: argparse.Namespace) -> int:
             print(f"  {run:<10} {total}")
     print(f"total: ${ledger.grand_total()}")
     if args.csv:
-        Path(args.csv).write_text(ledger.to_csv(), encoding="utf-8")
+        try:
+            Path(args.csv).write_text(ledger.to_csv(), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return ExitCode.USAGE
     return ExitCode.VERIFIED
 
 
@@ -299,19 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem", help="Problem file (JSON or key/block text).")
     solve.add_argument("--config", help="INI config file ([pipeline], [backend], [prices]).")
     solve.add_argument("--out", default="out", help="Artifact directory.")
-    solve.add_argument("--profile", choices=sorted(PROFILES), default="advanced")
     solve.add_argument("--script", help="Scripted-backend script file (JSON).")
-    for flag in (
-        "initial-iterations",
-        "conjecture-iterations",
-        "solver-width",
-        "extraction-budget",
-        "verify-repeats",
-        "parallel-runs",
-        "token-budget",
-        "max-output-tokens",
-    ):
-        solve.add_argument(f"--{flag}", type=int, dest=flag.replace("-", "_"))
+    for flag in SOLVE_FLAGS:
+        solve.add_argument(f"--{flag.replace('_', '-')}", type=int, dest=flag)
     solve.set_defaults(func=cmd_solve)
 
     metrics = sub.add_parser("metrics", help="Evaluate grading records (CSV or JSONL).")

@@ -64,13 +64,6 @@ class SchemaError(ParseError):
 class ParsedConjectures:
     conjectures: tuple[str, ...]
     negations: tuple[str, ...]
-    proof: str
-
-
-@dataclass(frozen=True)
-class ExtractionResult:
-    pairs: tuple[HypothesisPair, ...]
-    rewritten_proof: str
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,8 @@ def parse_conjectures(raw: str) -> ParsedConjectures:
 
     Tolerates code fences and surrounding prose around the JSON object.
     Arrays must be equal length with non-empty strings; "Conjecture N:"
-    style headers are stripped. Empty arrays are a valid (empty) result.
+    style headers are stripped. Empty arrays are a valid (empty) result; a
+    non-empty one must come with a non-empty rewritten proof.
     """
     try:
         obj = json.loads(find_json_object(raw))
@@ -161,7 +155,7 @@ def parse_conjectures(raw: str) -> ParsedConjectures:
         cleaned_n.append(n)
     if cleaned_c and not proof.strip():
         raise SchemaError("non-empty extraction must carry a rewritten proof")
-    return ParsedConjectures(tuple(cleaned_c), tuple(cleaned_n), proof)
+    return ParsedConjectures(tuple(cleaned_c), tuple(cleaned_n))
 
 
 def lint_self_containedness(statement: str) -> list[str]:
@@ -206,7 +200,7 @@ class ConjectureEngine:
         failures: Sequence[FailureRecord] = (),
         extra_reports: Sequence[str] = (),
         phase: int = 2,
-    ) -> ExtractionResult:
+    ) -> tuple[HypothesisPair, ...]:
         """Ask the extractor for load-bearing conjecture pairs.
 
         The extractor sees the seed proofs plus established lemmas, prior
@@ -237,7 +231,6 @@ class ConjectureEngine:
 
         raw = self.dialectic._call(
             "extractor",
-            "conjecture_extractor",
             {
                 "problem": problem.statement,
                 "solution": solutions_blob,
@@ -249,7 +242,6 @@ class ConjectureEngine:
         ).text
         parsed = self.dialectic._call(
             "parser",
-            "conjecture_parser",
             {"solution": raw},
             phase,
             "extract_parse",
@@ -278,7 +270,7 @@ class ConjectureEngine:
                 {"kept": budget, "dropped": len(pairs) - budget},
             )
             pairs = pairs[:budget]
-        return ExtractionResult(pairs=tuple(pairs), rewritten_proof=parsed.proof)
+        return tuple(pairs)
 
     def verify_hypotheses(self, pairs: Sequence[HypothesisPair], tau: int, phase: int = 2) -> VerifyOutcome:
         """Bisection-verify each pair in a fresh, detached context.

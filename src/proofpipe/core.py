@@ -2,15 +2,16 @@
 
 Everything here is plain data: no I/O, no model calls. Types are immutable
 values except :class:`RunState`, which is mutated only by the orchestrator
-(single writer). Every immutable type serializes to a canonical JSON dict
-via ``to_dict`` / ``from_dict`` — that dict is the schema used by the
-run-trace log, from which a resumed run rebuilds its :class:`RunState`.
+(single writer). The types the run trace records (problems, solutions with
+their grades, lemmas, failure records, the config) serialize to a canonical
+JSON dict via ``to_dict`` / ``from_dict``; that dict is the schema of the
+trace, from which a resumed run rebuilds its :class:`RunState`.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional
 
@@ -163,9 +164,6 @@ class CandidateSolution:
         if self.phase not in (1, 2, 3, 4):
             raise ValueError(f"phase must be 1..4, got {self.phase}")
 
-    def with_grade(self, grade: GradeReport) -> "CandidateSolution":
-        return replace(self, grade=grade)
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -207,23 +205,6 @@ class HypothesisPair:
     def __post_init__(self) -> None:
         if not self.conjecture.strip() or not self.negation.strip():
             raise ValueError("conjecture and negation must both be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "conjecture": self.conjecture,
-            "negation": self.negation,
-            "source_solution_ids": list(self.source_solution_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HypothesisPair":
-        return cls(
-            id=d["id"],
-            conjecture=d["conjecture"],
-            negation=d["negation"],
-            source_solution_ids=tuple(d.get("source_solution_ids", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -297,65 +278,32 @@ class FailureRecord:
         )
 
 
-# Default per-role sampling temperatures: generation roles run warmer than
-# verification roles. The "uniform" profile sets every role to 1.0.
-TEMPERATURE_PROFILES: dict[str, dict[str, float]] = {
-    "split": {
-        "solver": 0.6,
-        "extractor": 0.6,
-        "grader": 0.1,
-        "parser": 0.1,
-        "processor": 0.1,
-        "judge": 0.1,
-    },
-    "uniform": {
-        "solver": 1.0,
-        "extractor": 1.0,
-        "grader": 1.0,
-        "parser": 1.0,
-        "processor": 1.0,
-        "judge": 1.0,
-    },
-}
-
-
 @dataclass
 class PipelineConfig:
-    """Tunable knobs for a pipeline run.
+    """The settings of a pipeline run.
 
-    Defaults are the standard full-strength profile: width 4, three outer
-    conjecture iterations, perfect-score threshold 7 with enhancement
-    threshold 6, triple-check verification, a three-pair extraction budget
-    and two aggregated parallel runs.
+    Defaults are the full-strength setup: width 4, three outer conjecture
+    iterations, triple-check verification, a three-pair extraction budget
+    and two aggregated parallel runs. The thresholds, sampling temperatures
+    and prompt caps are fixed constants, not settings (see
+    :mod:`proofpipe.orchestrator` and :mod:`proofpipe.dialectic`).
     """
 
     initial_iterations: int = 1          # L0: phase-1 exploration rounds
     conjecture_iterations: int = 3       # L: outer extract/verify/solve rounds
     solver_width: int = 4                # K: solutions per round
-    tau: int = 7                         # acceptance threshold
-    tau_e: int = 6                       # post-enhancement threshold
     verify_repeats: int = 3              # N: consecutive clean grades required
     extraction_budget: int = 3           # k: max conjecture pairs per extraction
     parallel_runs: int = 2
     token_budget: int = 8_000_000
     max_output_tokens: int = 32_768
-    temperatures: dict[str, float] = field(
-        default_factory=lambda: dict(TEMPERATURE_PROFILES["split"])
-    )
     price_table: dict[str, dict[str, str]] = field(default_factory=dict)
     retry_attempts: int = 3
     strict_budget: bool = False          # reserve max_output_tokens before each call
-    memory_prompt_cap: int = 3           # prior solutions serialized into any prompt
-    history_char_cap: int = 4000         # per-solution cap in judge history material
-    grader_variant: str = "grader_simplified"   # inner-loop grader template
-    grader_variant_by_phase: dict[int, str] = field(default_factory=dict)
-    solver_variant: str = "solver"
 
     def __post_init__(self) -> None:
         if self.solver_width < 1:
             raise ValueError("solver_width must be >= 1")
-        if not (self.tau_e < self.tau <= PERFECT_SCORE):
-            raise ValueError("need tau_e < tau <= 7")
         if self.token_budget <= 0:
             raise ValueError("token_budget must be positive")
         if self.max_output_tokens <= 0:
@@ -370,35 +318,10 @@ class PipelineConfig:
             raise ValueError("parallel_runs must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "initial_iterations": self.initial_iterations,
-            "conjecture_iterations": self.conjecture_iterations,
-            "solver_width": self.solver_width,
-            "tau": self.tau,
-            "tau_e": self.tau_e,
-            "verify_repeats": self.verify_repeats,
-            "extraction_budget": self.extraction_budget,
-            "parallel_runs": self.parallel_runs,
-            "token_budget": self.token_budget,
-            "max_output_tokens": self.max_output_tokens,
-            "temperatures": dict(self.temperatures),
-            "price_table": {k: dict(v) for k, v in self.price_table.items()},
-            "retry_attempts": self.retry_attempts,
-            "strict_budget": self.strict_budget,
-            "memory_prompt_cap": self.memory_prompt_cap,
-            "history_char_cap": self.history_char_cap,
-            "grader_variant": self.grader_variant,
-            "grader_variant_by_phase": {str(k): v for k, v in self.grader_variant_by_phase.items()},
-            "solver_variant": self.solver_variant,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        if "grader_variant_by_phase" in d:
-            d["grader_variant_by_phase"] = {
-                int(k): v for k, v in d["grader_variant_by_phase"].items()
-            }
         return cls(**d)
 
 
@@ -452,13 +375,6 @@ class GradingRecord:
             raise ValueError(f"human grade out of range: {self.human}")
         if not (0 <= self.predicted <= 7):
             raise ValueError(f"predicted grade out of range: {self.predicted}")
-
-    def to_dict(self) -> dict:
-        return {"human": self.human, "predicted": self.predicted, "problem_id": self.problem_id}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradingRecord":
-        return cls(human=d["human"], predicted=d["predicted"], problem_id=d.get("problem_id"))
 
 
 def comparator_key(solution: CandidateSolution) -> tuple:

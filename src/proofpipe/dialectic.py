@@ -14,8 +14,8 @@ model call, including those of conjecture extraction and the judge, is
 rendered, sent, recorded as one trace event and, where its reply must
 parse, checked there. A failed call (:class:`~proofpipe.gateway.CallFailed`)
 ends only the unit that made it: a branch is dropped and recorded as
-``branch_failed``, a verify-gate grade fails the gate, and an independent
-grade counts as a 0.
+``branch_failed``; a check grade is recorded as ``check_grade_failed``, and
+fails the verify gate or, as an independent grade, counts as a 0.
 """
 from __future__ import annotations
 
@@ -49,6 +49,12 @@ _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*(.+?)\s*$")
 _FINAL_GRADE_RE = re.compile(r"Final Grade\W{0,40}?(\d+)", re.IGNORECASE | re.DOTALL)
 _BLUEPRINT_MARKERS = ("The Final Blueprint", "Proof_Submitted_for_Review")
 
+# Sampling temperature per role: generation roles run warmer than
+# verification roles.
+TEMPERATURES = {"solver": 0.6, "extractor": 0.6, "grader": 0.1, "parser": 0.1, "processor": 0.1, "judge": 0.1}
+# Prior candidate solutions serialized into one solver prompt.
+PRIOR_SOLUTION_CAP = 3
+
 
 class GradeParseFailure(CallFailed):
     """The grader transcript carried no recognizable final score."""
@@ -70,7 +76,7 @@ class SolveContext:
     def is_empty(self) -> bool:
         return not (self.lemmas or self.feedback or self.prior_solutions or self.scaffolding)
 
-    def render(self, prior_cap: int = 3) -> str:
+    def render(self) -> str:
         if self.is_empty():
             return ""
         parts: list[str] = []
@@ -84,7 +90,7 @@ class SolveContext:
             parts.extend(f"- {item}" for item in self.feedback)
         if self.prior_solutions:
             parts.append("[Prior Candidate Solutions]")
-            for sol in self.prior_solutions[:prior_cap]:
+            for sol in self.prior_solutions[:PRIOR_SOLUTION_CAP]:
                 score = sol.grade.score if sol.grade else "ungraded"
                 parts.append(f"Candidate {sol.id} (graded {score}/7):")
                 parts.append(sol.proof_text)
@@ -93,8 +99,8 @@ class SolveContext:
             parts.extend(f"- {q}" for q in self.scaffolding)
         return "\n".join(parts)
 
-    def digest(self, prior_cap: int = 3) -> str:
-        return digest(self.render(prior_cap))
+    def digest(self) -> str:
+        return digest(self.render())
 
 
 EMPTY_CONTEXT = SolveContext()
@@ -268,11 +274,10 @@ class DialecticEngine:
 
     # -- gateway plumbing ---------------------------------------------------
 
-    def _call(
-        self, role: str, template_id: str, slots: dict, phase: int, kind: str, extra: dict, parse=None, attempts: int = 1
-    ):
-        """Render a template, call the gateway as ``role`` and record the call
-        as one ``kind`` event; every model call of a run goes through here.
+    def _call(self, role: str, slots: dict, phase: int, kind: str, extra: dict, parse=None, attempts: int = 1):
+        """Render the role's template, call the gateway as ``role`` and record
+        the call as one ``kind`` event; every model call of a run goes through
+        here.
 
         Without ``parse`` the response is returned. ``parse`` maps the reply
         text to ``(value, fields)``: the fields join the event's payload and
@@ -281,11 +286,11 @@ class DialecticEngine:
         made; then the parse error is raised. With more than one attempt
         allowed, each event records its ``attempt``.
         """
-        prompt = self.registry.render(template_id, slots)
+        prompt = self.registry.render(role, slots)
         request = ModelRequest(
             role=role,
             prompt=prompt,
-            temperature=self.config.temperatures.get(role, 1.0),
+            temperature=TEMPERATURES[role],
             max_output_tokens=self.config.max_output_tokens,
             run_id=self.run_id,
             lane=self.lane,
@@ -309,7 +314,7 @@ class DialecticEngine:
         parts = []
         if problem.additional_materials:
             parts.append("[Provided Hints]\n" + problem.additional_materials)
-        rendered = ctx.render(self.config.memory_prompt_cap)
+        rendered = ctx.render()
         if rendered:
             parts.append(rendered)
         return "\n\n".join(parts)
@@ -318,14 +323,7 @@ class DialecticEngine:
 
     def lazy_phrase_check(self, proof_text: str, phase: int, branch: int) -> list[str]:
         """Censor pass: empty iff the processor answered exactly NO_ISSUES."""
-        resp = self._call(
-            "processor",
-            "answer_processor",
-            {"solution": proof_text},
-            phase,
-            "censor",
-            {"branch": branch},
-        )
+        resp = self._call("processor", {"solution": proof_text}, phase, "censor", {"branch": branch})
         text = resp.text.strip()
         if text == NO_ISSUES:
             return []
@@ -339,10 +337,8 @@ class DialecticEngine:
         self, proof_text: str, problem: Problem, phase: int, kind: str = "grade", extra: Optional[dict] = None
     ) -> GradeReport:
         """Grade ``proof_text``; a grader gets no materials and is not re-prompted."""
-        variant = self.config.grader_variant_by_phase.get(phase, self.config.grader_variant)
         return self._call(
             "grader",
-            variant,
             {"problem": problem.statement, "solution": proof_text},
             phase,
             kind,
@@ -354,10 +350,9 @@ class DialecticEngine:
         self, problem: Problem, ctx: SolveContext, branch: int, phase: int, origin: Origin, solution_id: str
     ) -> CandidateSolution:
         materials = self._materials(problem, ctx)
-        ctx_digest = ctx.digest(self.config.memory_prompt_cap)
+        ctx_digest = ctx.digest()
         draft_resp = self._call(
             "solver",
-            self.config.solver_variant,
             {"problem": problem.statement, "additional_materials": materials},
             phase,
             "draft",
@@ -375,7 +370,6 @@ class DialecticEngine:
             )
             redraft_resp = self._call(
                 "solver",
-                self.config.solver_variant,
                 {"problem": problem.statement, "additional_materials": self._materials(problem, redraft_ctx)},
                 phase,
                 "draft",
@@ -393,7 +387,6 @@ class DialecticEngine:
         )
         refine_resp = self._call(
             "solver",
-            self.config.solver_variant,
             {"problem": problem.statement, "additional_materials": self._materials(problem, refine_ctx)},
             phase,
             "refine",
@@ -550,10 +543,17 @@ class DialecticEngine:
         return reports
 
     def _check_grade(self, solution: CandidateSolution, problem: Problem, phase: int, ordinal: int) -> GradeReport:
-        return self.grade(
-            solution.proof_text,
-            problem,
-            phase=phase,
-            kind="check_grade",
-            extra={"solution_id": solution.id, "ordinal": ordinal, "text": solution.proof_text},
-        )
+        """One check grade; a failed one is recorded as ``check_grade_failed``
+        and raised."""
+        try:
+            return self.grade(
+                solution.proof_text,
+                problem,
+                phase=phase,
+                kind="check_grade",
+                extra={"solution_id": solution.id, "ordinal": ordinal, "text": solution.proof_text},
+            )
+        except CallFailed as exc:
+            failure = {"solution_id": solution.id, "ordinal": ordinal, "error": failure_text(exc)}
+            self.trace.append(self.run_id, phase, "check_grade_failed", failure)
+            raise

@@ -154,17 +154,8 @@ class PriceTable:
             raise KeyError(f"no price configured for backend {backend_id!r}")
         return self._prices[backend_id]
 
-    def to_dict(self) -> dict:
-        return {
-            b: {
-                "input_usd_per_million": str(p.input_usd_per_million),
-                "output_usd_per_million": str(p.output_usd_per_million),
-            }
-            for b, p in self._prices.items()
-        }
 
-
-# Rates used by the shipped demo profiles. "flat-10" is the generic
+# Rates used by the shipped demos. "flat-10" is the generic
 # 10 USD/M-token rate that round-number budget estimates are quoted at.
 DEFAULT_PRICES = PriceTable(
     {
@@ -353,6 +344,10 @@ class ScriptRule:
     responses: list[dict]
     repeat_last: bool = False
     cursor: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.responses:
+            raise ValueError(f"script rule for role {self.role!r} has no responses")
 
     def matches(self, req: ModelRequest) -> bool:
         if req.role != self.role:

@@ -49,6 +49,13 @@ STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 
 _DECISION_RE = re.compile(r"<decision>([AB])</decision>")
 
+# Bisection thresholds: a side proves its statement at TAU in the outer
+# loop and at the softer TAU_E in post-enhancement.
+TAU = 7
+TAU_E = 6
+# Characters of one solution quoted in guided feedback and the judge's history.
+HISTORY_CHAR_CAP = 4000
+
 
 class ResumeError(Exception):
     """A checkpoint is missing, corrupt, or from an incompatible setup."""
@@ -337,7 +344,7 @@ class Orchestrator:
                         trace.append(run_id, 2, "extract_skipped", {"reason": "no graded seeds"})
                     else:
                         try:
-                            extraction = conj.extract_hypotheses(
+                            pairs = conj.extract_hypotheses(
                                 problem,
                                 seeds,
                                 state.lemma_memory,
@@ -348,7 +355,7 @@ class Orchestrator:
                             # Only the extraction is lost; the guided round still runs.
                             trace.append(run_id, 2, "extraction_failed", {"error": failure_text(exc)})
                         else:
-                            outcome = conj.verify_hypotheses(extraction.pairs, cfg.tau, phase=2)
+                            outcome = conj.verify_hypotheses(pairs, TAU, phase=2)
                             state.add_lemmas(outcome.proven)
                             state.add_failures(outcome.failed)
 
@@ -385,13 +392,12 @@ class Orchestrator:
     def _guided_context(self, state: RunState, outcome: Optional[VerifyOutcome]) -> SolveContext:
         feedback: list[str] = []
         if outcome:
-            cap = self.config.history_char_cap
             for record in outcome.failed:
                 feedback.append(f"Unresolved conjecture ({record.reason.value}): {record.conjecture}")
             for attempt in outcome.attempts:
                 feedback.append(
                     f"Partial progress on {attempt.pair_id} ({attempt.side}, scored {attempt.score}/7): "
-                    + attempt.proof_text[:cap]
+                    + attempt.proof_text[:HISTORY_CHAR_CAP]
                 )
         prior: tuple[CandidateSolution, ...] = ()
         graded = [s for s in state.solution_memory if s.grade]
@@ -416,7 +422,7 @@ class Orchestrator:
         for session in (1, 2):
             trace.append(run_id, 4, "enhance_session", {"session": session})
             try:
-                extraction = conj.extract_hypotheses(
+                pairs = conj.extract_hypotheses(
                     problem,
                     [s_star],
                     state.lemma_memory,
@@ -427,7 +433,7 @@ class Orchestrator:
             except CallFailed as exc:
                 trace.append(run_id, 4, "extraction_failed", {"error": failure_text(exc), "session": session})
                 continue
-            outcome = conj.verify_hypotheses(extraction.pairs, cfg.tau_e, phase=4)
+            outcome = conj.verify_hypotheses(pairs, TAU_E, phase=4)
             state.add_lemmas(outcome.proven)
             state.add_failures(outcome.failed)
             for record in outcome.failed:
@@ -528,7 +534,7 @@ class Orchestrator:
         }
         judge = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
         try:
-            decision = judge._call("judge", "answer_combiner", slots, 4, "judge", {}, parse=_decided, attempts=2)
+            decision = judge._call("judge", slots, 4, "judge", {}, parse=_decided, attempts=2)
             return a if decision == "A" else b
         except BudgetExceeded:
             reason = "token budget exhausted before a decision"
@@ -538,12 +544,11 @@ class Orchestrator:
         return a if best([a.solution, b.solution]) is a.solution else b
 
     def _history_blob(self, result: PipelineResult) -> str:
-        cap = self.config.history_char_cap
         lines = [f"Solution sequence from pipeline {result.state.run_id}:"]
         for i, sol in enumerate(result.state.solution_memory, 1):
             score = sol.grade.score if sol.grade else "?"
             lines.append(f"--- attempt {i} (phase {sol.phase}, graded {score}/7) ---")
-            lines.append(sol.proof_text[:cap])
+            lines.append(sol.proof_text[:HISTORY_CHAR_CAP])
         return "\n".join(lines)
 
 

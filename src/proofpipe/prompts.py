@@ -1,7 +1,9 @@
 """Prompt template registry.
 
 Templates are data files, one per role, shipped under ``templates/`` with a
-manifest that declares each role's required and optional slots. Slots use
+manifest that maps each role of :data:`proofpipe.gateway.ROLES` to its file
+and declares its required and optional slots. The manifest alone decides
+which template serves a role. Slots use
 the sentinel syntax ``{{slot:name}}``, chosen so no plausible math or LaTeX
 text collides with it. Rendering is pure substitution: slot values are
 inserted verbatim, nothing else in the body is rewritten.
@@ -84,7 +86,7 @@ class PromptRegistry:
 
     @classmethod
     def load(cls, overrides: Optional[dict[str, str | Path]] = None) -> "PromptRegistry":
-        """Load shipped templates; ``overrides`` maps role id -> file path."""
+        """Load shipped templates; ``overrides`` maps a role to a file path."""
         root = resources.files("proofpipe") / "templates"
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         templates: dict[str, PromptTemplate] = {}

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from .core import digest
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,10 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# Some of the config fields a schema-2 header carried that are constants now.
+V2_CONFIG_FIELDS = {"tau": 7, "tau_e": 6, "memory_prompt_cap": 3, "history_char_cap": 4000}
+
+
 class TestSolve:
     def test_scripted_demo_verifies(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "out"
@@ -120,6 +124,50 @@ class TestSolve:
         assert "no price configured for backend 'http'" in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
 
+    def test_missing_config_file_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "solve", problem_file, "--script", clean_script, "--config", tmp_path / "missing.ini", "--out", out
+        )
+        assert code == ExitCode.USAGE
+        assert "missing.ini" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["solver_widht", "temperature_profile", "tau"])
+    def test_unknown_pipeline_key_is_usage_error(self, tmp_path, clean_script, problem_file, capsys, key):
+        config = tmp_path / "config.ini"
+        config.write_text(f"[pipeline]\nsolver_width = 2\n{key} = 2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("solve", problem_file, "--script", clean_script, "--config", config, "--out", out)
+        assert code == ExitCode.USAGE
+        assert f"unknown [pipeline] key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_config_file_is_usage_error(self, tmp_path, clean_script, problem_file):
+        config = tmp_path / "config.ini"
+        config.write_text("solver_width = 2\n", encoding="utf-8")
+        code = run_cli("solve", problem_file, "--script", clean_script, "--config", config, "--out", tmp_path / "o")
+        assert code == ExitCode.USAGE
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        code = run_cli("solve", problem_file, "--script", clean_script, "--out", out)
+        assert code == ExitCode.USAGE
+        assert "error" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_script_rule_without_responses_is_usage_error(self, tmp_path, problem_file, capsys):
+        script = tmp_path / "script.json"
+        rules = ScriptedBackend(rules_clean()).to_dict()["rules"]
+        rules[0]["responses"] = []
+        script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("solve", problem_file, "--script", script, "--out", out)
+        assert code == ExitCode.USAGE
+        assert "no responses" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bug_exits_internal_with_traceback(self, tmp_path, clean_script, problem_file, monkeypatch, capsys):
         from proofpipe.orchestrator import Orchestrator
 
@@ -182,6 +230,14 @@ class TestMetricsCommand:
         records.write_text("", encoding="utf-8")
         assert run_cli("metrics", records) == ExitCode.USAGE
 
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("human,predicted\n7,7\n", encoding="utf-8")
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert run_cli("metrics", records, "--out", out) == ExitCode.USAGE
+        assert "error" in capsys.readouterr().err
+
     def test_header_only_lists_zero_records(self, tmp_path, capsys):
         records = tmp_path / "records.csv"
         records.write_text("human,predicted\n", encoding="utf-8")
@@ -215,6 +271,14 @@ class TestCostCommand:
         code = run_cli("cost", out / "trace.jsonl")
         assert code == ExitCode.VERIFIED
         assert "solver" in capsys.readouterr().out
+
+    def test_unwritable_csv_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
+        out = tmp_path / "out"
+        run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
+        capsys.readouterr()
+        code = run_cli("cost", out / "ledger.json", "--csv", tmp_path / "missing" / "ledger.csv")
+        assert code == ExitCode.USAGE
+        assert "error" in capsys.readouterr().err
 
     def test_cost_requires_input(self, capsys):
         assert run_cli("cost") == ExitCode.USAGE
@@ -323,3 +387,20 @@ class TestReplayCommand:
         trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
         assert run_cli("replay", trace_path) == ExitCode.USAGE
         assert "schema" in capsys.readouterr().err
+
+    def test_schema_2_trace_refused(self, tmp_path, clean_script, problem_file, capsys):
+        out = tmp_path / "out"
+        run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
+        capsys.readouterr()
+        trace_path = out / "trace.jsonl"
+        edited = []
+        for line in trace_path.read_text(encoding="utf-8").splitlines():
+            event = json.loads(line)
+            if event["kind"] == "run_start":
+                event["payload"]["schema_version"] = 2
+                event["payload"]["config"].update(V2_CONFIG_FIELDS)
+            edited.append(json.dumps(event))
+        trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        assert run_cli("replay", trace_path) == ExitCode.USAGE
+        assert "trace schema 2 is not supported" in capsys.readouterr().err
+

@@ -65,7 +65,7 @@ class TestClassify:
 class TestParseConjectures:
     def test_well_formed(self):
         parsed = parse_conjectures(parser_json(["c1", "c2"], ["n1", "n2"], proof="pf"))
-        assert parsed == ParsedConjectures(("c1", "c2"), ("n1", "n2"), "pf")
+        assert parsed == ParsedConjectures(("c1", "c2"), ("n1", "n2"))
 
     def test_fenced_with_trailing_prose(self):
         raw = "Sure, here it is:\n```json\n" + parser_json(["c"], ["n"], "pf") + "\n```\nHope that helps!"
@@ -166,9 +166,9 @@ class TestExtractHypotheses:
             ],
             registry,
         )
-        result = engine.extract_hypotheses(PROBLEM, [seed])
-        assert len(result.pairs) == 2
-        assert result.pairs[0].conjecture == "c1"
+        pairs = engine.extract_hypotheses(PROBLEM, [seed])
+        assert len(pairs) == 2
+        assert pairs[0].conjecture == "c1"
         assert trace.count("extract") == 1 and trace.count("extract_parse") == 1
 
     def test_budget_truncates_to_three(self, registry):
@@ -181,8 +181,8 @@ class TestExtractHypotheses:
             ],
             registry,
         )
-        result = engine.extract_hypotheses(PROBLEM, [seed])
-        assert len(result.pairs) == 3
+        pairs = engine.extract_hypotheses(PROBLEM, [seed])
+        assert len(pairs) == 3
         assert trace.count("pairs_truncated") == 1
 
     def test_mismatch_retries_then_fails(self, registry):
@@ -212,8 +212,8 @@ class TestExtractHypotheses:
             ],
             registry,
         )
-        result = engine.extract_hypotheses(PROBLEM, [seed])
-        assert len(result.pairs) == 1
+        pairs = engine.extract_hypotheses(PROBLEM, [seed])
+        assert len(pairs) == 1
 
     def test_empty_extraction_is_valid(self, registry):
         seed = seed_solution(registry)
@@ -224,8 +224,8 @@ class TestExtractHypotheses:
             ],
             registry,
         )
-        result = engine.extract_hypotheses(PROBLEM, [seed])
-        assert result.pairs == ()
+        pairs = engine.extract_hypotheses(PROBLEM, [seed])
+        assert pairs == ()
 
     def test_failure_context_passed_verbatim(self, registry):
         from proofpipe.core import FailureRecord

@@ -128,8 +128,6 @@ class TestRoundTrips:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PipelineConfig(tau=7, tau_e=7)
-        with pytest.raises(ValueError):
             PipelineConfig(token_budget=0)
         with pytest.raises(ValueError):
             PipelineConfig(solver_width=0)

@@ -233,18 +233,6 @@ def test_split_issue_lines_variants():
     assert split_issue_lines(text) == ["one", "two", "three", "four", "five"]
 
 
-def test_grader_variant_selectable_per_phase(registry):
-    config = small_config(grader_variant_by_phase={1: "grader_council"})
-    engine, trace = engine_for(rules_clean(), config=config, registry=registry)
-    engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)
-    grade_prompt = trace.of_kind("grade")[0].payload["prompt"]
-    assert "Council of Graders with Scaffolding" in grade_prompt
-    # other phases keep the default variant
-    engine.grade("text", PROBLEM, phase=3)
-    other_prompt = trace.of_kind("grade")[-1].payload["prompt"]
-    assert "Inquisitorial Logic" in other_prompt
-
-
 def test_parallel_branches_ordered_by_index(registry):
     config = small_config()
     gateway = make_gateway(rules_clean(), config)

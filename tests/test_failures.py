@@ -118,6 +118,26 @@ class TestOneUnitFails:
         assert result.status == STATUS_VERIFIED
         assert result.solution.id == "run1.s0001"
 
+    def test_backend_failure_in_verify_gate_fails_the_gate(self, registry):
+        # As above, but the first check grade's backend call fails on every
+        # retry: the failure is recorded, since the call itself leaves no event.
+        make_rules = lambda: replace_rule(
+            rules_clean()
+            + [
+                ScriptRule("extractor", None, [{"text": "nothing load-bearing"}], repeat_last=True),
+                ScriptRule("parser", None, [{"text": parser_json([], [])}], repeat_last=True),
+            ],
+            "grader",
+            [{"text": grader_text(7)}, {"text": grader_text(7)}, FAIL, FAIL, FAIL],
+        )
+        config = small_config(solver_width=1)
+        result, failed = assert_degraded(make_rules, config, clean_problem(), registry, "check_grade_failed")
+        assert [(f["solution_id"], f["ordinal"]) for f in failed] == [("run1.s0000", 0)]
+        assert failed[0]["error"].startswith("BackendFailure: backend failed after 3 attempts")
+        assert [e.payload for e in result.trace.of_kind("verify_failed")] == [{"solution_id": "run1.s0000"}]
+        assert result.status == STATUS_VERIFIED
+        assert result.solution.id == "run1.s0001"
+
     def test_solver_backend_failure_drops_the_branch(self, registry):
         make_rules = lambda: replace_rule(rules_clean(), "solver", [FAIL] * 3)
         result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "branch_failed")
@@ -184,6 +204,11 @@ class TestOneUnitFails:
         assert reports[1].notes[0].startswith("BackendFailure: backend failed after 3 attempts")
         assert [e.payload.get("parse_error") for e in dialectic.trace.of_kind("check_grade")] == [
             "no Final Grade anchor in grader output"
+        ]
+        failed = [e.payload for e in dialectic.trace.of_kind("check_grade_failed")]
+        assert [(f["solution_id"], f["ordinal"], f["error"]) for f in failed] == [
+            ("run1.s0000", 0, reports[0].notes[0]),
+            ("run1.s0000", 1, reports[1].notes[0]),
         ]
 
 

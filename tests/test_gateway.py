@@ -157,6 +157,10 @@ class TestScriptedBackend:
         out2 = [b2.complete(r).text for r in seq]
         assert out1 == out2 == ["a", "g", "b", "b"]
 
+    def test_rule_without_responses_rejected(self):
+        with pytest.raises(ValueError, match="no responses"):
+            ScriptRule("solver", None, [], repeat_last=True)
+
     def test_snapshot_restore(self):
         backend = ScriptedBackend([ScriptRule("solver", None, [{"text": "one"}, {"text": "two"}])])
         backend.complete(req())

@@ -378,6 +378,17 @@ class TestResume:
         with pytest.raises(ResumeError, match="template"):
             orch.resume(original.trace, "run1.p1.done")
 
+    def test_schema_2_trace_refused(self, registry):
+        from test_cli import V2_CONFIG_FIELDS
+
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original.trace.header["schema_version"] = 2
+        original.trace.header["config"].update(V2_CONFIG_FIELDS)
+        orch, _ = self._fresh_orchestrator(config, registry)
+        with pytest.raises(ResumeError, match="trace schema 2 != 3"):
+            orch.resume(original.trace, "run1.p1.done")
+
     def test_corrupt_checkpoint(self, registry):
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())

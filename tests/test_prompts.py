@@ -1,8 +1,12 @@
 """Template registry: slot substitution, errors, purity."""
+import json
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from proofpipe.gateway import ROLES
 from proofpipe.prompts import (
     EMPTY_MARKER,
     MissingSlot,
@@ -17,16 +21,9 @@ slot_free_text = st.text(
 
 
 def test_all_roles_load(registry):
-    for role in (
-        "solver",
-        "solver_alt",
-        "grader_council",
-        "grader_simplified",
-        "conjecture_extractor",
-        "answer_processor",
-        "conjecture_parser",
-        "answer_combiner",
-    ):
+    manifest = json.loads((resources.files("proofpipe") / "templates" / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest) == sorted(ROLES)
+    for role in ROLES:
         assert registry.get(role).body
 
 
@@ -39,7 +36,7 @@ def test_solver_substitution_with_empty_materials(registry):
 
 def test_combiner_all_four_slots(registry):
     out = registry.render(
-        "answer_combiner",
+        "judge",
         {"problem": "P", "solution_a": "XXA", "solution_b": "YYB", "additional_materials": "MMM"},
     )
     for token in ("P", "XXA", "YYB", "MMM"):
@@ -49,13 +46,13 @@ def test_combiner_all_four_slots(registry):
 
 def test_missing_required_slot(registry):
     with pytest.raises(MissingSlot) as err:
-        registry.render("grader_simplified", {})
+        registry.render("grader", {})
     assert err.value.name == "problem"
 
 
 def test_unknown_slot_rejected(registry):
     with pytest.raises(UnknownSlot):
-        registry.render("answer_processor", {"solution": "x", "bogus": "y"})
+        registry.render("processor", {"solution": "x", "bogus": "y"})
 
 
 def test_absent_optional_defaults_to_marker(registry):
@@ -75,7 +72,7 @@ def test_template_declares_slots_it_lacks():
 
 @given(problem=slot_free_text, materials=slot_free_text)
 def test_values_appear_exactly_once_per_occurrence(registry, problem, materials):
-    template = registry.get("grader_simplified")
+    template = registry.get("grader")
     marker_p = "⟪P⟫" + problem
     marker_m = "⟪M⟫" + materials
     out = template.render(
@@ -106,7 +103,7 @@ def test_version_is_stable(registry):
 
 def test_output_contract_markers_shipped(registry):
     # the machine-readable anchors the engine depends on
-    assert "NO_ISSUES" in registry.get("answer_processor").body
-    assert "<decision>A</decision>" in registry.get("answer_combiner").body
-    assert "MUST have the same length" in registry.get("conjecture_parser").body
-    assert "Final Grade" in registry.get("grader_simplified").body
+    assert "NO_ISSUES" in registry.get("processor").body
+    assert "<decision>A</decision>" in registry.get("judge").body
+    assert "MUST have the same length" in registry.get("parser").body
+    assert "Final Grade" in registry.get("grader").body
