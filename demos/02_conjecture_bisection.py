@@ -66,9 +66,8 @@ done."""
     config = PipelineConfig(parallel_runs=1, max_output_tokens=2048)
     gateway = ModelGateway(script, token_budget=config.token_budget)
     trace = RunTrace()
-    engine = ConjectureEngine(
-        DialecticEngine(gateway, PromptRegistry.load(), config, trace, "demo")
-    )
+    registry = PromptRegistry.load()
+    engine = ConjectureEngine(DialecticEngine(gateway, registry, config, trace, "demo"))
     outcome = engine.verify_hypotheses([pair], tau=7)
     for lemma in outcome.proven:
         print(f"proven [{lemma.polarity.value}]: {lemma.statement}")
@@ -76,7 +75,8 @@ done."""
     print()
 
     print("== contextual detachment, checked against the trace ==")
-    side_prompts = [e.payload["prompt"] for e in trace.of_kind("draft")]
+    # A call event records role and slots; rendering them rebuilds the prompt.
+    side_prompts = [registry.render(e.payload["role"], e.payload["slots"]) for e in trace.of_kind("draft")]
     leaked = any("trellis is bridgeless" in p and "NEGCLAIM" in p for p in side_prompts)
     print(f"side solves issued: {len(side_prompts)}; cross-contaminated prompts: {leaked}")
     print("each side saw only its own statement plus '(none provided)' materials")

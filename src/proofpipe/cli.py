@@ -23,7 +23,6 @@ from pathlib import Path
 from .core import PipelineConfig, Problem
 from .gateway import (
     DEFAULT_PRICES,
-    CostLedger,
     HttpBackend,
     ModelGateway,
     PriceTable,
@@ -127,16 +126,23 @@ def load_config(path: str | Path | None, args: argparse.Namespace) -> tuple[Pipe
             for key, raw in parser.items("pipeline"):
                 if key not in PIPELINE_KEYS:
                     raise ValueError(f"unknown [pipeline] key {key!r} in {path}")
-                if key == "strict_budget":
-                    values[key] = parser.getboolean("pipeline", key)
-                else:
-                    values[key] = int(raw)
+                try:
+                    values[key] = parser.getboolean("pipeline", key) if key == "strict_budget" else int(raw)
+                except ValueError:
+                    want = "a boolean" if key == "strict_budget" else "an integer"
+                    raise ValueError(f"[pipeline] {key} = {raw!r} is not {want}") from None
         if parser.has_section("backend"):
             backend_cfg.update(parser.items("backend"))
         if parser.has_section("prices"):
             price_table = {}
             for backend_id, pair in parser.items("prices"):
-                rate_in, rate_out = (p.strip() for p in pair.split(","))
+                try:
+                    rate_in, rate_out = (p.strip() for p in pair.split(","))
+                    Decimal(rate_in), Decimal(rate_out)
+                except (ValueError, InvalidOperation):
+                    raise ValueError(
+                        f"[prices] {backend_id} = {pair!r} is not two rates (input, output USD per million tokens)"
+                    ) from None
                 price_table[backend_id] = {
                     "input_usd_per_million": rate_in,
                     "output_usd_per_million": rate_out,
@@ -186,13 +192,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        trace_path = out_dir / "trace.jsonl"
+        if trace_path.exists() and trace_path.stat().st_size:
+            raise ValueError(f"{trace_path} already holds a run; give --out an unused directory")
     except (ValueError, KeyError, OSError, json.JSONDecodeError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.USAGE
 
     registry = PromptRegistry.load()
     orch = Orchestrator(gateway, registry, config)
-    trace = RunTrace(path=out_dir / "trace.jsonl")
+    trace = RunTrace(path=trace_path)
 
     result = orch.run_parallel(problem, trace=trace, n=config.parallel_runs)
 
@@ -204,7 +213,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (out_dir / "ledger.json").write_text(
         json.dumps(gateway.ledger.to_dict(), indent=1), encoding="utf-8"
     )
-    (out_dir / "ledger.csv").write_text(gateway.ledger.to_csv(), encoding="utf-8")
 
     score = result.solution.grade.score if result.solution and result.solution.grade else None
     print(f"status: {result.status}")
@@ -247,21 +255,17 @@ def cmd_cost(args: argparse.Namespace) -> int:
         except (ValueError, InvalidOperation) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return ExitCode.USAGE
-    if not args.ledger:
-        print("error: provide a ledger/trace file or --estimate", file=sys.stderr)
+    if not args.trace:
+        print("error: provide a trace.jsonl or --estimate", file=sys.stderr)
         return ExitCode.USAGE
-    path = Path(args.ledger)
     try:
-        if path.suffix == ".jsonl":
-            trace = RunTrace.load(path)
-            raw_prices = ((trace.header or {}).get("config") or {}).get("price_table")
-            ledger = ledger_from_trace(trace, PriceTable.from_config(raw_prices) if raw_prices else DEFAULT_PRICES)
-        else:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            ledger = CostLedger()
-            ledger.restore(data["entries"])
+        trace = RunTrace.load(args.trace)
+        if trace.header is None:
+            raise ValueError("no run_start event")
+        raw_prices = trace.header["config"]["price_table"]
+        ledger = ledger_from_trace(trace, PriceTable.from_config(raw_prices) if raw_prices else DEFAULT_PRICES)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.trace} is not a readable trace.jsonl: {exc}", file=sys.stderr)
         return ExitCode.USAGE
 
     print("cost by role (USD):")
@@ -315,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--out", help="Directory for report.txt/report.json/confusion.csv.")
     metrics.set_defaults(func=cmd_metrics)
 
-    cost = sub.add_parser("cost", help="Summarize a ledger or trace; or estimate a budget.")
-    cost.add_argument("ledger", nargs="?", help="ledger.json or trace.jsonl")
+    cost = sub.add_parser("cost", help="Summarize the cost of a trace; or estimate a budget.")
+    cost.add_argument("trace", nargs="?", help="trace.jsonl produced by solve")
     cost.add_argument("--csv", help="Also write the ledger as CSV to this path.")
     cost.add_argument(
         "--estimate",

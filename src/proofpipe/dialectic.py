@@ -277,7 +277,8 @@ class DialecticEngine:
     def _call(self, role: str, slots: dict, phase: int, kind: str, extra: dict, parse=None, attempts: int = 1):
         """Render the role's template, call the gateway as ``role`` and record
         the call as one ``kind`` event; every model call of a run goes through
-        here.
+        here. The event records ``role`` and ``slots``, not the prompt:
+        ``registry.render(role, slots)`` rebuilds it.
 
         Without ``parse`` the response is returned. ``parse`` maps the reply
         text to ``(value, fields)``: the fields join the event's payload and
@@ -286,10 +287,9 @@ class DialecticEngine:
         made; then the parse error is raised. With more than one attempt
         allowed, each event records its ``attempt``.
         """
-        prompt = self.registry.render(role, slots)
         request = ModelRequest(
             role=role,
-            prompt=prompt,
+            prompt=self.registry.render(role, slots),
             temperature=TEMPERATURES[role],
             max_output_tokens=self.config.max_output_tokens,
             run_id=self.run_id,
@@ -297,7 +297,7 @@ class DialecticEngine:
         )
         for attempt in range(attempts):
             resp = self.gateway.complete(request)
-            payload = {"role": role, "prompt": prompt, "response": resp.text, "usage": resp.usage.to_dict(), **extra}
+            payload = {"role": role, "slots": slots, "response": resp.text, "usage": resp.usage.to_dict(), **extra}
             if attempts > 1:
                 payload["attempt"] = attempt
             error = None
@@ -342,7 +342,7 @@ class DialecticEngine:
             {"problem": problem.statement, "solution": proof_text},
             phase,
             kind,
-            {**(extra or {}), "solution_digest": digest(proof_text)},
+            extra or {},
             parse=_graded,
         )
 
@@ -544,14 +544,14 @@ class DialecticEngine:
 
     def _check_grade(self, solution: CandidateSolution, problem: Problem, phase: int, ordinal: int) -> GradeReport:
         """One check grade; a failed one is recorded as ``check_grade_failed``
-        and raised."""
+        and raised. The event's ``slots["solution"]`` is the exact text graded."""
         try:
             return self.grade(
                 solution.proof_text,
                 problem,
                 phase=phase,
                 kind="check_grade",
-                extra={"solution_id": solution.id, "ordinal": ordinal, "text": solution.proof_text},
+                extra={"solution_id": solution.id, "ordinal": ordinal},
             )
         except CallFailed as exc:
             failure = {"solution_id": solution.id, "ordinal": ordinal, "error": failure_text(exc)}

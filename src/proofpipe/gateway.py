@@ -242,25 +242,6 @@ class CostLedger:
             self._entries.append(entry)
             return entry
 
-    def restore(self, entry_dicts: Sequence[dict]) -> None:
-        """Replace contents from serialized entries (checkpoint resume)."""
-        with self._lock:
-            self._entries = [
-                CostEntry(
-                    seq=d["seq"],
-                    run_id=d["run_id"],
-                    role=d["role"],
-                    backend_id=d["backend_id"],
-                    usage=Usage(
-                        input_tokens=d["input_tokens"],
-                        output_tokens=d["output_tokens"],
-                        thinking_tokens=d.get("thinking_tokens", 0),
-                    ),
-                    usd=Decimal(d["usd"]),
-                )
-                for d in entry_dicts
-            ]
-
     @property
     def entries(self) -> tuple[CostEntry, ...]:
         with self._lock:

@@ -14,8 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping
 
 SLOT_OPEN = "{{slot:"
 SLOT_CLOSE = "}}"
@@ -46,8 +45,7 @@ class PromptTemplate:
     optional_slots: frozenset[str]
 
     def __post_init__(self) -> None:
-        # Required slots must sit in the body; optional ones may be dropped
-        # by user overrides.
+        # Required slots must sit in the body; optional ones need not.
         for name in sorted(self.required_slots):
             if _slot_token(name) not in self.body:
                 raise ValueError(f"template {self.id}: required slot {name!r} missing from body")
@@ -79,25 +77,21 @@ class PromptTemplate:
 
 
 class PromptRegistry:
-    """Loads the shipped templates, with optional per-role file overrides."""
+    """The prompt template of each role."""
 
     def __init__(self, templates: dict[str, PromptTemplate]):
         self._templates = dict(templates)
 
     @classmethod
-    def load(cls, overrides: Optional[dict[str, str | Path]] = None) -> "PromptRegistry":
-        """Load shipped templates; ``overrides`` maps a role to a file path."""
+    def load(cls) -> "PromptRegistry":
+        """Load the shipped templates."""
         root = resources.files("proofpipe") / "templates"
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         templates: dict[str, PromptTemplate] = {}
         for role_id, entry in manifest.items():
-            if overrides and role_id in overrides:
-                body = Path(overrides[role_id]).read_text(encoding="utf-8")
-            else:
-                body = (root / entry["file"]).read_text(encoding="utf-8")
             templates[role_id] = PromptTemplate(
                 id=role_id,
-                body=body,
+                body=(root / entry["file"]).read_text(encoding="utf-8"),
                 required_slots=frozenset(entry["required"]),
                 optional_slots=frozenset(entry.get("optional", [])),
             )

@@ -8,6 +8,10 @@ is a small marker (loop position, id counters, scripted cursors and its own
 seq) recorded as an event and kept addressable by id, and resuming from it
 folds the events before it. When the trace is backed by a file, each marker
 is also written to ``checkpoints/<id>.json`` next to it.
+
+A model call's event holds its ``role`` and ``slots`` but not the rendered
+prompt: rendering is pure and the header pins ``template_version``, so
+``registry.render(role, slots)`` rebuilds the exact prompt.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Callable, Optional
 
 from .core import digest
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def test_criterion_3_verified_success_gate(registry):
     accepted, checks, solution = gate([clean, clean, clean])
     assert accepted and len(checks) == 3
     assert all(
-        e.payload["score"] == 7 and e.payload["issue_count"] == 0 and e.payload["text"] == solution.proof_text
+        e.payload["score"] == 7 and e.payload["issue_count"] == 0 and e.payload["slots"]["solution"] == solution.proof_text
         for e in checks
     )
     for position in (0, 1, 2):

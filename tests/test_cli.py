@@ -5,6 +5,7 @@ import pytest
 
 from proofpipe.cli import ExitCode, load_problem, main
 from proofpipe.gateway import ScriptedBackend
+from proofpipe.prompts import PromptRegistry
 
 from conftest import rules_clean
 
@@ -39,6 +40,24 @@ def run_cli(*argv):
 V2_CONFIG_FIELDS = {"tau": 7, "tau_e": 6, "memory_prompt_cap": 3, "history_char_cap": 4000}
 
 
+def _as_schema_2(kind, payload):
+    if kind == "run_start":
+        payload["schema_version"] = 2
+        payload["config"].update(V2_CONFIG_FIELDS)
+
+
+def _as_schema_3(kind, payload):
+    """Schema 3 stored each call's rendered prompt in place of its slots."""
+    if kind == "run_start":
+        payload["schema_version"] = 3
+    if "slots" in payload:
+        payload["prompt"] = PromptRegistry.load().render(payload["role"], payload.pop("slots"))
+
+
+# Turn an event of a current trace into its form under an older schema.
+OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3}
+
+
 class TestSolve:
     def test_scripted_demo_verifies(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "out"
@@ -49,7 +68,7 @@ class TestSolve:
         assert (out / "solution.txt").read_text(encoding="utf-8").startswith("GOOD_PROOF")
         assert (out / "trace.jsonl").exists()
         assert (out / "ledger.json").exists()
-        assert (out / "ledger.csv").exists()
+        assert not (out / "ledger.csv").exists()  # `cost trace.jsonl --csv` writes it
         assert list((out / "checkpoints").glob("*.json"))  # snapshots persisted
         assert "status: verified" in capsys.readouterr().out
 
@@ -142,6 +161,35 @@ class TestSolve:
         assert code == ExitCode.USAGE
         assert f"unknown [pipeline] key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, line, named",
+        [
+            ("pipeline", "solver_width = four", "[pipeline] solver_width = 'four' is not an integer"),
+            ("pipeline", "strict_budget = maybe", "[pipeline] strict_budget = 'maybe' is not a boolean"),
+            ("prices", "scripted = 10", "[prices] scripted = '10' is not two rates"),
+            ("prices", "scripted = abc, 10", "[prices] scripted = 'abc, 10' is not two rates"),
+        ],
+        ids=["not_an_integer", "not_a_boolean", "one_rate", "non_numeric_rate"],
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, clean_script, problem_file, capsys, section, line, named):
+        config = tmp_path / "config.ini"
+        config.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("solve", problem_file, "--script", clean_script, "--config", config, "--out", out)
+        assert code == ExitCode.USAGE
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_used_out_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
+        out = tmp_path / "out"
+        assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.VERIFIED
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.USAGE
+        assert "already holds a run" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     def test_malformed_config_file_is_usage_error(self, tmp_path, clean_script, problem_file):
         config = tmp_path / "config.ini"
@@ -255,14 +303,27 @@ class TestCostCommand:
         out = tmp_path / "out"
         run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 2)
         capsys.readouterr()
-        code = run_cli("cost", out / "ledger.json")
+        code = run_cli("cost", out / "trace.jsonl", "--csv", tmp_path / "ledger.csv")
         assert code == ExitCode.VERIFIED
         printed = capsys.readouterr().out
-        assert "total: $" in printed
         ledger = json.loads((out / "ledger.json").read_text(encoding="utf-8"))
         # combined two-run ledger: one grand total, per-run subtotals
-        assert {"run1", "run2"} <= set(ledger["totals"]["by_run"])
-        assert "grand" in ledger["totals"]
+        totals = ledger["totals"]
+        assert {"run1", "run2"} <= set(totals["by_run"])
+        for run, total in totals["by_run"].items():
+            assert f"  {run:<10} {total}" in printed
+        assert f"total: ${totals['grand']}" in printed
+        csv_lines = (tmp_path / "ledger.csv").read_text(encoding="utf-8").splitlines()
+        assert csv_lines[0].startswith("seq,run_id,role,")
+        assert len(csv_lines) == 1 + len(ledger["entries"]) + len(totals["by_run"]) + 1
+        assert csv_lines[-1] == f"total,,,,,,,{totals['grand']}"
+
+    def test_ledger_json_is_not_a_trace(self, tmp_path, clean_script, problem_file, capsys):
+        out = tmp_path / "out"
+        run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
+        capsys.readouterr()
+        assert run_cli("cost", out / "ledger.json") == ExitCode.USAGE
+        assert "is not a readable trace.jsonl" in capsys.readouterr().err
 
     def test_cost_from_trace(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "out"
@@ -276,7 +337,7 @@ class TestCostCommand:
         out = tmp_path / "out"
         run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
         capsys.readouterr()
-        code = run_cli("cost", out / "ledger.json", "--csv", tmp_path / "missing" / "ledger.csv")
+        code = run_cli("cost", out / "trace.jsonl", "--csv", tmp_path / "missing" / "ledger.csv")
         assert code == ExitCode.USAGE
         assert "error" in capsys.readouterr().err
 
@@ -389,18 +450,17 @@ class TestReplayCommand:
         assert "schema" in capsys.readouterr().err
 
     def test_schema_2_trace_refused(self, tmp_path, clean_script, problem_file, capsys):
-        out = tmp_path / "out"
-        run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
-        capsys.readouterr()
-        trace_path = out / "trace.jsonl"
-        edited = []
-        for line in trace_path.read_text(encoding="utf-8").splitlines():
-            event = json.loads(line)
-            if event["kind"] == "run_start":
-                event["payload"]["schema_version"] = 2
-                event["payload"]["config"].update(V2_CONFIG_FIELDS)
-            edited.append(json.dumps(event))
-        trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
-        assert run_cli("replay", trace_path) == ExitCode.USAGE
-        assert "trace schema 2 is not supported" in capsys.readouterr().err
+        for schema, edit in OLD_SCHEMAS.items():
+            out = tmp_path / f"out{schema}"
+            run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
+            capsys.readouterr()
+            trace_path = out / "trace.jsonl"
+            edited = []
+            for line in trace_path.read_text(encoding="utf-8").splitlines():
+                event = json.loads(line)
+                edit(event["kind"], event["payload"])
+                edited.append(json.dumps(event))
+            trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            assert run_cli("replay", trace_path) == ExitCode.USAGE
+            assert f"trace schema {schema} is not supported (want 4)" in capsys.readouterr().err
 

@@ -215,10 +215,11 @@ def test_determinism_under_jitter(name, registry):
     # Replies are a function of the logical order: feeding the recorded
     # prompts, in trace order, to a fresh backend gives every recorded reply.
     fresh = ScriptedBackend(SCENARIOS[name][0]())
-    calls = [e.payload for e in trace.events if "prompt" in e.payload and "response" in e.payload]
+    calls = [e.payload for e in trace.events if "slots" in e.payload and "response" in e.payload]
     assert len(calls) == len(gateway.ledger.entries)
     for payload in calls:
-        req = ModelRequest(payload["role"], payload["prompt"], 0.0, config.max_output_tokens)
+        prompt = registry.render(payload["role"], payload["slots"])
+        req = ModelRequest(payload["role"], prompt, 0.0, config.max_output_tokens)
         assert fresh.complete(req).text == payload["response"]
 
     # Each call event records the budget left after every call before it in

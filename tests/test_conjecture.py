@@ -240,7 +240,8 @@ class TestExtractHypotheses:
         )
         failure = FailureRecord("h0", "old unresolved claim", FailureReason.AMBIGUOUS, "g_pos=6, g_neg=6")
         engine.extract_hypotheses(PROBLEM, [seed], failures=[failure])
-        extract_prompt = trace.of_kind("extract")[0].payload["prompt"]
+        extract = trace.of_kind("extract")[0].payload
+        extract_prompt = registry.render(extract["role"], extract["slots"])
         assert "old unresolved claim" in extract_prompt
         assert "ambiguous" in extract_prompt
 
@@ -301,8 +302,9 @@ class TestVerifyHypotheses:
         side_drafts = [e for e in trace.of_kind("draft")]
         assert side_drafts, "side solves must draft"
         for event in side_drafts:
-            assert parent_marker not in event.payload["prompt"]
-            assert "(none provided)" in event.payload["prompt"]
+            prompt = registry.render(event.payload["role"], event.payload["slots"])
+            assert parent_marker not in prompt
+            assert "(none provided)" in prompt
 
     def test_partial_attempts_preserved(self, registry):
         engine, trace = make_engine(verify_rules(6, 6), registry)

@@ -144,8 +144,8 @@ class TestDialecticSolve:
         assert branch_kinds(trace).count("draft") == 2
         assert out[0].proof_text.startswith("CLEAN")
         # the redraft prompt carried the literal corrective feedback
-        redraft = trace.of_kind("draft")[1]
-        assert "Derive explicitly" in redraft.payload["prompt"]
+        redraft = trace.of_kind("draft")[1].payload
+        assert "Derive explicitly" in registry.render(redraft["role"], redraft["slots"])
 
     def test_count_four_gives_four_lanes(self, registry):
         engine, trace = engine_for(rules_clean(), registry=registry)

@@ -253,7 +253,7 @@ def clean_run(checks: list, n: int, text: str) -> bool:
     for start in range(len(checks) - n + 1):
         window = checks[start : start + n]
         if all(
-            c.get("score") == 7 and c.get("issue_count") == 0 and c["text"] == text and c["ordinal"] == i
+            c.get("score") == 7 and c.get("issue_count") == 0 and c["slots"]["solution"] == text and c["ordinal"] == i
             for i, c in enumerate(window)
         ):
             return True

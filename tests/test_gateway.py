@@ -108,13 +108,6 @@ class TestLedger:
         assert "seq,run_id,role" in csv_text.splitlines()[0]
         assert csv_text.strip().splitlines()[-1].endswith("0.0001")
 
-    def test_restore_roundtrip(self):
-        ledger = CostLedger()
-        ledger.append("run1", "solver", "flat-10", Usage(5, 5, 1), Decimal("0.0001"))
-        clone = CostLedger()
-        clone.restore([e.to_dict() for e in ledger.entries])
-        assert clone.to_dict() == ledger.to_dict()
-
 
 class TestScriptedBackend:
     def test_cursor_orders_responses(self):

@@ -1,9 +1,11 @@
 """End-to-end pipeline behavior on scripted scenarios."""
+import dataclasses
 import re
+from collections import Counter
 
 import pytest
 
-from proofpipe.gateway import ScriptRule
+from proofpipe.gateway import ROLES, ModelGateway, ScriptedBackend, ScriptRule
 from proofpipe.orchestrator import (
     STATUS_BEST_EFFORT,
     STATUS_BUDGET_EXHAUSTED,
@@ -81,7 +83,7 @@ class TestInstantSuccess:
         checks = [
             e
             for e in result.trace.of_kind("check_grade")
-            if e.payload.get("text") == text
+            if e.payload["slots"]["solution"] == text
         ]
         assert len(checks) >= 3
         assert all(e.payload["score"] == 7 and e.payload["issue_count"] == 0 for e in checks[-3:])
@@ -94,7 +96,8 @@ class TestInstantSuccess:
         memory = result.state.solution_memory
         assert [s.id for s in memory] == ["run1.s0000", "run1.s0001"]
         assert all(s.phase == 1 for s in memory)
-        prompt = result.trace.of_kind("judge")[0].payload["prompt"]
+        judge = result.trace.of_kind("judge")[0].payload
+        prompt = registry.render(judge["role"], judge["slots"])
         assert "--- attempt 1 (phase 1, graded 7/7) ---" in prompt
 
 
@@ -278,7 +281,8 @@ class TestJudge:
         result, _ = run_pipeline(
             self._two_run_rules(["<decision>A</decision>"]), config, registry, parallel=True, n=2
         )
-        prompt = result.trace.of_kind("judge")[0].payload["prompt"]
+        judge = result.trace.of_kind("judge")[0].payload
+        prompt = registry.render(judge["role"], judge["slots"])
         assert "pipeline run1" in prompt and "pipeline run2" in prompt
 
 
@@ -365,29 +369,30 @@ class TestResume:
         with pytest.raises(ResumeError):
             orch.resume(original.trace, "nope")
 
-    def test_template_version_guard(self, registry, tmp_path):
+    def test_template_version_guard(self, registry):
         from proofpipe.prompts import PromptRegistry
 
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        override = tmp_path / "solver.txt"
-        override.write_text("changed {{slot:problem}}", encoding="utf-8")
-        other_registry = PromptRegistry.load(overrides={"solver": override})
+        templates = {role: registry.get(role) for role in ROLES}
+        templates["solver"] = dataclasses.replace(templates["solver"], body="changed {{slot:problem}}")
+        other_registry = PromptRegistry(templates)
         gateway = make_gateway(rules_well(), config)
         orch = Orchestrator(gateway, other_registry, config)
         with pytest.raises(ResumeError, match="template"):
             orch.resume(original.trace, "run1.p1.done")
 
     def test_schema_2_trace_refused(self, registry):
-        from test_cli import V2_CONFIG_FIELDS
+        from test_cli import OLD_SCHEMAS
 
         config = small_config()
-        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        original.trace.header["schema_version"] = 2
-        original.trace.header["config"].update(V2_CONFIG_FIELDS)
-        orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError, match="trace schema 2 != 3"):
-            orch.resume(original.trace, "run1.p1.done")
+        for schema, edit in OLD_SCHEMAS.items():
+            original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+            for event in original.trace.events:
+                edit(event.kind, event.payload)
+            orch, _ = self._fresh_orchestrator(config, registry)
+            with pytest.raises(ResumeError, match=f"trace schema {schema} != 4"):
+                orch.resume(original.trace, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
         config = small_config()
@@ -451,6 +456,56 @@ class TestResume:
         for event in checkpoints:
             size = len(json.dumps(event.to_dict(), ensure_ascii=False))
             assert size < 2048, (event.payload["checkpoint_id"], size)
+
+
+class RecordingBackend(ScriptedBackend):
+    """A scripted backend that records the role and prompt of every reply it gives."""
+
+    def __init__(self, rules):
+        super().__init__(rules)
+        self.received = []
+
+    def complete(self, req):
+        resp = super().complete(req)
+        self.received.append((req.role, req.prompt))
+        return resp
+
+
+# A fault per reply ahead of each role's scripted replies: backend failures
+# (some retried away, some not) and replies that do not parse.
+FAULTS = {
+    "solver": ["fail"],
+    "grader": ["ok", "ok", "garbage", "fail", "fail"],
+    "processor": ["fail", "fail"],
+    "extractor": ["fail"],
+    "parser": ["garbage"],
+    "judge": ["garbage"],
+}
+
+
+class TestCallEvents:
+    @pytest.mark.parametrize("name", ["clean", "well", "all_twos", "faulted"])
+    def test_slots_rebuild_every_prompt(self, registry, name):
+        from test_failures import JUDGE, SCENARIOS, faulty
+
+        make_rules, make_problem = SCENARIOS["well" if name == "faulted" else name]
+        rules = make_rules() + [JUDGE]
+        if name == "faulted":
+            rules = faulty(rules, [FAULTS[r.role] for r in rules])
+        config = small_config(parallel_runs=2, retry_attempts=2)
+        backend = RecordingBackend(rules)
+        gateway = ModelGateway(backend, token_budget=config.token_budget, retry_attempts=2, sleep=lambda _: None)
+        result = Orchestrator(gateway, registry, config).run_parallel(make_problem(), trace=RunTrace(clock=lambda: 0.0))
+        events = result.trace.events
+
+        assert not [e.seq for e in events if "prompt" in e.payload]
+        calls = [e.payload for e in events if "response" in e.payload]
+        rebuilt = [(p["role"], registry.render(p["role"], p["slots"])) for p in calls]
+        assert Counter(rebuilt) == Counter(backend.received)
+        assert len(calls) == len(gateway.ledger.entries)
+        if name == "faulted":
+            assert {"branch_failed", "check_grade_failed", "pair_failed"} <= {e.kind for e in events}
+            assert {"grade", "check_grade", "extract_parse", "judge"} <= {e.kind for e in events if "parse_error" in e.payload}
 
 
 class TestReplay:

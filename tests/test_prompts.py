@@ -1,4 +1,5 @@
 """Template registry: slot substitution, errors, purity."""
+import dataclasses
 import json
 from importlib import resources
 
@@ -89,10 +90,10 @@ def test_rendering_is_pure(registry, problem):
     assert registry.render("solver", slots) == registry.render("solver", slots)
 
 
-def test_override_changes_body_and_version(tmp_path, registry):
-    override = tmp_path / "solver.txt"
-    override.write_text("custom body {{slot:problem}}", encoding="utf-8")
-    custom = PromptRegistry.load(overrides={"solver": override})
+def test_override_changes_body_and_version(registry):
+    templates = {role: registry.get(role) for role in ROLES}
+    templates["solver"] = dataclasses.replace(templates["solver"], body="custom body {{slot:problem}}")
+    custom = PromptRegistry(templates)
     assert custom.render("solver", {"problem": "Z"}) == "custom body Z"
     assert custom.version() != registry.version()
 
