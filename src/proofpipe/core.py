@@ -335,12 +335,9 @@ class RunState:
     """
 
     run_id: str
-    config: PipelineConfig
     solution_memory: list[CandidateSolution] = field(default_factory=list)
     lemma_memory: list[Lemma] = field(default_factory=list)
     failure_context: list[FailureRecord] = field(default_factory=list)
-    phase1_iter: int = 0
-    conjecture_iter: int = 0
 
     def add_solutions(self, solutions: Iterable[CandidateSolution]) -> None:
         self.solution_memory.extend(solutions)
@@ -350,16 +347,6 @@ class RunState:
 
     def add_failures(self, failures: Iterable[FailureRecord]) -> None:
         self.failure_context.extend(failures)
-
-    def bump_phase1(self) -> None:
-        if self.phase1_iter >= self.config.initial_iterations:
-            raise ValueError("phase-1 iteration counter exceeded its limit")
-        self.phase1_iter += 1
-
-    def bump_conjecture(self) -> None:
-        if self.conjecture_iter >= self.config.conjecture_iterations:
-            raise ValueError("conjecture iteration counter exceeded its limit")
-        self.conjecture_iter += 1
 
 
 @dataclass(frozen=True)

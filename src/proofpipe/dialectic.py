@@ -234,9 +234,8 @@ class Branch:
 class Leaf(Lane):
     """A branch of a fork/join group, and the trace it records into.
 
-    While the branch runs on its own thread, its events are held here, each
-    with the tokens the leaf had consumed when it was recorded, so the join
-    can commit them with the budget a sequential run would have had left.
+    While the branch runs on its own thread, its events are held here until
+    the join commits them in branch order.
     """
 
     def __init__(self, branch: Branch, solution_id: str, earlier: Sequence[Lane]):
@@ -247,9 +246,8 @@ class Leaf(Lane):
         self.solution: Optional[CandidateSolution] = None
         self.error: Optional[BaseException] = None
 
-    def append(self, run_id: str, phase: int, kind: str, payload: dict, budget_remaining: Optional[int] = None) -> None:
-        spent = None if budget_remaining is None else self.ledger.total_tokens()
-        self.events.append((run_id, phase, kind, payload, spent))
+    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> None:
+        self.events.append((run_id, phase, kind, payload))
 
 
 class DialecticEngine:
@@ -305,7 +303,7 @@ class DialecticEngine:
                 value, fields = parse(resp.text) if parse else (resp, {})
             except CallFailed as exc:
                 error, fields = exc, {"parse_error": str(exc)}
-            self.trace.append(self.run_id, phase, kind, {**payload, **fields}, self.gateway.tokens_remaining)
+            self.trace.append(self.run_id, phase, kind, {**payload, **fields})
             if error is None:
                 return value
         raise error
@@ -470,9 +468,8 @@ class DialecticEngine:
 
         Solution ids are allocated at the fork, in branch order. Each leaf
         records its events and ledger entries into itself; the join commits
-        them leaf by leaf in branch order, with ``budget_remaining``
-        recomputed as a running total, so trace, ledger and ids are those of
-        a run that solved the branches one after another. A leaf is yielded
+        them leaf by leaf in branch order, so trace, ledger and ids are those
+        of a run that solved the branches one after another. A leaf is yielded
         right after its commit: what the caller records before taking the
         next leaf lands where that sequential run would have put it. The
         caller must take every leaf, or the ledger will miss the calls of
@@ -483,7 +480,6 @@ class DialecticEngine:
             leaves.append(Leaf(branch, self.ids.next("s"), earlier=tuple(leaves)))
         if not leaves:
             return
-        remaining = self.gateway.tokens_remaining
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
             futures = [pool.submit(self._run_leaf, leaf, phase) for leaf in leaves]
@@ -492,7 +488,7 @@ class DialecticEngine:
             if leaf.error is None:
                 leaf.solution = future.result()
         for leaf in leaves:
-            remaining = self._commit(leaf, remaining)
+            self._commit(leaf)
             yield leaf
 
     def _run_leaf(self, leaf: Leaf, phase: int) -> CandidateSolution:
@@ -504,13 +500,12 @@ class DialecticEngine:
         finally:
             leaf.done.set()
 
-    def _commit(self, leaf: Leaf, remaining: int) -> int:
-        """Write one leaf's events and ledger entries; return the budget left after it."""
-        for run_id, phase, kind, payload, spent in leaf.events:
-            self.trace.append(run_id, phase, kind, payload, None if spent is None else remaining - spent)
+    def _commit(self, leaf: Leaf) -> None:
+        """Write one leaf's events and ledger entries."""
+        for event in leaf.events:
+            self.trace.append(*event)
         for e in leaf.ledger.entries:
             self.gateway.ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
-        return remaining - leaf.ledger.total_tokens()
 
     def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
         """True iff ``n`` fresh grades in a row are perfect with zero issues.

@@ -329,6 +329,9 @@ class ScriptRule:
     def __post_init__(self) -> None:
         if not self.responses:
             raise ValueError(f"script rule for role {self.role!r} has no responses")
+        for response in self.responses:
+            if not isinstance(response, dict) or not ("text" in response or response.get("fail")):
+                raise ValueError(f"script rule for role {self.role!r} has a response with neither 'text' nor 'fail'")
 
     def matches(self, req: ModelRequest) -> bool:
         if req.role != self.role:
@@ -436,7 +439,13 @@ class ScriptedBackend:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScriptedBackend":
-        return cls([ScriptRule(**{**r, "match": r.get("match")}) for r in d["rules"]])
+        rules = []
+        for index, r in enumerate(d["rules"]):
+            try:
+                rules.append(ScriptRule(**{**r, "match": r.get("match")}))
+            except (TypeError, ValueError) as exc:  # a bad rule: unknown or missing keys, or bad responses
+                raise ValueError(f"{exc} (rule {index} of the script)") from None
+        return cls(rules)
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
@@ -488,6 +497,8 @@ class HttpBackend:
         latency = (time.monotonic() - start) * 1000
         try:
             text = payload["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise BackendFailure(f"malformed response payload: content is {type(text).__name__}, not a string")
             counts = payload.get("usage", {})
             usage = Usage(
                 input_tokens=counts.get("prompt_tokens", 0),
@@ -515,7 +526,6 @@ class ModelGateway:
         retry_attempts: int = 3,
         strict_budget: bool = False,
         sleep: Callable[[float], None] = time.sleep,
-        ledger: Optional[CostLedger] = None,
     ):
         if token_budget <= 0:
             raise ValueError("token_budget must be positive")
@@ -523,7 +533,7 @@ class ModelGateway:
         if backend.backend_id not in price_table:
             raise ValueError(f"no price configured for backend {backend.backend_id!r}")
         self.backend = backend
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = CostLedger()
         self.price_table = price_table
         self.retry_attempts = retry_attempts
         self.strict_budget = strict_budget
@@ -537,11 +547,6 @@ class ModelGateway:
     def tokens_consumed(self) -> int:
         with self._lock:
             return self._consumed
-
-    @property
-    def tokens_remaining(self) -> int:
-        with self._lock:
-            return self._budget - self._consumed
 
     def restore(self, ledger: CostLedger) -> None:
         """Continue from ``ledger`` (rebuilt from a trace on resume): it becomes

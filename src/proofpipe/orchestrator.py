@@ -184,10 +184,9 @@ class Orchestrator:
 
     # -- public entry points --------------------------------------------------
 
-    def run(self, problem: Problem, trace: Optional[RunTrace] = None, run_id: str = "run1") -> PipelineResult:
-        trace = trace if trace is not None else RunTrace()
-        self._write_header(trace, problem, mode="single")
-        return self._run_single(problem, trace, run_id)
+    def run(self, problem: Problem, trace: Optional[RunTrace] = None) -> PipelineResult:
+        """One run, with no judge."""
+        return self.run_parallel(problem, trace, n=1)
 
     def run_parallel(
         self, problem: Problem, trace: Optional[RunTrace] = None, n: Optional[int] = None
@@ -202,11 +201,10 @@ class Orchestrator:
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
-        if n == 1:
-            self._write_header(trace, problem, mode="single")
-            return self._run_single(problem, trace, "run1")
-        self._write_header(trace, problem, mode="parallel", runs=n)
+        self._write_header(trace, problem, runs=n)
         results = [self._run_single(problem, trace, f"run{i + 1}") for i in range(n)]
+        if n == 1:
+            return results[0]
         current = results[0]
         for challenger in results[1:]:
             current = self._judge(problem, current, challenger, trace)
@@ -232,9 +230,9 @@ class Orchestrator:
         after the checkpoint are discarded; under scripted backends the
         continuation reproduces them exactly.
         """
-        if checkpoint_id not in source.checkpoints:
+        marker = source.checkpoints.get(checkpoint_id)
+        if marker is None:
             raise ResumeError(f"unknown checkpoint {checkpoint_id!r}")
-        marker = source.checkpoints[checkpoint_id]
         header = source.header
         if header is None:
             raise ResumeError("trace has no header event")
@@ -249,7 +247,7 @@ class Orchestrator:
                 raise ResumeError("checkpoint was taken under a different pipeline config")
             problem = Problem.from_dict(header["problem"])
             position = tuple(marker["position"])
-            state = RunState(config=self.config, **marker["state"])
+            state = RunState(**marker["state"])
             _fold_memory(state, source.events[: marker["seq"]])
             ids = IdAllocator.from_dict(marker["ids"])
             ledger = ledger_from_trace(source, self.gateway.price_table, end=marker["seq"])
@@ -265,7 +263,7 @@ class Orchestrator:
             self.gateway.backend.restore(cursors)
 
         trace = RunTrace()
-        self._write_header(trace, problem, mode="single", resumed_from=checkpoint_id)
+        self._write_header(trace, problem, resumed_from=checkpoint_id)
         if result is not None:
             solution = next((s for s in state.solution_memory if s.id == result["solution_id"]), None)
             return PipelineResult(solution, result["status"], state, trace)
@@ -273,22 +271,20 @@ class Orchestrator:
 
     # -- internals -------------------------------------------------------------
 
-    def _write_header(self, trace: RunTrace, problem: Problem, mode: str, runs: int = 1, resumed_from: Optional[str] = None) -> None:
+    def _write_header(self, trace: RunTrace, problem: Problem, runs: int = 1, resumed_from: Optional[str] = None) -> None:
         if trace.header is not None:
             return
         backend = self.gateway.backend
-        descriptor = {"kind": "scripted" if hasattr(backend, "snapshot") else "live", "backend_id": backend.backend_id}
         trace.append(
             "meta",
             0,
             "run_start",
             {
                 "schema_version": SCHEMA_VERSION,
-                "mode": mode,
                 "runs": runs,
                 "problem": problem.to_dict(),
                 "config": self.config.to_dict(),
-                "backend": descriptor,
+                "backend": {"backend_id": backend.backend_id},
                 "template_version": self.registry.version(),
                 "resumed_from": resumed_from,
             },
@@ -299,8 +295,7 @@ class Orchestrator:
             trace.append("meta", 0, "script_attachment", {"script": backend.to_dict()})
 
     def _run_single(self, problem: Problem, trace: RunTrace, run_id: str) -> PipelineResult:
-        state = RunState(run_id=run_id, config=self.config)
-        return self._machine(problem, trace, state, IdAllocator(run_id), ("p1", 1))
+        return self._machine(problem, trace, RunState(run_id), IdAllocator(run_id), ("p1", 1))
 
     def _machine(
         self,
@@ -325,7 +320,6 @@ class Orchestrator:
                         branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
                     batch = engine.solve_branches(branches, phase=1)
                     state.add_solutions(batch)
-                    state.bump_phase1()
                     winner = self._check_verified(batch, problem, engine, trace, run_id)
                     if winner is not None:
                         return self._finish(trace, state, engine, winner, STATUS_VERIFIED)
@@ -337,7 +331,6 @@ class Orchestrator:
             if position[0] == "outer":
                 for l in range(position[1], cfg.conjecture_iterations + 1):
                     trace.append(run_id, 2, "phase_start", {"phase": 2, "iteration": l})
-                    state.bump_conjecture()
                     seeds = select_top(state.solution_memory, 2)
                     outcome: Optional[VerifyOutcome] = None
                     if not seeds:
@@ -376,13 +369,7 @@ class Orchestrator:
             # the completed branches of the refused round are salvaged
             state.add_solutions(exc.partial)
             graded = [s for s in state.solution_memory if s.grade]
-            trace.append(
-                run_id,
-                0,
-                "budget_exhausted",
-                {"salvaged": len(exc.partial), "graded_pool": len(graded)},
-                self.gateway.tokens_remaining,
-            )
+            trace.append(run_id, 0, "budget_exhausted", {"salvaged": len(exc.partial), "graded_pool": len(graded)})
             solution = best(graded) if graded else None
             return self._finish(trace, state, engine, solution, STATUS_BUDGET_EXHAUSTED)
 
@@ -486,11 +473,7 @@ class Orchestrator:
         """
         marker = {
             "position": list(position),
-            "state": {
-                "run_id": state.run_id,
-                "phase1_iter": state.phase1_iter,
-                "conjecture_iter": state.conjecture_iter,
-            },
+            "state": {"run_id": state.run_id},
             "ids": engine.ids.to_dict(),
             "cursors": self.gateway.backend.snapshot() if hasattr(self.gateway.backend, "snapshot") else None,
             "seq": len(trace.events),
@@ -514,7 +497,6 @@ class Orchestrator:
                 "proof_text": solution.proof_text if solution else None,
                 "score": solution.grade.score if solution and solution.grade else None,
             },
-            self.gateway.tokens_remaining,
         )
         return PipelineResult(solution, status, state, trace)
 
@@ -564,7 +546,7 @@ def replay(original: RunTrace, registry: Optional[PromptRegistry] = None) -> Opt
     if header is None:
         raise ReplayError("trace has no header event")
     attachments = original.of_kind("script_attachment")
-    if header.get("backend", {}).get("kind") != "scripted" or not attachments:
+    if not attachments:
         raise ReplayError("only scripted-backend traces can be replayed")
     if header["schema_version"] != SCHEMA_VERSION:
         raise ReplayError(
@@ -586,8 +568,5 @@ def replay(original: RunTrace, registry: Optional[PromptRegistry] = None) -> Opt
         raise ReplayError("trace was produced with different prompt templates")
     orch = Orchestrator(gateway, registry, config)
     fresh = RunTrace()
-    if header["mode"] == "parallel":
-        orch.run_parallel(problem, trace=fresh, n=header.get("runs", config.parallel_runs))
-    else:
-        orch.run(problem, trace=fresh)
+    orch.run_parallel(problem, trace=fresh, n=header["runs"])
     return first_divergence(original, fresh)

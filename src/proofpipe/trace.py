@@ -1,13 +1,15 @@
 """Append-only run trace with checkpoint markers.
 
 Events are JSONL-friendly dicts: an envelope (seq, ts, run id, phase, kind,
-payload digest, budget remaining) around a JSON payload. The digest covers
-only the payload, never the envelope, so wall-clock timestamps do not break
-replay comparison. The trace is the only store of run state: a checkpoint
-is a small marker (loop position, id counters, scripted cursors and its own
-seq) recorded as an event and kept addressable by id, and resuming from it
-folds the events before it. When the trace is backed by a file, each marker
-is also written to ``checkpoints/<id>.json`` next to it.
+payload digest) around a JSON payload. The digest covers only the payload,
+never the envelope, so wall-clock timestamps do not break replay
+comparison. The trace is the only store of run state: a checkpoint is a
+small marker (loop position, id counters, scripted cursors and its own seq)
+recorded as an event, and resuming from it folds the events before it.
+When the trace is backed by a file, each marker is also written to
+``checkpoints/<id>.json`` next to it. A fact that follows from others is
+not stored: the budget left at an event is the header's ``token_budget``
+minus the usage of the call events up to it.
 
 A model call's event holds its ``role`` and ``slots`` but not the rendered
 prompt: rendering is pure and the header pins ``template_version``, so
@@ -19,11 +21,12 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .core import digest
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class TraceEvent:
     kind: str
     digest: str
     payload: dict
-    budget_remaining: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -45,7 +47,6 @@ class TraceEvent:
             "phase": self.phase,
             "kind": self.kind,
             "digest": self.digest,
-            "budget_remaining": self.budget_remaining,
             "payload": self.payload,
         }
 
@@ -59,7 +60,6 @@ class TraceEvent:
             kind=d["kind"],
             digest=d["digest"],
             payload=d["payload"],
-            budget_remaining=d.get("budget_remaining"),
         )
 
 
@@ -70,7 +70,6 @@ class RunTrace:
         self.path = Path(path) if path else None
         self._clock = clock
         self.events: list[TraceEvent] = []
-        self.checkpoints: dict[str, dict] = {}
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -81,14 +80,14 @@ class RunTrace:
                 return ev.payload
         return None
 
-    def append(
-        self,
-        run_id: str,
-        phase: int,
-        kind: str,
-        payload: dict,
-        budget_remaining: Optional[int] = None,
-    ) -> TraceEvent:
+    @property
+    def checkpoints(self) -> Mapping[str, dict]:
+        """The checkpoint markers recorded so far, by id, in trace order."""
+        return MappingProxyType(
+            {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
+        )
+
+    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> TraceEvent:
         event = TraceEvent(
             seq=len(self.events),
             ts=self._clock(),
@@ -97,7 +96,6 @@ class RunTrace:
             kind=kind,
             digest=digest(payload),
             payload=payload,
-            budget_remaining=budget_remaining,
         )
         self.events.append(event)
         if self.path:
@@ -106,7 +104,6 @@ class RunTrace:
         return event
 
     def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
-        self.checkpoints[checkpoint_id] = snapshot
         self.append(run_id, phase, "checkpoint", {"checkpoint_id": checkpoint_id, "snapshot": snapshot})
         if self.path:
             ckpt_dir = self.path.parent / "checkpoints"
@@ -144,10 +141,7 @@ class RunTrace:
                     if not line.endswith(b"\n"):  # only the last line can lack one
                         break
                     raise
-                event = TraceEvent.from_dict(record)
-                trace.events.append(event)
-                if event.kind == "checkpoint":
-                    trace.checkpoints[event.payload["checkpoint_id"]] = event.payload["snapshot"]
+                trace.events.append(TraceEvent.from_dict(record))
         trace.path = None  # loaded traces are read-only views
         return trace
 

@@ -40,22 +40,35 @@ def run_cli(*argv):
 V2_CONFIG_FIELDS = {"tau": 7, "tau_e": 6, "memory_prompt_cap": 3, "history_char_cap": 4000}
 
 
-def _as_schema_2(kind, payload):
-    if kind == "run_start":
-        payload["schema_version"] = 2
-        payload["config"].update(V2_CONFIG_FIELDS)
+def _as_schema_2(event):
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 2
+        event["payload"]["config"].update(V2_CONFIG_FIELDS)
 
 
-def _as_schema_3(kind, payload):
+def _as_schema_3(event):
     """Schema 3 stored each call's rendered prompt in place of its slots."""
-    if kind == "run_start":
+    payload = event["payload"]
+    if event["kind"] == "run_start":
         payload["schema_version"] = 3
     if "slots" in payload:
         payload["prompt"] = PromptRegistry.load().render(payload["role"], payload.pop("slots"))
 
 
-# Turn an event of a current trace into its form under an older schema.
-OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3}
+def _as_schema_4(event):
+    """Schema 4 stored the budget left in every event and the run mode and
+    backend kind in the header."""
+    payload = event["payload"]
+    event["budget_remaining"] = None
+    if event["kind"] == "run_start":
+        payload["schema_version"] = 4
+        payload["mode"] = "single" if payload["runs"] == 1 else "parallel"
+        payload["backend"]["kind"] = "scripted"
+
+
+# Turn an event of a current trace (as its JSON dict) into its form under an
+# older schema.
+OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3, 4: _as_schema_4}
 
 
 class TestSolve:
@@ -71,6 +84,23 @@ class TestSolve:
         assert not (out / "ledger.csv").exists()  # `cost trace.jsonl --csv` writes it
         assert list((out / "checkpoints").glob("*.json"))  # snapshots persisted
         assert "status: verified" in capsys.readouterr().out
+
+    def test_trace_stores_no_derived_facts(self, tmp_path, clean_script, problem_file):
+        """The budget left, the run mode, the backend kind and the iteration
+        counters follow from other facts of the trace and are not stored."""
+        out = tmp_path / "out"
+        assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.VERIFIED
+        events = [json.loads(line) for line in (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert not [e for e in events if "budget_remaining" in e]
+        header = events[0]["payload"]
+        assert header["runs"] == 2
+        assert "mode" not in header and header["backend"] == {"backend_id": "scripted"}
+        markers = [e["payload"]["snapshot"] for e in events if e["kind"] == "checkpoint"]
+        assert {m["state"]["run_id"] for m in markers} == {"run1", "run2"}
+        assert all(m["state"] == {"run_id": m["state"]["run_id"]} for m in markers)
+        for path in (out / "checkpoints").glob("*.json"):
+            marker = json.loads(path.read_text(encoding="utf-8"))
+            assert marker["state"] == {"run_id": marker["state"]["run_id"]}
 
     def test_single_run_has_no_judge_events(self, tmp_path, clean_script, problem_file):
         out = tmp_path / "out"
@@ -205,15 +235,25 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "not a directory\n"
 
-    def test_script_rule_without_responses_is_usage_error(self, tmp_path, problem_file, capsys):
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"responses": []}, "has no responses"),
+            ({"repeat_lst": True}, "unexpected keyword argument 'repeat_lst'"),
+            ({"responses": [{"txt": "GOOD_PROOF"}]}, "has a response with neither 'text' nor 'fail'"),
+        ],
+        ids=["no_responses", "unknown_key", "response_without_text"],
+    )
+    def test_script_rule_without_responses_is_usage_error(self, tmp_path, problem_file, capsys, fault, message):
         script = tmp_path / "script.json"
         rules = ScriptedBackend(rules_clean()).to_dict()["rules"]
-        rules[0]["responses"] = []
+        rules[1].update(fault)
         script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
         out = tmp_path / "o"
         code = run_cli("solve", problem_file, "--script", script, "--out", out)
         assert code == ExitCode.USAGE
-        assert "no responses" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "(rule 1 of the script)" in err
         assert not out.exists()
 
     def test_bug_exits_internal_with_traceback(self, tmp_path, clean_script, problem_file, monkeypatch, capsys):
@@ -458,9 +498,9 @@ class TestReplayCommand:
             edited = []
             for line in trace_path.read_text(encoding="utf-8").splitlines():
                 event = json.loads(line)
-                edit(event["kind"], event["payload"])
+                edit(event)
                 edited.append(json.dumps(event))
             trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
             assert run_cli("replay", trace_path) == ExitCode.USAGE
-            assert f"trace schema {schema} is not supported (want 4)" in capsys.readouterr().err
+            assert f"trace schema {schema} is not supported (want 5)" in capsys.readouterr().err
 

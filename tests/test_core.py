@@ -142,7 +142,7 @@ class TestRoundTrips:
 
 class TestRunState:
     def test_monotone_growth(self):
-        state = RunState(run_id="r", config=PipelineConfig())
+        state = RunState("r")
         lem = Lemma("s", Polarity.POSITIVE, "p", g_pos=7, g_neg=0, pair_id="h")
         state.add_lemmas([lem])
         state.add_failures([FailureRecord("h2", "c", FailureReason.AMBIGUOUS)])
@@ -152,12 +152,6 @@ class TestRunState:
         state.add_failures([])
         assert state.lemma_memory[: len(before_lemmas)] == before_lemmas
         assert state.failure_context[: len(before_failures)] == before_failures
-
-    def test_counters_capped(self):
-        state = RunState(run_id="r", config=PipelineConfig(initial_iterations=1))
-        state.bump_phase1()
-        with pytest.raises(ValueError):
-            state.bump_phase1()
 
 
 @given(st.integers(min_value=0, max_value=7).filter(lambda s: s != 5), st.integers(0, 3))

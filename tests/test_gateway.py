@@ -192,7 +192,7 @@ class TestGatewayBudget:
             budget=100,
         )
         gw.complete(req())
-        assert gw.tokens_remaining == 0
+        assert gw.tokens_consumed == 100
         with pytest.raises(BudgetExceeded):
             gw.complete(req())
 
@@ -305,7 +305,9 @@ class TestHttpBackend:
             gw.complete(req())
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("payload", [{}, {"choices": []}, {"choices": [{"message": {}}]}, []])
+    @pytest.mark.parametrize(
+        "payload", [{}, {"choices": []}, {"choices": [{"message": {}}]}, [], {"choices": [{"message": {"content": None}}]}]
+    )
     def test_malformed_payload_is_backend_failure(self, monkeypatch, payload):
         gw, calls = self._gateway(monkeypatch, payload)
         with pytest.raises(BackendFailure, match="malformed"):

@@ -18,7 +18,7 @@ from proofpipe.orchestrator import (
     select_kth_top,
     select_top,
 )
-from proofpipe.trace import RunTrace, first_divergence
+from proofpipe.trace import RunTrace, TraceEvent, first_divergence
 
 from conftest import (
     BREAKTHROUGH_TEXT,
@@ -294,14 +294,6 @@ class TestBudget:
         assert gateway.tokens_consumed <= config.token_budget + config.max_output_tokens
         assert result.trace.count("budget_exhausted") == 1
 
-    def test_budget_monotone_in_trace(self, registry):
-        config = small_config(conjecture_iterations=1)
-        result, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        remaining = [
-            e.budget_remaining for e in result.trace.events if e.budget_remaining is not None
-        ]
-        assert all(a >= b for a, b in zip(remaining, remaining[1:]))
-
     @pytest.mark.parametrize("budget", [1, 700, 2500, 6000, 11_000, 17_500])
     def test_random_tiny_budgets_bounded_overshoot(self, budget, registry):
         config = small_config(token_budget=budget)
@@ -388,18 +380,21 @@ class TestResume:
         config = small_config()
         for schema, edit in OLD_SCHEMAS.items():
             original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+            old = RunTrace()
             for event in original.trace.events:
-                edit(event.kind, event.payload)
+                record = event.to_dict()
+                edit(record)
+                old.events.append(TraceEvent.from_dict(record))
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match=f"trace schema {schema} != 4"):
-                orch.resume(original.trace, "run1.p1.done")
+            with pytest.raises(ResumeError, match=f"trace schema {schema} != 5"):
+                orch.resume(old, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
         snap = dict(original.trace.checkpoints["run1.p1.done"])
         del snap["state"]
-        original.trace.checkpoints["broken"] = snap
+        original.trace.checkpoint("broken", snap, "run1", 1)
         orch, _ = self._fresh_orchestrator(config, registry)
         with pytest.raises(ResumeError, match="corrupt"):
             orch.resume(original.trace, "broken")
@@ -533,8 +528,7 @@ class TestReplay:
     def test_live_trace_refused(self, registry):
         config = small_config()
         result, _ = run_pipeline(rules_clean(), config, registry)
-        header = result.trace.header
-        header["backend"] = {"kind": "live"}
+        result.trace.events[:] = [e for e in result.trace.events if e.kind != "script_attachment"]
         from proofpipe.orchestrator import ReplayError
 
         with pytest.raises(ReplayError):
