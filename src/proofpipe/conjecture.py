@@ -292,13 +292,13 @@ class ConjectureEngine:
                 # no materials from the parent proof.
                 side_problem = Problem(id=f"{pair.id}.{side}", statement=statement)
                 branches.append(Branch(side_problem, EMPTY_CONTEXT, Origin.FRESH))
-        leaves = self.dialectic.fork_join(branches, phase)
+        leaves = (leaf for _, leaf in self.dialectic.fork_branches(branches, phase))
         stop: Optional[BaseException] = None  # budget exhaustion or an unexpected error
         for pair in pairs:
             # Each side is recorded right after its leaf is committed, where a
             # sequential run records it; every leaf is taken, even after a stop.
-            pos = self._side_attempt(pair, "pos", next(leaves), phase)
-            neg = self._side_attempt(pair, "neg", next(leaves), phase)
+            pos = self._side_attempt(pair, "pos", pair.conjecture, next(leaves), phase)
+            neg = self._side_attempt(pair, "neg", pair.negation, next(leaves), phase)
             errors = [r for r in (pos, neg) if isinstance(r, BaseException)]
             if stop is None:
                 stop = next((e for e in errors if not isinstance(e, CallFailed)), None)
@@ -348,15 +348,17 @@ class ConjectureEngine:
             raise stop
         return VerifyOutcome(tuple(proven), tuple(failed), tuple(attempts))
 
-    def _side_attempt(self, pair: HypothesisPair, side: str, leaf: Leaf, phase: int) -> SideAttempt | BaseException:
+    def _side_attempt(
+        self, pair: HypothesisPair, side: str, statement: str, leaf: Leaf, phase: int
+    ) -> SideAttempt | BaseException:
         """The side's attempt, recorded in the trace, or the error that stopped it."""
         if leaf.error is not None:
             return leaf.error
-        solution = leaf.solution
+        solution = leaf.result
         attempt = SideAttempt(
             pair_id=pair.id,
             side=side,
-            statement=leaf.branch.problem.statement,
+            statement=statement,
             proof_text=solution.proof_text,
             score=solution.grade.score if solution.grade else 0,
         )

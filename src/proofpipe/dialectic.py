@@ -5,7 +5,8 @@ over it, re-draft once if the censor objects, grade, refine against the
 grade's feedback, re-grade. The refined, re-graded solution is the branch
 output. Independent branches run concurrently as one fork/join group
 (:meth:`DialecticEngine.fork_join`) whose trace, ledger and ids are those
-of running the branches one after another. The module also owns
+of running the branches one after another; the same fork/join runs the
+bisection sides and the aggregated runs, and groups nest. The module also owns
 grader-transcript parsing and the N-consecutive-clean-grades acceptance
 check; it never decides when the outer loop stops.
 
@@ -23,7 +24,8 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     FALLACY_CAP,
@@ -38,9 +40,9 @@ from .core import (
     Severity,
     digest,
 )
-from .gateway import BudgetExceeded, CallFailed, Lane, ModelGateway, ModelRequest, failure_text
+from .gateway import BudgetExceeded, Budget, CallFailed, CostLedger, Lane, ModelGateway, ModelRequest, failure_text
 from .prompts import PromptRegistry
-from .trace import RunTrace
+from .trace import RunTrace, TraceBuffer
 
 NO_ISSUES = "NO_ISSUES"
 DERIVE_EXPLICITLY = "Derive explicitly"
@@ -232,35 +234,41 @@ class Branch:
 
 
 class Leaf(Lane):
-    """A branch of a fork/join group, and the trace it records into.
+    """One task of a fork/join group: its lane, the trace it records into,
+    and what it returned or raised.
 
-    While the branch runs on its own thread, its events are held here until
-    the join commits them in branch order.
+    The group's first leaf records straight into the trace of the engine
+    that forked the group: nothing can come between the fork and its
+    events. Every later leaf records into a :class:`TraceBuffer` that the
+    join commits in leaf order.
     """
 
-    def __init__(self, branch: Branch, solution_id: str, earlier: Sequence[Lane]):
-        super().__init__(earlier)
-        self.branch = branch
-        self.solution_id = solution_id
-        self.events: list[tuple] = []
-        self.solution: Optional[CandidateSolution] = None
+    def __init__(
+        self, parent: Optional[Lane], earlier: Sequence[Lane], trace: RunTrace | TraceBuffer, ledger: CostLedger, budget: Budget
+    ):
+        super().__init__(parent, earlier, ledger, budget)
+        self.trace = trace
+        self.result = None
         self.error: Optional[BaseException] = None
-
-    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> None:
-        self.events.append((run_id, phase, kind, payload))
 
 
 class DialecticEngine:
-    """Executes solve branches and grading against one gateway."""
+    """Executes solve branches and grading against one gateway.
+
+    ``trace`` is a :class:`RunTrace` or, inside a fork/join group, the
+    trace of the engine's leaf; ``lane`` is that leaf (None outside every
+    group).
+    """
 
     def __init__(
         self,
         gateway: ModelGateway,
         registry: PromptRegistry,
         config: PipelineConfig,
-        trace: RunTrace,
+        trace: RunTrace | TraceBuffer,
         run_id: str,
         ids: Optional[IdAllocator] = None,
+        lane: Optional[Lane] = None,
     ):
         self.gateway = gateway
         self.registry = registry
@@ -268,7 +276,7 @@ class DialecticEngine:
         self.trace = trace
         self.run_id = run_id
         self.ids = ids or IdAllocator(run_id)
-        self.lane: Optional[Lane] = None  # set on the engine that runs one leaf
+        self.lane = lane
 
     # -- gateway plumbing ---------------------------------------------------
 
@@ -344,9 +352,8 @@ class DialecticEngine:
             parse=_graded,
         )
 
-    def _branch(
-        self, problem: Problem, ctx: SolveContext, branch: int, phase: int, origin: Origin, solution_id: str
-    ) -> CandidateSolution:
+    def _branch(self, spec: Branch, phase: int, solution_id: str) -> CandidateSolution:
+        problem, ctx, branch, origin = spec.problem, spec.ctx, spec.index, spec.origin
         materials = self._materials(problem, ctx)
         ctx_digest = ctx.digest()
         draft_resp = self._call(
@@ -447,12 +454,12 @@ class DialecticEngine:
         """
         done: list[CandidateSolution] = []
         error: Optional[BaseException] = None
-        for leaf in self.fork_join(branches, phase):
+        for solution_id, leaf in self.fork_branches(branches, phase):
             if leaf.error is None:
-                done.append(leaf.solution)
-                self.trace.append(self.run_id, phase, "solution", leaf.solution.to_dict())
+                done.append(leaf.result)
+                self.trace.append(self.run_id, phase, "solution", leaf.result.to_dict())
             elif isinstance(leaf.error, CallFailed):
-                failure = {"solution_id": leaf.solution_id, "error": failure_text(leaf.error)}
+                failure = {"solution_id": solution_id, "error": failure_text(leaf.error)}
                 self.trace.append(self.run_id, phase, "branch_failed", failure)
             elif error is None:
                 error = leaf.error
@@ -462,50 +469,62 @@ class DialecticEngine:
             raise error
         return done
 
-    def fork_join(self, branches: Sequence[Branch], phase: int) -> Iterator[Leaf]:
-        """Run every branch at once, each on its own thread; yield the leaves
-        in branch order.
+    def fork_branches(self, branches: Sequence[Branch], phase: int) -> Iterator[tuple[str, Leaf]]:
+        """:meth:`fork_join` over solve branches: ``(solution id, leaf)`` in
+        branch order, each leaf's result a :class:`CandidateSolution`.
+        Solution ids are allocated at the fork, in branch order."""
+        ids = [self.ids.next("s") for _ in branches]
+        tasks = [partial(DialecticEngine._branch, spec=b, phase=phase, solution_id=i) for b, i in zip(branches, ids)]
+        return zip(ids, self.fork_join(tasks))
 
-        Solution ids are allocated at the fork, in branch order. Each leaf
-        records its events and ledger entries into itself; the join commits
-        them leaf by leaf in branch order, so trace, ledger and ids are those
-        of a run that solved the branches one after another. A leaf is yielded
-        right after its commit: what the caller records before taking the
-        next leaf lands where that sequential run would have put it. The
-        caller must take every leaf, or the ledger will miss the calls of
-        the leaves it left.
+    def fork_join(self, tasks: Sequence[Callable[["DialecticEngine"], object]]) -> Iterator[Leaf]:
+        """Run every task at once, each on its own thread; yield the leaves
+        in task order.
+
+        A task is called with an engine of its own, whose trace and lane are
+        its leaf's; what it returns or raises ends up in ``leaf.result`` or
+        ``leaf.error``. The join commits the leaves' events and ledger
+        entries leaf by leaf in task order, so trace, ledger and ids are
+        those of a run that ran the tasks one after another. A task may fork
+        a group of its own: that group commits into the task's leaf, and its
+        calls wait on the earlier leaves of this group too. Every leaf after
+        the first spends ahead of its turn only within its share of the
+        budget (:class:`~proofpipe.gateway.Budget`). A leaf is
+        yielded right after its commit: what the caller records before
+        taking the next leaf lands where that sequential run would have put
+        it. The caller must take every leaf, or the trace and the ledger
+        will miss those it left.
         """
-        leaves: list[Leaf] = []
-        for branch in branches:
-            leaves.append(Leaf(branch, self.ids.next("s"), earlier=tuple(leaves)))
-        if not leaves:
+        if not tasks:
             return
+        lane = self.lane
+        ledger, budget = (lane.ledger, lane.budget) if lane is not None else (self.gateway.ledger, self.gateway.budget)
+        leaves: list[Leaf] = []
+        for share in self.gateway.shares(budget, len(tasks)):
+            if leaves:
+                leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), share))
+            else:
+                leaves.append(Leaf(lane, (), self.trace, ledger, share))
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
-            futures = [pool.submit(self._run_leaf, leaf, phase) for leaf in leaves]
+            futures = [pool.submit(self._run_leaf, task, leaf) for task, leaf in zip(tasks, leaves)]
+        self.gateway.join([leaf.budget for leaf in leaves[1:]])
         for leaf, future in zip(leaves, futures):
             leaf.error = future.exception()
             if leaf.error is None:
-                leaf.solution = future.result()
+                leaf.result = future.result()
         for leaf in leaves:
-            self._commit(leaf)
+            if leaf.trace is not self.trace:
+                leaf.trace.commit(self.trace)
+                for e in leaf.ledger.entries:
+                    ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
             yield leaf
 
-    def _run_leaf(self, leaf: Leaf, phase: int) -> CandidateSolution:
-        engine = DialecticEngine(self.gateway, self.registry, self.config, leaf, self.run_id, self.ids)
-        engine.lane = leaf
-        branch = leaf.branch
+    def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf):
         try:
-            return engine._branch(branch.problem, branch.ctx, branch.index, phase, branch.origin, leaf.solution_id)
+            return task(DialecticEngine(self.gateway, self.registry, self.config, leaf.trace, self.run_id, self.ids, leaf))
         finally:
-            leaf.done.set()
-
-    def _commit(self, leaf: Leaf) -> None:
-        """Write one leaf's events and ledger entries."""
-        for event in leaf.events:
-            self.trace.append(*event)
-        for e in leaf.ledger.entries:
-            self.gateway.ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
+            leaf.done.set()  # later leaves may be waiting for their turn
 
     def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
         """True iff ``n`` fresh grades in a row are perfect with zero issues.

@@ -12,7 +12,9 @@ reserved by calls in flight stay under the budget. In the default mode a
 run overshoots by less than one call's ``max_output_tokens`` plus whatever
 the calls in flight use beyond their reservations (strict mode also
 reserves the new call's ``max_output_tokens`` and never admits a call that
-could not fit).
+could not fit). Concurrent leaves of a fork/join group spend ahead of
+their turn only within a :class:`Budget` share, so what is admitted never
+depends on timing.
 """
 from __future__ import annotations
 
@@ -289,24 +291,84 @@ class CostLedger:
         return "\n".join(lines) + "\n"
 
 
+class Budget:
+    """Tokens that calls may spend: a cap, and what calls have consumed and
+    reserved against it (``used``).
+
+    The gateway's token budget is the root. When a group forks, each leaf
+    after the first gets a share: an equal part of what its parent budget
+    has left. A share is spent ahead of the leaf's turn, and the parent
+    counts the whole share as spent, so no admission decision depends on
+    how far concurrent leaves have got. A call that does not fit its share
+    waits for its turn; then the share joins its parent, which from then on
+    counts what the leaf really spent. The gateway's lock guards every
+    budget.
+    """
+
+    def __init__(self, cap: int, parent: Optional["Budget"] = None):
+        self.cap = cap
+        self.parent = parent
+        self.used = 0
+        self.ahead = parent is not None  # a share its parent counts as ``cap``
+
+    def charge(self, tokens: int) -> None:
+        """Add ``tokens`` here and to every budget that counts this one as it is."""
+        budget: Optional[Budget] = self
+        while budget is not None:
+            budget.used += tokens
+            budget = None if budget.ahead else budget.parent
+
+    def deciding(self) -> "Budget":
+        """The budget that admits this one's calls: the nearest share, or the root."""
+        budget = self
+        while not budget.ahead and budget.parent is not None:
+            budget = budget.parent
+        return budget
+
+    def share(self, parts: int) -> "Budget":
+        """A new share of ``1/parts`` of what is left, counted as spent here."""
+        left = self.deciding()
+        part = max(0, left.cap - left.used) // parts
+        self.charge(part)
+        return Budget(part, self)
+
+    def join(self) -> None:
+        """Stop being a share: the parent counts what was really spent."""
+        if self.ahead:
+            self.ahead = False
+            self.parent.charge(self.used - self.cap)
+
+
 class Lane:
     """The calls of one leaf of a fork/join group, as the gateway sees them.
 
-    A request made for a leaf carries its lane. The gateway holds the
-    call's ledger entry in ``ledger`` until the group commits the leaves in
-    leaf order, and ``ScriptedBackend`` calls ``wait_turn`` before answering
-    a request whose reply depends on the order of earlier calls.
+    A request made for a leaf carries its lane. The gateway meters the
+    call into ``ledger`` and admits it against ``budget``: the parent's
+    ledger and budget for a group's first leaf, which runs ahead of its
+    siblings, and a ledger (which the join commits in leaf order) and a
+    :class:`Budget` share of the leaf's own for every later leaf. Groups
+    nest: a leaf may fork a group of its own, whose lanes know it as
+    ``parent``. ``ScriptedBackend`` calls ``wait_turn`` before answering a
+    request whose reply depends on the order of earlier calls, and the
+    gateway before admitting a call that does not fit the lane's share.
     """
 
-    def __init__(self, earlier: Sequence["Lane"]):
+    def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], ledger: CostLedger, budget: Budget):
+        self.parent = parent
         self._earlier = tuple(earlier)
         self.done = threading.Event()
-        self.ledger = CostLedger()
+        self.ledger = ledger
+        self.budget = budget
 
     def wait_turn(self) -> None:
-        """Block until every earlier leaf of the group has finished."""
-        for lane in self._earlier:
-            lane.done.wait()
+        """Block until every earlier leaf has finished, in this lane's group
+        and in the group of each lane above it: then every call that comes
+        before this lane's next call in the sequential order has been made."""
+        lane: Optional[Lane] = self
+        while lane is not None:
+            for earlier in lane._earlier:
+                earlier.done.wait()
+            lane = lane.parent
 
 
 @dataclass
@@ -316,8 +378,8 @@ class ScriptRule:
     ``match`` is a substring, a list of substrings that must all be
     present, or None (matches any prompt for the role). ``responses`` are
     consumed in order; with ``repeat_last`` the final response answers all
-    further hits, otherwise an exhausted rule is skipped so a later rule
-    can take over.
+    further hits (the cursor stays at its index), otherwise an exhausted
+    rule is skipped so a later rule can take over.
     """
 
     role: str
@@ -327,6 +389,8 @@ class ScriptRule:
     cursor: int = 0
 
     def __post_init__(self) -> None:
+        if self.role not in ROLES:
+            raise ValueError(f"script rule has unknown role {self.role!r} (roles: {', '.join(ROLES)})")
         if not self.responses:
             raise ValueError(f"script rule for role {self.role!r} has no responses")
         for response in self.responses:
@@ -350,7 +414,8 @@ class ScriptRule:
 
     def take(self) -> dict:
         idx = min(self.cursor, len(self.responses) - 1) if self.repeat_last else self.cursor
-        self.cursor += 1
+        if not self.settled():
+            self.cursor += 1
         return self.responses[idx]
 
     def to_dict(self) -> dict:
@@ -382,10 +447,11 @@ class ScriptedBackend:
 
     Replies follow logical call order, not arrival order. A request made
     for a leaf of a fork/join group whose first matching rule is not yet
-    settled waits until the earlier leaves of its group have finished, so
-    every reply that depends on a cursor is handed out in the order a
-    sequential, leaf-by-leaf run would ask for it. Settled rules answer at
-    once: their reply is the same whichever leaf asks first.
+    settled waits until the earlier leaves of its group, and of every group
+    above it, have finished (:meth:`Lane.wait_turn`), so every reply that
+    depends on a cursor is handed out in the order a sequential, leaf-by-leaf
+    run would ask for it. Settled rules answer at once: their reply is the
+    same whichever leaf asks first, and their cursor no longer moves.
     """
 
     backend_id = "scripted"
@@ -424,6 +490,8 @@ class ScriptedBackend:
         )
 
     def snapshot(self) -> list[int]:
+        """The rules' cursors. A ``repeat_last`` rule's never passes its last
+        response index; a spent rule without it is at ``len(responses)``."""
         with self._lock:
             return [r.cursor for r in self._rules]
 
@@ -451,6 +519,15 @@ class ScriptedBackend:
     def from_file(cls, path) -> "ScriptedBackend":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def settled_cursors(script: dict) -> Optional[list[int]]:
+    """The cursors of ``script`` (in ``to_dict`` form) once every rule is
+    settled, or None if a rule without ``repeat_last`` never settles."""
+    rules = script["rules"]
+    if not all(rule["repeat_last"] for rule in rules):
+        return None
+    return [len(rule["responses"]) - 1 for rule in rules]
 
 
 class HttpBackend:
@@ -538,9 +615,8 @@ class ModelGateway:
         self.retry_attempts = retry_attempts
         self.strict_budget = strict_budget
         self._sleep = sleep
-        self._budget = token_budget
+        self.budget = Budget(token_budget)
         self._consumed = 0
-        self._inflight_reserved = 0
         self._lock = threading.Lock()
 
     @property
@@ -552,35 +628,67 @@ class ModelGateway:
         """Continue from ``ledger`` (rebuilt from a trace on resume): it becomes
         this gateway's ledger, and its token total the tokens consumed."""
         with self._lock:
-            if self._inflight_reserved:
+            if self.budget.used != self._consumed:
                 raise RuntimeError("cannot restore accounting with calls in flight")
             self.ledger = ledger
-            self._consumed = ledger.total_tokens()
+            self._consumed = self.budget.used = ledger.total_tokens()
 
-    def _admit(self, req: ModelRequest) -> None:
+    def shares(self, budget: Budget, n: int) -> list[Budget]:
+        """The budgets of a group of ``n`` leaves forked under ``budget``:
+        ``budget`` itself for the first leaf, a share for each later one."""
         with self._lock:
-            if self.strict_budget:
-                if self._consumed + self._inflight_reserved + req.max_output_tokens > self._budget:
-                    raise BudgetExceeded()
-            else:
-                if self._consumed + self._inflight_reserved >= self._budget:
-                    raise BudgetExceeded()
-            self._inflight_reserved += req.max_output_tokens
+            return [budget] + [budget.share(n) for _ in range(n - 1)]
 
-    def _settle(self, req: ModelRequest, usage: Optional[Usage]) -> None:
+    def join(self, budgets: Sequence[Budget]) -> None:
+        """End a group: its shares join the budget they were taken from."""
         with self._lock:
-            self._inflight_reserved -= req.max_output_tokens
+            for budget in budgets:
+                budget.join()
+
+    def _fits(self, budget: Budget, tokens: int) -> bool:
+        # A share never admits a call that might not fit; the root does so
+        # only in strict mode.
+        if budget.ahead or self.strict_budget:
+            return budget.used + tokens <= budget.cap
+        return budget.used < budget.cap
+
+    def _admit(self, req: ModelRequest) -> Budget:
+        """Reserve the request's ``max_output_tokens``; return the budget charged."""
+        budget = req.lane.budget if req.lane is not None else self.budget
+        reserve = req.max_output_tokens
+        with self._lock:
+            deciding = budget.deciding()
+            if self._fits(deciding, reserve):
+                budget.charge(reserve)
+                return budget
+        if not deciding.ahead:
+            raise BudgetExceeded()
+        # Past its share: once every earlier leaf has finished, each share
+        # on the way up joins its parent and the call is admitted as if the
+        # leaves had run one after another.
+        req.lane.wait_turn()
+        with self._lock:
+            while budget.deciding().ahead:
+                budget.deciding().join()
+            if not self._fits(budget.deciding(), reserve):
+                raise BudgetExceeded()
+            budget.charge(reserve)
+            return budget
+
+    def _settle(self, req: ModelRequest, budget: Budget, usage: Optional[Usage]) -> None:
+        with self._lock:
+            budget.charge((usage.total if usage is not None else 0) - req.max_output_tokens)
             if usage is not None:
                 self._consumed += usage.total
 
     def complete(self, req: ModelRequest) -> ModelResponse:
-        self._admit(req)
+        budget = self._admit(req)
         usage: Optional[Usage] = None
         try:
             response = self._call_with_retry(req)
             usage = response.usage
         finally:
-            self._settle(req, usage)
+            self._settle(req, budget, usage)
         price = self.price_table.get(response.backend_id)
         ledger = self.ledger if req.lane is None else req.lane.ledger
         ledger.append(req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))

@@ -9,7 +9,8 @@ diversity). If the iteration budget runs out unverified, a post-enhancement
 pass grades the best candidate independently, runs two extraction sessions
 at the softer threshold, and keeps whichever of (incumbent, enhanced)
 grades higher on average. Two whole-pipeline runs can be aggregated by a
-judge call that must end with an explicit decision tag.
+judge call that must end with an explicit decision tag; the runs execute at
+once, as the leaves of one fork/join group, and the judge after them.
 
 A failed model call ends only the unit that made it (a branch, a bisection
 side, an extraction, a grade, the judge) and is recorded; the run goes on.
@@ -18,12 +19,15 @@ Only budget exhaustion ends a run early.
 Every step appends to a :class:`RunTrace`, the only store of run state:
 checkpoints at phase boundaries are small markers, and resuming from one
 folds the events before it back into the run's state and ledger. Under a
-scripted backend a resumed run reproduces the original bit for bit.
+scripted backend a resumed run reproduces the original bit for bit. Run 1
+writes its events as it goes; the events of every later run reach the
+trace, in run order, when the group joins.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .conjecture import ConjectureEngine, VerifyOutcome
@@ -39,7 +43,17 @@ from .core import (
     rank,
 )
 from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
-from .gateway import BudgetExceeded, CallFailed, CostLedger, ModelGateway, PriceTable, Usage, cost_of, failure_text
+from .gateway import (
+    BudgetExceeded,
+    CallFailed,
+    CostLedger,
+    ModelGateway,
+    PriceTable,
+    Usage,
+    cost_of,
+    failure_text,
+    settled_cursors,
+)
 from .prompts import PromptRegistry
 from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
 
@@ -193,21 +207,29 @@ class Orchestrator:
     ) -> PipelineResult:
         """Aggregate n independent runs (separate states, shared ledger).
 
-        The judge sees both finals plus each run's solution-sequence
-        history; a missing decision tag is re-prompted once and then falls
-        back to the comparator over the two finals, as do a failed judge
-        call and one the token budget refuses. The runs execute one after
-        another.
+        The runs execute at once, as the leaves of one fork/join group
+        (:meth:`DialecticEngine.fork_join`): run 1 writes to the trace as it
+        goes, and every later run is committed after it, in run order, at
+        the join. The judge then sees both finals plus each run's
+        solution-sequence history; a missing decision tag is re-prompted
+        once and then falls back to the comparator over the two finals, as
+        do a failed judge call and one the token budget refuses.
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
         self._write_header(trace, problem, runs=n)
-        results = [self._run_single(problem, trace, f"run{i + 1}") for i in range(n)]
+        group = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
+        tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(n)]
+        results = []
+        for leaf in group.fork_join(tasks):
+            if leaf.error is not None:
+                raise leaf.error
+            results.append(leaf.result)
         if n == 1:
-            return results[0]
+            return results[0]  # run 1 recorded straight into ``trace``
         current = results[0]
         for challenger in results[1:]:
-            current = self._judge(problem, current, challenger, trace)
+            current = self._judge(problem, current, challenger, group)
         trace.append(
             "aggregate",
             4,
@@ -267,7 +289,8 @@ class Orchestrator:
         if result is not None:
             solution = next((s for s in state.solution_memory if s.id == result["solution_id"]), None)
             return PipelineResult(solution, result["status"], state, trace)
-        return self._machine(problem, trace, state, ids, position)
+        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, state.run_id, ids)
+        return self._machine(problem, engine, state, position)
 
     # -- internals -------------------------------------------------------------
 
@@ -294,19 +317,15 @@ class Orchestrator:
         if hasattr(backend, "to_dict"):
             trace.append("meta", 0, "script_attachment", {"script": backend.to_dict()})
 
-    def _run_single(self, problem: Problem, trace: RunTrace, run_id: str) -> PipelineResult:
-        return self._machine(problem, trace, RunState(run_id), IdAllocator(run_id), ("p1", 1))
+    def _run_single(self, problem: Problem, leaf_engine: DialecticEngine, run_id: str) -> PipelineResult:
+        """One run from its start, on the trace and lane of a leaf of the runs group."""
+        trace, lane = leaf_engine.trace, leaf_engine.lane
+        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, lane=lane)
+        return self._machine(problem, engine, RunState(run_id), ("p1", 1))
 
-    def _machine(
-        self,
-        problem: Problem,
-        trace: RunTrace,
-        state: RunState,
-        ids: IdAllocator,
-        position: tuple,
-    ) -> PipelineResult:
+    def _machine(self, problem: Problem, engine: DialecticEngine, state: RunState, position: tuple) -> PipelineResult:
         run_id = state.run_id
-        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, ids=ids)
+        trace = engine.trace
         conj = ConjectureEngine(engine)
         cfg = self.config
         try:
@@ -469,19 +488,36 @@ class Orchestrator:
     def _checkpoint(self, trace, state, engine, name: str, position: tuple, result: Optional[dict] = None) -> None:
         """Record checkpoint ``<run_id>.<name>`` as a marker of constant size.
 
-        ``seq`` is the marker's own event: resume folds the events before it.
+        The trace sets its ``seq`` to the marker's own event: resume folds
+        the events before it.
         """
         marker = {
             "position": list(position),
             "state": {"run_id": state.run_id},
             "ids": engine.ids.to_dict(),
-            "cursors": self.gateway.backend.snapshot() if hasattr(self.gateway.backend, "snapshot") else None,
-            "seq": len(trace.events),
+            "cursors": self._cursors(engine.lane),
         }
         if result is not None:
             marker["result"] = result
         phase = {"p1": 1, "outer": 3, "p4": 4, "final": 4}.get(position[0], 0)
         trace.checkpoint(f"{state.run_id}.{name}", marker, state.run_id, phase)
+
+    def _cursors(self, lane) -> Optional[list[int]]:
+        """The scripted cursors a marker records, the same whatever the timing.
+
+        Once every rule is settled, its cursors are each rule's last
+        response index, however far the runs have got. Otherwise the marker
+        waits for the earlier runs to finish first, and then holds the
+        cursors of the sequential order: those runs' calls and this run's own.
+        """
+        backend = self.gateway.backend
+        if not hasattr(backend, "snapshot"):
+            return None
+        cursors = backend.snapshot()
+        if lane is not None and cursors != settled_cursors(backend.to_dict()):
+            lane.wait_turn()
+            cursors = backend.snapshot()
+        return cursors
 
     def _finish(self, trace, state, engine, solution, status) -> PipelineResult:
         run_id = state.run_id
@@ -500,7 +536,8 @@ class Orchestrator:
         )
         return PipelineResult(solution, status, state, trace)
 
-    def _judge(self, problem: Problem, a: PipelineResult, b: PipelineResult, trace: RunTrace) -> PipelineResult:
+    def _judge(self, problem: Problem, a: PipelineResult, b: PipelineResult, judge: DialecticEngine) -> PipelineResult:
+        trace = judge.trace
         if a.solution is None:
             trace.append("aggregate", 4, "judge_fallback", {"reason": "run A produced no solution"})
             return b
@@ -514,7 +551,6 @@ class Orchestrator:
             "solution_b": b.solution.proof_text,
             "additional_materials": self._history_blob(a) + "\n\n" + self._history_blob(b),
         }
-        judge = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
         try:
             decision = judge._call("judge", slots, 4, "judge", {}, parse=_decided, attempts=2)
             return a if decision == "A" else b

@@ -66,9 +66,16 @@ def _as_schema_4(event):
         payload["backend"]["kind"] = "scripted"
 
 
+def _as_schema_5(event):
+    """Schema 5 markers held raw cursors, which pass a repeat_last rule's last
+    response index as the rule keeps answering."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 5
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
-OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3, 4: _as_schema_4}
+OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3, 4: _as_schema_4, 5: _as_schema_5}
 
 
 class TestSolve:
@@ -101,6 +108,23 @@ class TestSolve:
         for path in (out / "checkpoints").glob("*.json"):
             marker = json.loads(path.read_text(encoding="utf-8"))
             assert marker["state"] == {"run_id": marker["state"]["run_id"]}
+
+    def test_markers_land_where_they_are_committed(self, tmp_path, clean_script, problem_file):
+        """Run 2's markers are committed at the join of the two runs: each
+        gets its own seq there, and its file; its cursors do not depend on
+        how far run 1 had got."""
+        out = tmp_path / "out"
+        assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.VERIFIED
+        events = [json.loads(line) for line in (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
+        rules = json.loads(clean_script.read_text(encoding="utf-8"))["rules"]
+        markers = [(i, e["payload"]) for i, e in enumerate(events) if e["kind"] == "checkpoint"]
+        assert {p["snapshot"]["state"]["run_id"] for _, p in markers} == {"run1", "run2"}
+        for index, payload in markers:
+            snapshot = payload["snapshot"]
+            assert snapshot["seq"] == index == events[index]["seq"]
+            path = out / "checkpoints" / f"{payload['checkpoint_id']}.json"
+            assert json.loads(path.read_text(encoding="utf-8")) == snapshot
+            assert all(c <= len(r["responses"]) - 1 for c, r in zip(snapshot["cursors"], rules))
 
     def test_single_run_has_no_judge_events(self, tmp_path, clean_script, problem_file):
         out = tmp_path / "out"
@@ -241,8 +265,9 @@ class TestSolve:
             ({"responses": []}, "has no responses"),
             ({"repeat_lst": True}, "unexpected keyword argument 'repeat_lst'"),
             ({"responses": [{"txt": "GOOD_PROOF"}]}, "has a response with neither 'text' nor 'fail'"),
+            ({"role": "solvr"}, "script rule has unknown role 'solvr'"),
         ],
-        ids=["no_responses", "unknown_key", "response_without_text"],
+        ids=["no_responses", "unknown_key", "response_without_text", "unknown_role"],
     )
     def test_script_rule_without_responses_is_usage_error(self, tmp_path, problem_file, capsys, fault, message):
         script = tmp_path / "script.json"
@@ -502,5 +527,5 @@ class TestReplayCommand:
                 edited.append(json.dumps(event))
             trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
             assert run_cli("replay", trace_path) == ExitCode.USAGE
-            assert f"trace schema {schema} is not supported (want 5)" in capsys.readouterr().err
+            assert f"trace schema {schema} is not supported (want 6)" in capsys.readouterr().err
 

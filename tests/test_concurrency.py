@@ -119,6 +119,16 @@ class TestOverlap:
         assert [lemma.pair_id for lemma in outcome.proven] == ["h0", "h1", "h2"]
         assert len(outcome.attempts) == 6
 
+    def test_runs_are_one_group(self, registry):
+        # Each well run makes one extraction; the barrier lets them through
+        # only if both runs' extractions are in flight at once.
+        config = small_config(parallel_runs=2)
+        backend = BarrierBackend(ScriptedBackend(rules_two_run_judge()), 2, role="extractor")
+        gateway = gateway_for(backend, config)
+        result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+        assert result.status == STATUS_VERIFIED
+        assert result.trace.count("extract") == 2
+
     def test_orchestrator_round_is_one_group(self, registry):
         # Only censor calls wait on the barrier: they come from branches, and
         # the clean run's only round is phase 1's four branches.
@@ -177,12 +187,24 @@ def rules_two_run_judge():
     return rules_well() + [ScriptRule("judge", None, [{"text": "<decision>B</decision>"}], repeat_last=True)]
 
 
+def rules_late_extractor():
+    """Two runs and a judge; the extractor rule settles only with run 1's
+    extraction, so run 2's first markers are taken while it can still move."""
+    narratives = [{"text": "Part 2 narrative with one load-bearing claim."}, {"text": "A second narrative."}]
+    late = ScriptRule("extractor", None, narratives, repeat_last=True)
+    rules = [late if r.role == "extractor" else r for r in rules_well()]
+    return rules + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
+
+
 SCENARIOS = {
     "clean": (rules_clean, clean_problem, dict(), False),
     "well": (rules_well, well_problem, dict(initial_iterations=2, conjecture_iterations=2), False),
     "all_twos": (rules_all_twos, clean_problem, dict(initial_iterations=2, conjecture_iterations=2), False),
     "cursored": (rules_cursored, clean_problem, dict(solver_width=4, conjecture_iterations=2), False),
     "two_run_judge": (rules_two_run_judge, well_problem, dict(parallel_runs=2), True),
+    # Run 2's calls and markers wait on run 1's unsettled cursors.
+    "two_run_cursored": (rules_cursored, clean_problem, dict(parallel_runs=2), True),
+    "two_run_late_rule": (rules_late_extractor, well_problem, dict(parallel_runs=2), True),
 }
 
 
@@ -253,15 +275,30 @@ BUDGETS = _criterion_9_budgets() + [700, 2500, 6000, 11_000, 12_000, 17_500]
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_budget_safety_under_jitter(budget, registry):
-    config = small_config(token_budget=budget)
-    gateway = gateway_for(JitterBackend(ScriptedBackend(rules_well()), budget), config)
-    result = Orchestrator(gateway, registry, config).run(well_problem(), trace=RunTrace(clock=lambda: 0.0))
-    assert result.status in (STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED)
-    assert gateway.tokens_consumed <= budget + config.max_output_tokens
-    assert gateway.ledger.total_tokens() == gateway.tokens_consumed
-    assert result.trace.of_kind("result")
-    if result.status == STATUS_BUDGET_EXHAUSTED and result.solution is not None:
-        assert result.solution.grade is not None
+    for runs in (1, 2):
+        config = small_config(token_budget=budget, parallel_runs=runs)
+        gateway = gateway_for(JitterBackend(ScriptedBackend(rules_two_run_judge()), budget), config)
+        result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+        assert result.status in (STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED)
+        assert gateway.tokens_consumed <= budget + config.max_output_tokens
+        assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+        assert {e.run_id for e in result.trace.of_kind("result")} >= {f"run{i + 1}" for i in range(runs)}
+        if result.status == STATUS_BUDGET_EXHAUSTED and result.solution is not None:
+            assert result.solution.grade is not None
+
+
+@pytest.mark.parametrize("budget", [3_000, 9_000, 16_000, 40_000])
+def test_budget_exhaustion_is_independent_of_timing(budget, registry):
+    """Leaves spend ahead of their turn only within their budget share, so
+    which calls a tight budget admits does not depend on timing."""
+    config = small_config(token_budget=budget, parallel_runs=2, conjecture_iterations=3)
+    fingerprints = []
+    for seed in range(4):
+        gateway = gateway_for(JitterBackend(ScriptedBackend(rules_late_extractor()), seed), config)
+        result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+        fingerprints.append((signature(result.trace), gateway.ledger.to_dict()))
+        assert replay(result.trace, registry=registry) is None
+    assert all(f == fingerprints[0] for f in fingerprints[1:])
 
 
 class RefusingGateway(ModelGateway):

@@ -386,7 +386,7 @@ class TestResume:
                 edit(record)
                 old.events.append(TraceEvent.from_dict(record))
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match=f"trace schema {schema} != 5"):
+            with pytest.raises(ResumeError, match=f"trace schema {schema} != 6"):
                 orch.resume(old, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
