@@ -325,12 +325,14 @@ class Budget:
             budget = budget.parent
         return budget
 
-    def share(self, parts: int) -> "Budget":
-        """A new share of ``1/parts`` of what is left, counted as spent here."""
+    def split(self, leaves: int) -> list["Budget"]:
+        """The shares of a group's later leaves, each ``1/leaves`` of what is
+        left, counted as spent here."""
         left = self.deciding()
-        part = max(0, left.cap - left.used) // parts
-        self.charge(part)
-        return Budget(part, self)
+        part = max(0, left.cap - left.used) // leaves
+        shares = [Budget(part, self) for _ in range(leaves - 1)]
+        self.charge(part * len(shares))
+        return shares
 
     def join(self) -> None:
         """Stop being a share: the parent counts what was really spent."""
@@ -637,7 +639,7 @@ class ModelGateway:
         """The budgets of a group of ``n`` leaves forked under ``budget``:
         ``budget`` itself for the first leaf, a share for each later one."""
         with self._lock:
-            return [budget] + [budget.share(n) for _ in range(n - 1)]
+            return [budget, *budget.split(n)]
 
     def join(self, budgets: Sequence[Budget]) -> None:
         """End a group: its shares join the budget they were taken from."""
