@@ -477,7 +477,9 @@ class DialecticEngine:
         tasks = [partial(DialecticEngine._branch, spec=b, phase=phase, solution_id=i) for b, i in zip(branches, ids)]
         return zip(ids, self.fork_join(tasks))
 
-    def fork_join(self, tasks: Sequence[Callable[["DialecticEngine"], object]]) -> Iterator[Leaf]:
+    def fork_join(
+        self, tasks: Sequence[Callable[["DialecticEngine"], object]], reserve: Optional[int] = None
+    ) -> Iterator[Leaf]:
         """Run every task at once, each on its own thread; yield the leaves
         in task order.
 
@@ -487,28 +489,34 @@ class DialecticEngine:
         entries leaf by leaf in task order, so trace, ledger and ids are
         those of a run that ran the tasks one after another. A task may fork
         a group of its own: that group commits into the task's leaf, and its
-        calls wait on the earlier leaves of this group too. Every leaf after
-        the first spends ahead of its turn only within its share of the
-        budget (:class:`~proofpipe.gateway.Budget`). A leaf is
-        yielded right after its commit: what the caller records before
-        taking the next leaf lands where that sequential run would have put
-        it. The caller must take every leaf, or the trace and the ledger
-        will miss those it left.
+        calls wait on the earlier leaves of this group too.
+
+        The leaves spend from the budget of the engine's leaf (the gateway's
+        outside every group) as their calls come. With ``reserve``, the
+        budget keeps ``reserve`` tokens for each earlier leaf instead, and
+        every later leaf spends ahead of its turn only within an equal share
+        of the rest (:meth:`~proofpipe.gateway.Budget.split`); what is
+        admitted then does not depend on how far the leaves have got.
+
+        A leaf is yielded right after its commit: what the caller records
+        before taking the next leaf lands where that sequential run would
+        have put it. The caller must take every leaf, or the trace and the
+        ledger will miss those it left.
         """
         if not tasks:
             return
         lane = self.lane
         ledger, budget = (lane.ledger, lane.budget) if lane is not None else (self.gateway.ledger, self.gateway.budget)
-        leaves: list[Leaf] = []
-        for share in self.gateway.shares(budget, len(tasks)):
-            if leaves:
-                leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), share))
-            else:
-                leaves.append(Leaf(lane, (), self.trace, ledger, share))
+        later = len(tasks) - 1
+        budgets = self.gateway.shares(budget, later, reserve) if reserve is not None else [budget] * later
+        leaves = [Leaf(lane, (), self.trace, ledger, budget)]
+        for leaf_budget in budgets:
+            leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), leaf_budget))
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
             futures = [pool.submit(self._run_leaf, task, leaf) for task, leaf in zip(tasks, leaves)]
-        self.gateway.join([leaf.budget for leaf in leaves[1:]])
+        if reserve is not None:
+            self.gateway.join(budgets)
         for leaf, future in zip(leaves, futures):
             leaf.error = future.exception()
             if leaf.error is None:

@@ -12,9 +12,9 @@ reserved by calls in flight stay under the budget. In the default mode a
 run overshoots by less than one call's ``max_output_tokens`` plus whatever
 the calls in flight use beyond their reservations (strict mode also
 reserves the new call's ``max_output_tokens`` and never admits a call that
-could not fit). Concurrent leaves of a fork/join group spend ahead of
-their turn only within a :class:`Budget` share, so what is admitted never
-depends on timing.
+could not fit). A later aggregated run spends ahead of its turn only
+within a :class:`Budget` share, so what it is admitted does not depend on
+how far the runs before it have got.
 """
 from __future__ import annotations
 
@@ -295,14 +295,16 @@ class Budget:
     """Tokens that calls may spend: a cap, and what calls have consumed and
     reserved against it (``used``).
 
-    The gateway's token budget is the root. When a group forks, each leaf
-    after the first gets a share: an equal part of what its parent budget
-    has left. A share is spent ahead of the leaf's turn, and the parent
-    counts the whole share as spent, so no admission decision depends on
-    how far concurrent leaves have got. A call that does not fit its share
-    waits for its turn; then the share joins its parent, which from then on
-    counts what the leaf really spent. The gateway's lock guards every
-    budget.
+    The gateway's token budget is the root. The leaves of most groups spend
+    from their parent's budget as their calls come. A group whose later
+    leaves run ahead of their turn (the aggregated runs) keeps a reserve of
+    the budget for each earlier leaf and gives each later leaf an equal
+    share of the rest. A share is spent ahead of the leaf's turn, and the
+    parent counts the whole share as spent, so no admission decision
+    depends on how far concurrent leaves have got. A call that does not fit
+    its share waits for its turn; then the share joins its parent, which
+    from then on counts what the leaf really spent. The gateway's lock
+    guards every budget.
     """
 
     def __init__(self, cap: int, parent: Optional["Budget"] = None):
@@ -325,13 +327,14 @@ class Budget:
             budget = budget.parent
         return budget
 
-    def split(self, leaves: int) -> list["Budget"]:
-        """The shares of a group's later leaves, each ``1/leaves`` of what is
-        left, counted as spent here."""
+    def split(self, later: int, reserve: int) -> list["Budget"]:
+        """The shares of a group's ``later`` leaves after the first: what is
+        left beyond ``reserve`` for each of ``later`` earlier leaves, split
+        equally and counted as spent here."""
         left = self.deciding()
-        part = max(0, left.cap - left.used) // leaves
-        shares = [Budget(part, self) for _ in range(leaves - 1)]
-        self.charge(part * len(shares))
+        part = max(0, left.cap - left.used - later * reserve) // later
+        shares = [Budget(part, self) for _ in range(later)]
+        self.charge(part * later)
         return shares
 
     def join(self) -> None:
@@ -345,14 +348,16 @@ class Lane:
     """The calls of one leaf of a fork/join group, as the gateway sees them.
 
     A request made for a leaf carries its lane. The gateway meters the
-    call into ``ledger`` and admits it against ``budget``: the parent's
-    ledger and budget for a group's first leaf, which runs ahead of its
-    siblings, and a ledger (which the join commits in leaf order) and a
-    :class:`Budget` share of the leaf's own for every later leaf. Groups
-    nest: a leaf may fork a group of its own, whose lanes know it as
-    ``parent``. ``ScriptedBackend`` calls ``wait_turn`` before answering a
-    request whose reply depends on the order of earlier calls, and the
-    gateway before admitting a call that does not fit the lane's share.
+    call into ``ledger`` and admits it against ``budget``. A group's first
+    leaf, which runs ahead of its siblings, has its parent's ledger; every
+    later leaf has a ledger of its own, which the join commits in leaf
+    order. Leaves spend from their parent's budget, except the later leaves
+    of a group that runs them ahead of their turn, which each have a
+    :class:`Budget` share. Groups nest: a leaf may fork a group of its own,
+    whose lanes know it as ``parent``. ``ScriptedBackend`` calls
+    ``wait_turn`` before answering a request whose reply depends on the
+    order of earlier calls, and the gateway before admitting a call that
+    does not fit the share it spends from.
     """
 
     def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], ledger: CostLedger, budget: Budget):
@@ -523,15 +528,6 @@ class ScriptedBackend:
             return cls.from_dict(json.load(fh))
 
 
-def settled_cursors(script: dict) -> Optional[list[int]]:
-    """The cursors of ``script`` (in ``to_dict`` form) once every rule is
-    settled, or None if a rule without ``repeat_last`` never settles."""
-    rules = script["rules"]
-    if not all(rule["repeat_last"] for rule in rules):
-        return None
-    return [len(rule["responses"]) - 1 for rule in rules]
-
-
 class HttpBackend:
     """Minimal JSON-over-HTTP chat backend (OpenAI-style request shape).
 
@@ -635,11 +631,12 @@ class ModelGateway:
             self.ledger = ledger
             self._consumed = self.budget.used = ledger.total_tokens()
 
-    def shares(self, budget: Budget, n: int) -> list[Budget]:
-        """The budgets of a group of ``n`` leaves forked under ``budget``:
-        ``budget`` itself for the first leaf, a share for each later one."""
+    def shares(self, budget: Budget, later: int, reserve: int) -> list[Budget]:
+        """The budgets of the ``later`` leaves that follow the first leaf of a
+        group forked under ``budget`` and run ahead of their turn
+        (:meth:`Budget.split`)."""
         with self._lock:
-            return [budget, *budget.split(n)]
+            return budget.split(later, reserve) if later else []
 
     def join(self, budgets: Sequence[Budget]) -> None:
         """End a group: its shares join the budget they were taken from."""

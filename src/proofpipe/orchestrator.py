@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .conjecture import ConjectureEngine, VerifyOutcome
@@ -52,7 +52,6 @@ from .gateway import (
     Usage,
     cost_of,
     failure_text,
-    settled_cursors,
 )
 from .prompts import PromptRegistry
 from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
@@ -183,6 +182,19 @@ def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
     return totals
 
 
+def run_reserve(config: PipelineConfig) -> int:
+    """Tokens of the budget kept for each earlier aggregated run while the
+    later runs run ahead of their turn: half a run's worst case, its call
+    ceilings at ``max_output_tokens`` each.
+
+    A run that spends no more than this gets what it would get if the runs
+    ran one after another. The whole worst case would not do: at the
+    default config it is 12.1M tokens, more than the default 8M budget, so
+    no later run could ever start before the earlier ones had finished.
+    """
+    return sum(call_ceilings(config).values()) * config.max_output_tokens // 2
+
+
 class Orchestrator:
     """Drives pipeline runs against one gateway and template registry."""
 
@@ -210,21 +222,25 @@ class Orchestrator:
         The runs execute at once, as the leaves of one fork/join group
         (:meth:`DialecticEngine.fork_join`): run 1 writes to the trace as it
         goes, and every later run is committed after it, in run order, at
-        the join. The judge then sees both finals plus each run's
-        solution-sequence history; a missing decision tag is re-prompted
-        once and then falls back to the comparator over the two finals, as
-        do a failed judge call and one the token budget refuses.
+        the join. A later run spends ahead of its turn only what the budget
+        holds beyond :func:`run_reserve` for each earlier run. The judge
+        then sees both finals plus each run's solution-sequence history; a
+        missing decision tag is re-prompted once and then falls back to the
+        comparator over the two finals, as do a failed judge call and one
+        the token budget refuses.
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
         self._write_header(trace, problem, runs=n)
         group = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
         tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(n)]
-        results = []
-        for leaf in group.fork_join(tasks):
-            if leaf.error is not None:
-                raise leaf.error
-            results.append(leaf.result)
+        # Every leaf is taken before an error is raised, so the events and
+        # the ledger entries of every call made are committed.
+        leaves = list(group.fork_join(tasks, reserve=run_reserve(self.config)))
+        error = next((leaf.error for leaf in leaves if leaf.error is not None), None)
+        if error is not None:
+            raise error
+        results = [leaf.result for leaf in leaves]
         if n == 1:
             return results[0]  # run 1 recorded straight into ``trace``
         current = results[0]
@@ -514,10 +530,22 @@ class Orchestrator:
         if not hasattr(backend, "snapshot"):
             return None
         cursors = backend.snapshot()
-        if lane is not None and cursors != settled_cursors(backend.to_dict()):
+        if lane is not None and cursors != self._settled_cursors:
             lane.wait_turn()
             cursors = backend.snapshot()
         return cursors
+
+    @cached_property
+    def _settled_cursors(self) -> Optional[list[int]]:
+        """The scripted cursors once every rule is settled
+        (:meth:`ScriptRule.settled`): each rule's last response index, or None
+        if a rule does not repeat its last response and so never settles.
+        Read once from the script, which backend wrappers forward as
+        ``to_dict``."""
+        rules = self.gateway.backend.to_dict()["rules"]
+        if not all(rule["repeat_last"] for rule in rules):
+            return None
+        return [len(rule["responses"]) - 1 for rule in rules]
 
     def _finish(self, trace, state, engine, solution, status) -> PipelineResult:
         run_id = state.run_id

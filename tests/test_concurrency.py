@@ -9,7 +9,7 @@ from proofpipe.conjecture import ConjectureEngine
 from proofpipe.core import HypothesisPair, Origin, Problem
 from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine
 from proofpipe.gateway import BudgetExceeded, ModelGateway, ModelRequest, ScriptedBackend, ScriptRule
-from proofpipe.orchestrator import STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED, Orchestrator, replay
+from proofpipe.orchestrator import STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED, Orchestrator, replay, run_reserve
 from proofpipe.trace import RunTrace, signature
 
 from conftest import (
@@ -287,18 +287,44 @@ def test_budget_safety_under_jitter(budget, registry):
             assert result.solution.grade is not None
 
 
-@pytest.mark.parametrize("budget", [3_000, 9_000, 16_000, 40_000])
-def test_budget_exhaustion_is_independent_of_timing(budget, registry):
-    """Leaves spend ahead of their turn only within their budget share, so
-    which calls a tight budget admits does not depend on timing."""
-    config = small_config(token_budget=budget, parallel_runs=2, conjecture_iterations=3)
-    fingerprints = []
+def two_run_solve(registry, budget, runs, seed=0):
+    config = small_config(token_budget=budget, parallel_runs=runs)
+    gateway = gateway_for(JitterBackend(ScriptedBackend(rules_late_extractor()), seed), config)
+    result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+    return result, gateway
+
+
+def run_signature(trace, run_id):
+    return [event for event in signature(trace) if event[0] == run_id]
+
+
+@pytest.mark.parametrize("spare", [5_000, 50_000])
+def test_run_1_gets_the_budget_it_would_get_alone(spare, registry):
+    """A budget that one run verifies within verifies run 1 of two runs the
+    same way: a later run never spends what run 1 would have had."""
+    _, gateway = two_run_solve(registry, 10_000_000, 1)
+    budget = gateway.tokens_consumed + spare
+    alone, _ = two_run_solve(registry, budget, 1)
+    assert alone.status == STATUS_VERIFIED
+    for seed in range(3):
+        both, _ = two_run_solve(registry, budget, 2, seed)
+        assert run_signature(both.trace, "run1") == run_signature(alone.trace, "run1"), seed
+        assert [e.payload["status"] for e in both.trace.of_kind("result", run_id="run1")] == [STATUS_VERIFIED]
+
+
+def test_a_later_run_past_its_share_waits_for_its_turn(registry):
+    """Just beyond run 1's reserve, run 2's share holds a few of its calls:
+    run 2 runs ahead on it, waits for its turn at the first call that does
+    not fit, and goes on against the whole budget. Every call is admitted,
+    as under an ample budget, whatever the timing."""
+    config = small_config(parallel_runs=2)
+    budget = run_reserve(config) + 2 * config.max_output_tokens
+    ample, ample_gateway = two_run_solve(registry, 10_000_000, 2)
     for seed in range(4):
-        gateway = gateway_for(JitterBackend(ScriptedBackend(rules_late_extractor()), seed), config)
-        result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
-        fingerprints.append((signature(result.trace), gateway.ledger.to_dict()))
+        result, gateway = two_run_solve(registry, budget, 2, seed)
+        assert signature(result.trace)[1:] == signature(ample.trace)[1:], seed  # all but the header
+        assert gateway.ledger.to_dict() == ample_gateway.ledger.to_dict()
         assert replay(result.trace, registry=registry) is None
-    assert all(f == fingerprints[0] for f in fingerprints[1:])
 
 
 class RefusingGateway(ModelGateway):
