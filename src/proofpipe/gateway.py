@@ -356,8 +356,8 @@ class Lane:
     :class:`Budget` share. Groups nest: a leaf may fork a group of its own,
     whose lanes know it as ``parent``. ``ScriptedBackend`` calls
     ``wait_turn`` before answering a request whose reply depends on the
-    order of earlier calls, and the gateway before admitting a call that
-    does not fit the share it spends from.
+    order of earlier calls; the gateway calls the ``wait_turn`` of the leaf
+    that holds a share before admitting a call that does not fit in it.
     """
 
     def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], ledger: CostLedger, budget: Budget):
@@ -662,10 +662,13 @@ class ModelGateway:
                 return budget
         if not deciding.ahead:
             raise BudgetExceeded()
-        # Past its share: once every earlier leaf has finished, each share
-        # on the way up joins its parent and the call is admitted as if the
-        # leaves had run one after another.
-        req.lane.wait_turn()
+        # Past its share: once every leaf before the one that holds the share
+        # has finished, each share on the way up joins its parent and the
+        # call is admitted as if the leaves had run one after another.
+        holder = req.lane
+        while holder.parent is not None and holder.parent.budget is deciding:
+            holder = holder.parent
+        holder.wait_turn()
         with self._lock:
             while budget.deciding().ahead:
                 budget.deciding().join()
