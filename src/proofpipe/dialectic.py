@@ -530,6 +530,8 @@ class DialecticEngine:
 
     def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf):
         try:
+            if leaf.budget.ahead and leaf.budget.cap < self.config.max_output_tokens:
+                leaf.wait_turn()  # its share admits no call, so it starts in its turn
             return task(DialecticEngine(self.gateway, self.registry, self.config, leaf.trace, self.run_id, self.ids, leaf))
         finally:
             leaf.done.set()  # later leaves may be waiting for their turn
