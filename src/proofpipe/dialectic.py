@@ -496,7 +496,8 @@ class DialecticEngine:
         budget keeps ``reserve`` tokens for each earlier leaf instead, and
         every later leaf spends ahead of its turn only within an equal share
         of the rest (:meth:`~proofpipe.gateway.Budget.split`); what is
-        admitted then does not depend on how far the leaves have got.
+        admitted then does not depend on how far the leaves have got. A
+        later leaf whose share cannot hold one call starts in its turn.
 
         A leaf is yielded right after its commit: what the caller records
         before taking the next leaf lands where that sequential run would
@@ -514,7 +515,10 @@ class DialecticEngine:
             leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), leaf_budget))
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
-            futures = [pool.submit(self._run_leaf, task, leaf) for task, leaf in zip(tasks, leaves)]
+            futures = []
+            for task, leaf in zip(tasks, leaves):
+                in_turn = leaf.budget is not budget and leaf.budget.cap < self.config.max_output_tokens
+                futures.append(pool.submit(self._run_leaf, task, leaf, in_turn))
         if reserve is not None:
             self.gateway.join(budgets)
         for leaf, future in zip(leaves, futures):
@@ -528,10 +532,10 @@ class DialecticEngine:
                     ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
             yield leaf
 
-    def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf):
+    def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf, in_turn: bool):
         try:
-            if leaf.budget.ahead and leaf.budget.cap < self.config.max_output_tokens:
-                leaf.wait_turn()  # its share admits no call, so it starts in its turn
+            if in_turn:  # its share admits no call
+                leaf.wait_turn()
             return task(DialecticEngine(self.gateway, self.registry, self.config, leaf.trace, self.run_id, self.ids, leaf))
         finally:
             leaf.done.set()  # later leaves may be waiting for their turn
