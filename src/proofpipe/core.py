@@ -48,7 +48,12 @@ def canonical_json(payload: Any) -> str:
 
 
 def digest(payload: Any) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(payload))
+
+
+def text_digest(text: str) -> str:
+    """The digest of a canonical JSON text: ``digest(x)`` is ``text_digest(canonical_json(x))``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

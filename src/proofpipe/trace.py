@@ -3,7 +3,8 @@
 Events are JSONL-friendly dicts: an envelope (seq, ts, run id, phase, kind,
 payload digest) around a JSON payload. The digest covers only the payload,
 never the envelope, so wall-clock timestamps do not break replay
-comparison. The trace is the only store of run state: a checkpoint is a
+comparison. A line holds the payload as the canonical JSON text its digest
+is taken over. The trace is the only store of run state: a checkpoint is a
 small marker (loop position, id counters, scripted cursors and its own seq)
 recorded as an event, and resuming from it folds the events before it.
 When the trace is backed by a file, each marker is also written to
@@ -26,7 +27,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .core import digest
+from .core import canonical_json, digest, text_digest
 
 SCHEMA_VERSION = 6
 
@@ -65,6 +66,13 @@ class TraceEvent:
         )
 
 
+def encode(payload: dict) -> tuple[str, str]:
+    """A payload's digest and its canonical JSON text, which is what a trace
+    line holds: the payload is serialized once for both."""
+    text = canonical_json(payload)
+    return text_digest(text), text
+
+
 class RunTrace:
     """Ordered event log for one pipeline invocation (possibly multi-run)."""
 
@@ -89,20 +97,29 @@ class RunTrace:
             {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
         )
 
-    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> TraceEvent:
+    def append(
+        self, run_id: str, phase: int, kind: str, payload: dict, encoded: Optional[tuple[str, str]] = None
+    ) -> TraceEvent:
+        """Record one event. ``encoded`` is ``encode(payload)`` when the caller
+        has it already; the line written is the same either way."""
+        if encoded is None:
+            encoded = encode(payload) if self.path else (digest(payload), "")
+        payload_digest, payload_json = encoded
         event = TraceEvent(
             seq=len(self.events),
             ts=self._clock(),
             run_id=run_id,
             phase=phase,
             kind=kind,
-            digest=digest(payload),
+            digest=payload_digest,
             payload=payload,
         )
         self.events.append(event)
         if self.path:
+            envelope = {k: v for k, v in event.to_dict().items() if k != "payload"}
+            line = json.dumps(envelope, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + payload_json + "}\n"
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(event.to_dict(), ensure_ascii=False) + "\n")
+                fh.write(line)
         return event
 
     def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
@@ -153,14 +170,17 @@ class RunTrace:
 class TraceBuffer:
     """Events held back from a trace: the same ``append`` and ``checkpoint``
     as :class:`RunTrace`, replayed into another trace (or buffer) by
-    ``commit``. A held marker gets its seq, and its file, when it lands in
-    a :class:`RunTrace`."""
+    ``commit``. A payload is encoded when it is held, on the thread that
+    made it, so a commit only writes. A held marker gets its seq, and its
+    file, when it lands in a :class:`RunTrace`."""
 
     def __init__(self) -> None:
         self._held: list[tuple[str, tuple]] = []
 
-    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> None:
-        self._held.append(("append", (run_id, phase, kind, payload)))
+    def append(
+        self, run_id: str, phase: int, kind: str, payload: dict, encoded: Optional[tuple[str, str]] = None
+    ) -> None:
+        self._held.append(("append", (run_id, phase, kind, payload, encoded or encode(payload))))
 
     def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
         self._held.append(("checkpoint", (checkpoint_id, snapshot, run_id, phase)))
