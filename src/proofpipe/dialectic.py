@@ -237,10 +237,11 @@ class Leaf(Lane):
     """One task of a fork/join group: its lane, the trace it records into,
     and what it returned or raised.
 
-    The group's first leaf records straight into the trace of the engine
-    that forked the group: nothing can come between the fork and its
-    events. Every later leaf records into a :class:`TraceBuffer` that the
-    join commits in leaf order.
+    The first leaf of a group whose later leaves run ahead of their turn
+    (the aggregated runs) records straight into the trace of the engine
+    that forked the group, so run 1 writes as it goes: nothing can come
+    between the fork and its events. Every other leaf records into a
+    :class:`TraceBuffer` that the join commits in leaf order.
     """
 
     def __init__(
@@ -497,7 +498,9 @@ class DialecticEngine:
         every later leaf spends ahead of its turn only within an equal share
         of the rest (:meth:`~proofpipe.gateway.Budget.split`); what is
         admitted then does not depend on how far the leaves have got. A
-        later leaf whose share cannot hold one call starts in its turn.
+        later leaf whose share cannot hold one call starts in its turn, and
+        the first leaf records straight into this engine's trace, so run 1
+        of the aggregated runs writes as it goes.
 
         A leaf is yielded right after its commit: what the caller records
         before taking the next leaf lands where that sequential run would
@@ -510,7 +513,10 @@ class DialecticEngine:
         ledger, budget = (lane.ledger, lane.budget) if lane is not None else (self.gateway.ledger, self.gateway.budget)
         later = len(tasks) - 1
         budgets = self.gateway.shares(budget, later, reserve) if reserve is not None else [budget] * later
-        leaves = [Leaf(lane, (), self.trace, ledger, budget)]
+        if reserve is not None:  # run 1 writes as it goes
+            leaves = [Leaf(lane, (), self.trace, ledger, budget)]
+        else:
+            leaves = [Leaf(lane, (), TraceBuffer(), CostLedger(), budget)]
         for leaf_budget in budgets:
             leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), leaf_budget))
         # One thread per leaf, so every leaf's calls can be in flight at once.

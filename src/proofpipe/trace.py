@@ -97,14 +97,8 @@ class RunTrace:
             {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
         )
 
-    def append(
-        self, run_id: str, phase: int, kind: str, payload: dict, encoded: Optional[tuple[str, str]] = None
-    ) -> TraceEvent:
-        """Record one event. ``encoded`` is ``encode(payload)`` when the caller
-        has it already; the line written is the same either way."""
-        if encoded is None:
-            encoded = encode(payload) if self.path else (digest(payload), "")
-        payload_digest, payload_json = encoded
+    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> TraceEvent:
+        payload_digest, payload_json = encode(payload) if self.path else (digest(payload), "")
         event = TraceEvent(
             seq=len(self.events),
             ts=self._clock(),
@@ -170,17 +164,14 @@ class RunTrace:
 class TraceBuffer:
     """Events held back from a trace: the same ``append`` and ``checkpoint``
     as :class:`RunTrace`, replayed into another trace (or buffer) by
-    ``commit``. A payload is encoded when it is held, on the thread that
-    made it, so a commit only writes. A held marker gets its seq, and its
-    file, when it lands in a :class:`RunTrace`."""
+    ``commit``. A held marker gets its seq, and its file, when it lands in
+    a :class:`RunTrace`."""
 
     def __init__(self) -> None:
         self._held: list[tuple[str, tuple]] = []
 
-    def append(
-        self, run_id: str, phase: int, kind: str, payload: dict, encoded: Optional[tuple[str, str]] = None
-    ) -> None:
-        self._held.append(("append", (run_id, phase, kind, payload, encoded or encode(payload))))
+    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> None:
+        self._held.append(("append", (run_id, phase, kind, payload)))
 
     def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
         self._held.append(("checkpoint", (checkpoint_id, snapshot, run_id, phase)))
