@@ -56,6 +56,9 @@ _BLUEPRINT_MARKERS = ("The Final Blueprint", "Proof_Submitted_for_Review")
 TEMPERATURES = {"solver": 0.6, "extractor": 0.6, "grader": 0.1, "parser": 0.1, "processor": 0.1, "judge": 0.1}
 # Prior candidate solutions serialized into one solver prompt.
 PRIOR_SOLUTION_CAP = 3
+# The most calls one branch makes, by role (:meth:`DialecticEngine._branch`):
+# two drafts and a refine, a censor, a grade and a regrade.
+BRANCH_CALLS = {"solver": 3, "processor": 1, "grader": 2}
 
 
 class GradeParseFailure(CallFailed):
@@ -237,10 +240,9 @@ class Leaf(Lane):
     """One task of a fork/join group: its lane, the trace it records into,
     and what it returned or raised.
 
-    The first leaf of a group whose later leaves run ahead of their turn
-    (the aggregated runs) records straight into the trace of the engine
-    that forked the group, so run 1 writes as it goes: nothing can come
-    between the fork and its events. Every other leaf records into a
+    The first leaf of a group records straight into the trace of the
+    engine that forked the group, so it writes as it goes: nothing can come
+    between the fork and its events. Every later leaf records into a
     :class:`TraceBuffer` that the join commits in leaf order.
     """
 
@@ -473,14 +475,15 @@ class DialecticEngine:
     def fork_branches(self, branches: Sequence[Branch], phase: int) -> Iterator[tuple[str, Leaf]]:
         """:meth:`fork_join` over solve branches: ``(solution id, leaf)`` in
         branch order, each leaf's result a :class:`CandidateSolution`.
-        Solution ids are allocated at the fork, in branch order."""
+        Solution ids are allocated at the fork, in branch order. Each earlier
+        branch keeps its worst case, :data:`BRANCH_CALLS` at
+        ``max_output_tokens`` each."""
         ids = [self.ids.next("s") for _ in branches]
         tasks = [partial(DialecticEngine._branch, spec=b, phase=phase, solution_id=i) for b, i in zip(branches, ids)]
-        return zip(ids, self.fork_join(tasks))
+        reserve = sum(BRANCH_CALLS.values()) * self.config.max_output_tokens
+        return zip(ids, self.fork_join(tasks, reserve))
 
-    def fork_join(
-        self, tasks: Sequence[Callable[["DialecticEngine"], object]], reserve: Optional[int] = None
-    ) -> Iterator[Leaf]:
+    def fork_join(self, tasks: Sequence[Callable[["DialecticEngine"], object]], reserve: int) -> Iterator[Leaf]:
         """Run every task at once, each on its own thread; yield the leaves
         in task order.
 
@@ -492,15 +495,14 @@ class DialecticEngine:
         a group of its own: that group commits into the task's leaf, and its
         calls wait on the earlier leaves of this group too.
 
-        The leaves spend from the budget of the engine's leaf (the gateway's
-        outside every group) as their calls come. With ``reserve``, the
-        budget keeps ``reserve`` tokens for each earlier leaf instead, and
-        every later leaf spends ahead of its turn only within an equal share
-        of the rest (:meth:`~proofpipe.gateway.Budget.split`); what is
-        admitted then does not depend on how far the leaves have got. A
-        later leaf whose share cannot hold one call starts in its turn, and
-        the first leaf records straight into this engine's trace, so run 1
-        of the aggregated runs writes as it goes.
+        The budget of the engine's leaf (the gateway's outside every group)
+        keeps ``reserve`` tokens for each earlier leaf, and every later leaf
+        spends ahead of its turn only within an equal share of the rest
+        (:meth:`~proofpipe.gateway.Budget.split`); what is admitted does not
+        depend on how far the leaves have got. A later leaf whose share
+        cannot hold one call starts in its turn. The first leaf spends from
+        the engine's budget and records straight into its trace and ledger,
+        so it writes as it goes.
 
         A leaf is yielded right after its commit: what the caller records
         before taking the next leaf lands where that sequential run would
@@ -511,37 +513,29 @@ class DialecticEngine:
             return
         lane = self.lane
         ledger, budget = (lane.ledger, lane.budget) if lane is not None else (self.gateway.ledger, self.gateway.budget)
-        later = len(tasks) - 1
-        budgets = self.gateway.shares(budget, later, reserve) if reserve is not None else [budget] * later
-        if reserve is not None:  # run 1 writes as it goes
-            leaves = [Leaf(lane, (), self.trace, ledger, budget)]
-        else:
-            leaves = [Leaf(lane, (), TraceBuffer(), CostLedger(), budget)]
-        for leaf_budget in budgets:
-            leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), leaf_budget))
+        shares = self.gateway.shares(budget, len(tasks) - 1, reserve)
+        leaves = [Leaf(lane, (), self.trace, ledger, budget)]
+        for share in shares:
+            leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), share))
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
-            futures = []
-            for task, leaf in zip(tasks, leaves):
-                in_turn = leaf.budget is not budget and leaf.budget.cap < self.config.max_output_tokens
-                futures.append(pool.submit(self._run_leaf, task, leaf, in_turn))
-        if reserve is not None:
-            self.gateway.join(budgets)
+            futures = [pool.submit(self._run_leaf, task, leaf) for task, leaf in zip(tasks, leaves)]
+        self.gateway.join(shares)
         for leaf, future in zip(leaves, futures):
             leaf.error = future.exception()
             if leaf.error is None:
                 leaf.result = future.result()
-        for leaf in leaves:
-            if leaf.trace is not self.trace:
-                leaf.trace.commit(self.trace)
-                for e in leaf.ledger.entries:
-                    ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
+        yield leaves[0]
+        for leaf in leaves[1:]:
+            leaf.trace.commit(self.trace)
+            for e in leaf.ledger.entries:
+                ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
             yield leaf
 
-    def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf, in_turn: bool):
+    def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf):
         try:
-            if in_turn:  # its share admits no call
-                leaf.wait_turn()
+            if leaf.budget.ahead and leaf.budget.cap < self.config.max_output_tokens:
+                leaf.wait_turn()  # its share admits no call
             return task(DialecticEngine(self.gateway, self.registry, self.config, leaf.trace, self.run_id, self.ids, leaf))
         finally:
             leaf.done.set()  # later leaves may be waiting for their turn

@@ -10,11 +10,12 @@ size shows zero float drift. The token budget is enforced at admission: a
 call is admitted while the tokens consumed plus the ``max_output_tokens``
 reserved by calls in flight stay under the budget. In the default mode a
 run overshoots by less than one call's ``max_output_tokens`` plus whatever
-the calls in flight use beyond their reservations (strict mode also
-reserves the new call's ``max_output_tokens`` and never admits a call that
-could not fit). A later aggregated run spends ahead of its turn only
-within a :class:`Budget` share, so what it is admitted does not depend on
-how far the runs before it have got.
+the calls in flight use beyond their reservations. Strict mode also
+reserves the new call's ``max_output_tokens``; since no reservation covers
+a prompt, it overshoots by at most the prompt tokens of the calls in
+flight. Every later leaf of a fork/join group spends ahead of its turn
+only within a :class:`Budget` share, so what it is admitted does not
+depend on how far the leaves before it have got.
 """
 from __future__ import annotations
 
@@ -295,11 +296,10 @@ class Budget:
     """Tokens that calls may spend: a cap, and what calls have consumed and
     reserved against it (``used``).
 
-    The gateway's token budget is the root. The leaves of most groups spend
-    from their parent's budget as their calls come. A group whose later
-    leaves run ahead of their turn (the aggregated runs) keeps a reserve of
-    the budget for each earlier leaf and gives each later leaf an equal
-    share of the rest. A share is spent ahead of the leaf's turn, and the
+    The gateway's token budget is the root. A fork/join group keeps a
+    reserve of its parent's budget for each earlier leaf and gives each
+    later leaf an equal share of the rest; the first leaf spends from the
+    parent's budget. A share is spent ahead of the leaf's turn, and the
     parent counts the whole share as spent, so no admission decision
     depends on how far concurrent leaves have got. A call that does not fit
     its share waits for its turn; then the share joins its parent, which
@@ -349,10 +349,8 @@ class Lane:
 
     A request made for a leaf carries its lane. The gateway meters the
     call into ``ledger`` and admits it against ``budget``. A group's first
-    leaf, which runs ahead of its siblings, has its parent's ledger; every
-    later leaf has a ledger of its own, which the join commits in leaf
-    order. Leaves spend from their parent's budget, except the later leaves
-    of a group that runs them ahead of their turn, which each have a
+    leaf has its parent's ledger and budget; every later leaf has a ledger
+    of its own, which the join commits in leaf order, and a
     :class:`Budget` share. Groups nest: a leaf may fork a group of its own,
     whose lanes know it as ``parent``. ``ScriptedBackend`` calls
     ``wait_turn`` before answering a request whose reply depends on the
@@ -633,8 +631,7 @@ class ModelGateway:
 
     def shares(self, budget: Budget, later: int, reserve: int) -> list[Budget]:
         """The budgets of the ``later`` leaves that follow the first leaf of a
-        group forked under ``budget`` and run ahead of their turn
-        (:meth:`Budget.split`)."""
+        group forked under ``budget`` (:meth:`Budget.split`)."""
         with self._lock:
             return budget.split(later, reserve) if later else []
 
@@ -645,8 +642,8 @@ class ModelGateway:
                 budget.join()
 
     def _fits(self, budget: Budget, tokens: int) -> bool:
-        # A share never admits a call that might not fit; the root does so
-        # only in strict mode.
+        # A share admits a call only while its max_output_tokens fit; the
+        # root does so only in strict mode.
         if budget.ahead or self.strict_budget:
             return budget.used + tokens <= budget.cap
         return budget.used < budget.cap

@@ -42,7 +42,7 @@ from .core import (
     best,
     rank,
 )
-from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
+from .dialectic import BRANCH_CALLS, EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
 from .gateway import (
     BudgetExceeded,
     CallFailed,
@@ -153,10 +153,10 @@ def _fold_memory(state: RunState, events: Sequence[TraceEvent]) -> None:
 def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
     """Worst-case model-call counts per role for a whole invocation.
 
-    A solve branch costs at most 2 drafts + 1 refine (solver), 1 censor
-    (processor) and 2 grades (grader); the ceilings compose that shape
-    through every phase, the bisection side-solves, the triple-check
-    gates and the judge ladder. Traces must never exceed these.
+    The ceilings compose one branch's worst case (:data:`BRANCH_CALLS`)
+    through every phase and the bisection side-solves, and add the
+    triple-check gates, the extractions and the judge ladder. Traces must
+    never exceed these.
     """
     k_width = config.solver_width
     l0 = config.initial_iterations
@@ -170,13 +170,10 @@ def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
         + (2 * 2 * k_pairs + k_width)  # post-enhancement: 2 sessions of sides + final fan-out
     )
     check_grades = n_rep * k_width * (l0 + l_outer) + 2 * n_rep
-    per_run = {
-        "solver": 3 * branches,
-        "processor": branches,
-        "grader": 2 * branches + check_grades,
-        "extractor": l_outer + 2,
-        "parser": 2 * (l_outer + 2),
-    }
+    per_run = {role: calls * branches for role, calls in BRANCH_CALLS.items()}
+    per_run["grader"] += check_grades
+    per_run["extractor"] = l_outer + 2
+    per_run["parser"] = 2 * (l_outer + 2)
     totals = {role: count * runs for role, count in per_run.items()}
     totals["judge"] = 2 * max(0, runs - 1)
     return totals

@@ -197,39 +197,69 @@ def rules_late_extractor():
 
 
 SCENARIOS = {
-    "clean": (rules_clean, clean_problem, dict(), False),
-    "well": (rules_well, well_problem, dict(initial_iterations=2, conjecture_iterations=2), False),
-    "all_twos": (rules_all_twos, clean_problem, dict(initial_iterations=2, conjecture_iterations=2), False),
-    "cursored": (rules_cursored, clean_problem, dict(solver_width=4, conjecture_iterations=2), False),
-    "two_run_judge": (rules_two_run_judge, well_problem, dict(parallel_runs=2), True),
+    "clean": (rules_clean, clean_problem, dict()),
+    "well": (rules_well, well_problem, dict(initial_iterations=2, conjecture_iterations=2)),
+    "all_twos": (rules_all_twos, clean_problem, dict(initial_iterations=2, conjecture_iterations=2)),
+    "cursored": (rules_cursored, clean_problem, dict(solver_width=4, conjecture_iterations=2)),
+    "two_run_judge": (rules_two_run_judge, well_problem, dict(parallel_runs=2)),
     # Run 2's calls and markers wait on run 1's unsettled cursors.
-    "two_run_cursored": (rules_cursored, clean_problem, dict(parallel_runs=2), True),
-    "two_run_late_rule": (rules_late_extractor, well_problem, dict(parallel_runs=2), True),
+    "two_run_cursored": (rules_cursored, clean_problem, dict(parallel_runs=2)),
+    "two_run_late_rule": (rules_late_extractor, well_problem, dict(parallel_runs=2)),
 }
+# Budgets that run out inside a group. A branch group of three leaves keeps
+# 2 * 6 * max_output_tokens (24,576 tokens) for its earlier leaves, so its
+# later leaves get no share below that and shares of a few calls at 40,000.
+TIGHT = ((rules_all_twos, clean_problem), (rules_two_run_judge, well_problem), (rules_cursored, clean_problem))
+SCENARIOS.update(
+    (
+        f"{rules.__name__[6:]}_{runs}run_{budget}",
+        (rules, problem, dict(solver_width=3, parallel_runs=runs, token_budget=budget)),
+    )
+    for rules, problem in TIGHT
+    for runs in (1, 2)
+    for budget in (3_000, 9_000, 16_000, 25_000, 40_000)
+)
 
 
 def run_scenario(name, registry, seed):
-    make_rules, make_problem, overrides, parallel = SCENARIOS[name]
+    make_rules, make_problem, overrides = SCENARIOS[name]
     config = small_config(**overrides)
     gateway = gateway_for(JitterBackend(ScriptedBackend(make_rules()), seed), config)
-    orch = Orchestrator(gateway, registry, config)
-    trace = RunTrace(clock=lambda: 0.0)
-    result = orch.run_parallel(make_problem(), trace=trace) if parallel else orch.run(make_problem(), trace=trace)
+    result = Orchestrator(gateway, registry, config).run_parallel(make_problem(), trace=RunTrace(clock=lambda: 0.0))
     return result, gateway, config
 
 
 def fingerprint(result, gateway):
     events = [(e.run_id, e.phase, e.kind, e.digest) for e in result.trace.events]
     ids = [s.id for s in result.state.solution_memory]
-    return events, signature(result.trace), gateway.ledger.to_dict(), ids, result.solution.id, result.solution.proof_text
+    solution = result.solution and (result.solution.id, result.solution.proof_text)
+    return events, signature(result.trace), gateway.ledger.to_dict(), ids, solution
+
+
+def assert_resumes_every_marker(name, registry, trace, gateway, config, seed):
+    """Resuming from each marker reproduces its run's text and ledger: the
+    ledger through the runs up to the marker's run, in run order."""
+    entries = [e.to_dict() for e in gateway.ledger.entries]
+    results = {e.run_id: e.payload["proof_text"] for e in trace.of_kind("result")}
+    runs = [f"run{i + 1}" for i in range(config.parallel_runs)]
+    for checkpoint_id, snap in trace.checkpoints.items():
+        run_id = snap["state"]["run_id"]
+        through = runs[: runs.index(run_id) + 1]
+        resume_gateway = gateway_for(JitterBackend(ScriptedBackend(SCENARIOS[name][0]()), seed), config)
+        resumed = Orchestrator(resume_gateway, registry, config).resume(trace, checkpoint_id)
+        assert (resumed.solution and resumed.solution.proof_text) == results[run_id], checkpoint_id
+        expected = [e for e in entries if e["run_id"] in through]
+        assert [e.to_dict() for e in resume_gateway.ledger.entries] == expected, checkpoint_id
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_determinism_under_jitter(name, registry):
     runs = [run_scenario(name, registry, seed) for seed in range(5)]
     first = fingerprint(*runs[0][:2])
-    for result, gateway, _ in runs[1:]:
-        assert fingerprint(result, gateway) == first
+    for seed, (result, gateway, config) in enumerate(runs):
+        assert fingerprint(result, gateway) == first, seed
+        assert replay(result.trace, registry=registry) is None, seed
+        assert_resumes_every_marker(name, registry, result.trace, gateway, config, seed)
     result, gateway, config = runs[0]
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed
     trace = result.trace
@@ -248,20 +278,6 @@ def test_determinism_under_jitter(name, registry):
     # so the budget left at any event follows from the trace.
     spent = sum(sum(payload["usage"].values()) for payload in calls)
     assert spent == gateway.tokens_consumed
-
-    assert replay(trace, registry=registry) is None
-
-    entries = [e.to_dict() for e in gateway.ledger.entries]
-    results = {e.run_id: e.payload["proof_text"] for e in trace.of_kind("result")}
-    for checkpoint_id, snap in trace.checkpoints.items():
-        run_id = snap["state"]["run_id"]
-        last = max(i for i, e in enumerate(entries) if e["run_id"] == run_id)
-        resume_gateway = gateway_for(
-            JitterBackend(ScriptedBackend(SCENARIOS[name][0]()), 99), config
-        )
-        resumed = Orchestrator(resume_gateway, registry, config).resume(trace, checkpoint_id)
-        assert resumed.solution.proof_text == results[run_id], checkpoint_id
-        assert [e.to_dict() for e in resume_gateway.ledger.entries] == entries[: last + 1], checkpoint_id
 
 
 def _criterion_9_budgets():

@@ -220,6 +220,20 @@ class TestGatewayBudget:
             gw.complete(req(max_out=600))
         assert gw.tokens_consumed <= 1000
 
+    def test_strict_mode_overshoots_by_at_most_the_prompt(self):
+        # Strict mode reserves a call's max_output_tokens, not its prompt.
+        usage = {"input_tokens": 9000, "output_tokens": 1500}
+        gw = self._gateway(
+            [ScriptRule("solver", None, [{"text": "t", "usage": usage}], repeat_last=True)],
+            budget=10_000,
+            strict_budget=True,
+        )
+        gw.complete(req(max_out=2048))
+        with pytest.raises(BudgetExceeded):
+            gw.complete(req(max_out=2048))
+        assert gw.tokens_consumed == 10_500
+        assert gw.tokens_consumed <= 10_000 + usage["input_tokens"]
+
     def test_retry_then_success_consumes_once(self):
         gw = self._gateway(
             [

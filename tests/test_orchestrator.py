@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from proofpipe.core import Origin, PipelineConfig
+from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine
 from proofpipe.gateway import ROLES, ModelGateway, ScriptedBackend, ScriptRule
 from proofpipe.orchestrator import (
     STATUS_BEST_EFFORT,
@@ -15,6 +17,7 @@ from proofpipe.orchestrator import (
     call_ceilings,
     extract_decision,
     replay,
+    run_reserve,
     select_kth_top,
     select_top,
 )
@@ -324,6 +327,24 @@ class TestCeilings:
             by_role[entry.role] = by_role.get(entry.role, 0) + 1
         for role, count in by_role.items():
             assert count <= ceilings[role], role
+
+    def test_default_worst_case_and_reserves(self, registry, monkeypatch):
+        config = PipelineConfig()
+        one_run = {"solver": 150, "processor": 50, "grader": 154, "extractor": 5, "parser": 10, "judge": 0}
+        assert call_ceilings(config) == one_run
+        assert call_ceilings(config, runs=2) == {**{role: 2 * n for role, n in one_run.items()}, "judge": 2}
+        assert run_reserve(config) == 6_045_696
+        reserves = []
+        fork_join = DialecticEngine.fork_join
+
+        def recording_fork_join(self, tasks, reserve):
+            reserves.append(reserve)
+            return fork_join(self, tasks, reserve)
+
+        monkeypatch.setattr(DialecticEngine, "fork_join", recording_fork_join)
+        engine = DialecticEngine(make_gateway(rules_clean(), config), registry, config, RunTrace(), "run1")
+        engine.dialectic_solve(clean_problem(), EMPTY_CONTEXT, 2, phase=1, origin=Origin.FRESH)
+        assert reserves == [196_608]  # a branch's worst case: six calls of 32,768 tokens
 
 
 class TestResume:
