@@ -202,8 +202,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     registry = PromptRegistry.load()
     orch = Orchestrator(gateway, registry, config)
     trace = RunTrace(path=trace_path)
-
-    result = orch.run_parallel(problem, trace=trace, n=config.parallel_runs)
+    try:
+        result = orch.run_parallel(problem, trace=trace, n=config.parallel_runs)
+    finally:
+        trace.close()
 
     solution_path = out_dir / "solution.txt"
     if result.solution is not None:

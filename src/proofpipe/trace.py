@@ -80,6 +80,7 @@ class RunTrace:
         self.path = Path(path) if path else None
         self._clock = clock
         self.events: list[TraceEvent] = []
+        self._file = None  # kept open: an event costs one write and flush, not an open and close
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -112,9 +113,17 @@ class RunTrace:
         if self.path:
             envelope = {k: v for k, v in event.to_dict().items() if k != "payload"}
             line = json.dumps(envelope, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + payload_json + "}\n"
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
+            if self._file is None:
+                self._file = self.path.open("a", encoding="utf-8")
+            self._file.write(line)
+            self._file.flush()
         return event
+
+    def close(self) -> None:
+        """Close the trace file; a later ``append`` opens it again."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
         """Record marker ``snapshot`` with ``seq`` set to its own event's seq."""
