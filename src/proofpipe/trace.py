@@ -80,7 +80,7 @@ class RunTrace:
         self.path = Path(path) if path else None
         self._clock = clock
         self.events: list[TraceEvent] = []
-        self._file = None  # kept open: an event costs one write and flush, not an open and close
+        self._file = None  # opened at the first append and kept open: one write and flush per event
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
