@@ -212,9 +212,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution_path.write_text(result.solution.proof_text + "\n", encoding="utf-8")
     else:
         solution_path.write_text("(no solution produced)\n", encoding="utf-8")
-    (out_dir / "ledger.json").write_text(
-        json.dumps(gateway.ledger.to_dict(), indent=1), encoding="utf-8"
-    )
+    (out_dir / "ledger.json").write_text(json.dumps(gateway.ledger.to_dict(), separators=(",", ":")), encoding="utf-8")
 
     score = result.solution.grade.score if result.solution and result.solution.grade else None
     print(f"status: {result.status}")

@@ -54,7 +54,7 @@ from .gateway import (
     failure_text,
 )
 from .prompts import PromptRegistry
-from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
+from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence, is_call
 
 STATUS_VERIFIED = "verified"
 STATUS_BEST_EFFORT = "best_effort"
@@ -125,13 +125,13 @@ def select_top(solutions: Sequence[CandidateSolution], n: int) -> list[Candidate
 
 def ledger_from_trace(trace: RunTrace, price_table: PriceTable, end: Optional[int] = None) -> CostLedger:
     """The ledger of the calls recorded before seq ``end`` (all by default):
-    one per event with a ``role`` and a ``usage``, priced at the header's backend."""
+    one per call event, priced at the header's backend."""
     backend_id = ((trace.header or {}).get("backend") or {}).get("backend_id", "scripted")
     price = price_table.get(backend_id)
     ledger = CostLedger()
     for event in trace.events[:end]:
         payload = event.payload
-        if "usage" in payload and "role" in payload:
+        if is_call(payload):
             usage = Usage.from_dict(payload["usage"])
             ledger.append(event.run_id, payload["role"], backend_id, usage, cost_of(usage, price))
     return ledger

@@ -3,8 +3,7 @@
 Events are JSONL-friendly dicts: an envelope (seq, ts, run id, phase, kind,
 payload digest) around a JSON payload. The digest covers only the payload,
 never the envelope, so wall-clock timestamps do not break replay
-comparison. A line holds the payload as the canonical JSON text its digest
-is taken over. The trace is the only store of run state: a checkpoint is a
+comparison. The trace is the only store of run state: a checkpoint is a
 small marker (loop position, id counters, scripted cursors and its own seq)
 recorded as an event, and resuming from it folds the events before it.
 When the trace is backed by a file, each marker is also written to
@@ -17,6 +16,16 @@ minus the usage of the call events up to it.
 A model call's event holds its ``role`` and ``slots`` but not the rendered
 prompt: rendering is pure and the header pins ``template_version``, so
 ``registry.render(role, slots)`` rebuilds the exact prompt.
+
+Call texts repeat (the graded text is the draft, every check grade carries
+the same solution), so a trace line stores each of a call event's ``slots``
+values and its ``response`` that is at least :data:`TEXT_MIN` characters
+long as ``{"$text": <sha256 of the text>}``, and the text itself once per
+trace, in the ``texts`` map of the first line that uses it. The digest is
+taken over that addressed payload's canonical JSON, which is what the line
+holds, so it depends only on the event, never on what the trace held
+before. Events in memory, including those :meth:`RunTrace.load` reads
+back, hold the full texts.
 """
 from __future__ import annotations
 
@@ -27,9 +36,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .core import canonical_json, digest, text_digest
+from .core import canonical_json, text_digest
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
+
+# Call texts this long or longer are stored once per trace, by address.
+TEXT_MIN = 256
+
+_ENVELOPE = frozenset({"seq", "ts", "run_id", "phase", "kind", "digest", "payload"})
 
 
 @dataclass(frozen=True)
@@ -66,11 +80,43 @@ class TraceEvent:
         )
 
 
-def encode(payload: dict) -> tuple[str, str]:
-    """A payload's digest and its canonical JSON text, which is what a trace
-    line holds: the payload is serialized once for both."""
-    text = canonical_json(payload)
-    return text_digest(text), text
+def is_call(payload: dict) -> bool:
+    """Whether ``payload`` is a model call's: it has a ``role`` and a ``usage``."""
+    return "role" in payload and "usage" in payload
+
+
+def _text(value, texts: Mapping[str, str]):
+    """A stored slot value or response as the event holds it: the text that
+    a ``{"$text": address}`` names, anything else as it is."""
+    if not isinstance(value, dict):
+        return value
+    address = value.get("$text")
+    if not isinstance(address, str) or address not in texts:
+        raise ValueError(f"no text stored for {value}")
+    return texts[address]
+
+
+def _event(record, texts: dict[str, str]) -> TraceEvent:
+    """The event a trace line holds, with its call texts put back. The
+    line's own texts are checked against their addresses and join ``texts``."""
+    if not (
+        isinstance(record, dict)
+        and _ENVELOPE <= record.keys()
+        and isinstance(record["payload"], dict)
+        and isinstance(record.get("texts", {}), dict)
+    ):
+        raise ValueError("not a trace event")
+    for address, text in record.get("texts", {}).items():
+        if not isinstance(text, str) or text_digest(text) != address:
+            raise ValueError(f"the text stored for {address} does not match its address")
+        texts[address] = text
+    payload = record["payload"]
+    if is_call(payload):  # an older schema's call event may have no slots
+        if isinstance(payload.get("slots"), dict):
+            payload["slots"] = {name: _text(value, texts) for name, value in payload["slots"].items()}
+        if "response" in payload:
+            payload["response"] = _text(payload["response"], texts)
+    return TraceEvent.from_dict(record)
 
 
 class RunTrace:
@@ -81,6 +127,7 @@ class RunTrace:
         self._clock = clock
         self.events: list[TraceEvent] = []
         self._file = None  # opened at the first append and kept open: one write and flush per event
+        self._addresses: dict[str, str] = {}  # each long call text stored so far -> its address
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -98,21 +145,43 @@ class RunTrace:
             {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
         )
 
+    def _addressed(self, payload: dict) -> tuple[dict, dict[str, str]]:
+        """``payload`` as a trace line stores it, and the texts that it is
+        the first event to use, by address."""
+        if not is_call(payload):
+            return payload, {}
+        new: dict[str, str] = {}
+
+        def ref(value):
+            if not isinstance(value, str) or len(value) < TEXT_MIN:
+                return value
+            address = self._addresses.get(value)
+            if address is None:
+                address = self._addresses[value] = text_digest(value)
+                new[address] = value
+            return {"$text": address}
+
+        slots = {name: ref(value) for name, value in payload["slots"].items()}
+        return {**payload, "slots": slots, "response": ref(payload["response"])}, new
+
     def append(self, run_id: str, phase: int, kind: str, payload: dict) -> TraceEvent:
-        payload_digest, payload_json = encode(payload) if self.path else (digest(payload), "")
+        stored, texts = self._addressed(payload)
+        stored_json = canonical_json(stored)
         event = TraceEvent(
             seq=len(self.events),
             ts=self._clock(),
             run_id=run_id,
             phase=phase,
             kind=kind,
-            digest=payload_digest,
+            digest=text_digest(stored_json),
             payload=payload,
         )
         self.events.append(event)
         if self.path:
             envelope = {k: v for k, v in event.to_dict().items() if k != "payload"}
-            line = json.dumps(envelope, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + payload_json + "}\n"
+            if texts:
+                envelope["texts"] = texts
+            line = json.dumps(envelope, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + stored_json + "}\n"
             if self._file is None:
                 self._file = self.path.open("a", encoding="utf-8")
             self._file.write(line)
@@ -152,11 +221,15 @@ class RunTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunTrace":
-        """Read a trace back, dropping a torn last line (unterminated and
-        unparseable, as a crash mid-append leaves it); other bad lines raise."""
+        """Read a trace back, with every call text in place, dropping a torn
+        last line (unterminated and unparseable, as a crash mid-append leaves
+        it). Any other bad line raises ``ValueError``: one that is not an
+        event, a text that does not match its address, an address with no
+        text before it."""
         trace = cls()
+        texts: dict[str, str] = {}
         with Path(path).open("rb") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
@@ -165,7 +238,10 @@ class RunTrace:
                     if not line.endswith(b"\n"):  # only the last line can lack one
                         break
                     raise
-                trace.events.append(TraceEvent.from_dict(record))
+                try:
+                    trace.events.append(_event(record, texts))
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
         trace.path = None  # loaded traces are read-only views
         return trace
 

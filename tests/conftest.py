@@ -1,6 +1,9 @@
 """Shared fixtures: scripted scenarios and transcript builders."""
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from proofpipe.core import PipelineConfig, Problem
@@ -41,8 +44,6 @@ def grader_text(score: int, issues: tuple = (), scaffolding: tuple = ()) -> str:
 
 
 def parser_json(conjectures: list[str], negations: list[str], proof: str = "Assume the conjectures; the claim follows.") -> str:
-    import json
-
     return json.dumps({"conjectures": conjectures, "negations": negations, "proof": proof})
 
 
@@ -110,6 +111,37 @@ def rules_all_twos() -> list[ScriptRule]:
             [{"text": parser_json(["CONJ_Q: the lattice count is even."], ["NEG_Q: the lattice count is odd."])}],
             repeat_last=True,
         ),
+    ]
+
+
+# Over 256 characters on its own, so every reply it lengthens is a long call
+# text.
+LONG_TAIL = (
+    " The argument is written out in full: each step names the lemma it uses, every case of the"
+    " induction is checked on its own, and the bound on the relabeling is derived from the counting"
+    " identity rather than asserted, so that a reader can follow the proof line by line without"
+    " filling in any gap that the sketch above leaves implicit."
+)
+
+
+def with_long_replies(rules: list[ScriptRule]) -> list[ScriptRule]:
+    """``rules`` with every reply but the processor's exact verdict made long:
+    solver and extractor replies gain :data:`LONG_TAIL`, a grade a grading
+    log before its verdict, a parser reply a longer proof."""
+
+    def lengthen(role: str, text: str) -> str:
+        if role == "processor":
+            return text
+        if role == "grader":
+            return "Grading log." + LONG_TAIL + "\n\n" + text
+        if role == "parser":
+            data = json.loads(text)
+            return json.dumps({**data, "proof": data["proof"] + LONG_TAIL})
+        return text + LONG_TAIL
+
+    return [
+        dataclasses.replace(rule, responses=[{**r, "text": lengthen(rule.role, r["text"])} for r in rule.responses])
+        for rule in rules
     ]
 
 

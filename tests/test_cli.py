@@ -73,9 +73,16 @@ def _as_schema_5(event):
         event["payload"]["schema_version"] = 5
 
 
+def _as_schema_6(event):
+    """Schema 6 stored every call text inline, and its digests covered the
+    full payload."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 6
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
-OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3, 4: _as_schema_4, 5: _as_schema_5}
+OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3, 4: _as_schema_4, 5: _as_schema_5, 6: _as_schema_6}
 
 
 class TestSolve:
@@ -455,19 +462,94 @@ class TestTornTrace:
             assert resumed.solution.proof_text == text, checkpoint_id
             assert gateway.ledger.to_dict() == ledger, checkpoint_id
 
-    def test_bad_line_before_the_end_still_raises(self, tmp_path, problem_file):
+    def test_bad_line_before_the_end_still_raises(self, tmp_path, problem_file, capsys):
         from proofpipe.trace import RunTrace
 
         out, _ = self._solve(tmp_path, problem_file)
         trace_path = out / "trace.jsonl"
         lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        trace_path.write_text("".join(lines[:3] + ["{torn\n"] + lines[3:]), encoding="utf-8")
-        with pytest.raises(ValueError):
-            RunTrace.load(trace_path)
-        # a complete (newline-terminated) last line is no torn append either
-        trace_path.write_text("".join(lines + ["{torn\n"]), encoding="utf-8")
-        with pytest.raises(ValueError):
-            RunTrace.load(trace_path)
+        event = json.loads(lines[3])
+        not_an_object = json.dumps({**event, "payload": 5}) + "\n"
+        bad = {
+            "torn line before the end": lines[:3] + ["{torn\n"] + lines[3:],
+            # a complete (newline-terminated) last line is no torn append either
+            "complete bad last line": lines + ["{torn\n"],
+            "valid JSON, not an event": lines + ["123\n"],
+            "payload not an object": lines[:3] + [not_an_object] + lines[4:],
+        }
+        for case, edited in bad.items():
+            trace_path.write_text("".join(edited), encoding="utf-8")
+            with pytest.raises(ValueError):
+                RunTrace.load(trace_path)
+            assert run_cli("cost", trace_path) == ExitCode.USAGE, case
+            assert run_cli("replay", trace_path) == ExitCode.USAGE, case
+            assert "line " in capsys.readouterr().err, case
+
+
+class TestCallTexts:
+    """A trace line stores each long call text by its address, and the text
+    itself once per trace."""
+
+    def _solve(self, tmp_path, registry):
+        from proofpipe.gateway import ScriptRule
+        from proofpipe.orchestrator import Orchestrator
+        from proofpipe.trace import RunTrace
+
+        from conftest import make_gateway, rules_well, small_config, well_problem, with_long_replies
+
+        judge = ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)
+        rules = with_long_replies(rules_well() + [judge])
+        config = small_config(initial_iterations=2)
+        trace = RunTrace(tmp_path / "trace.jsonl")
+        try:
+            result = Orchestrator(make_gateway(rules, config), registry, config).run_parallel(
+                well_problem(), trace=trace, n=2
+            )
+        finally:
+            trace.close()
+        assert result.status == "verified"
+        return trace
+
+    def test_each_long_text_is_stored_once_and_read_back_whole(self, tmp_path, registry):
+        from proofpipe.trace import TEXT_MIN, RunTrace, is_call
+
+        trace = self._solve(tmp_path, registry)
+        loaded = RunTrace.load(trace.path)
+        assert [e.to_dict() for e in loaded.events] == [e.to_dict() for e in trace.events]
+
+        texts = {
+            value
+            for e in trace.events
+            if is_call(e.payload)
+            for value in (*e.payload["slots"].values(), e.payload["response"])
+            if isinstance(value, str) and len(value) >= TEXT_MIN
+        }
+        assert len(texts) > 10
+        lines = trace.path.read_text(encoding="utf-8").splitlines()
+        call_lines = "\n".join(line for line in lines if is_call(json.loads(line)["payload"]))
+        for text in texts:
+            assert call_lines.count(json.dumps(text, ensure_ascii=False)) == 1, text[:40]
+
+    def test_a_text_that_does_not_match_its_address_is_refused(self, tmp_path, registry, capsys):
+        trace = self._solve(tmp_path, registry)
+        lines = trace.path.read_text(encoding="utf-8").splitlines()
+        first = next(i for i, line in enumerate(lines) if "texts" in json.loads(line))
+        record = json.loads(lines[first])
+        address = next(iter(record["texts"]))
+
+        def with_texts(texts):
+            edited = lines[:first] + [json.dumps({**record, "texts": texts})] + lines[first + 1 :]
+            trace.path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+
+        cases = {
+            "altered text": {**record["texts"], address: record["texts"][address] + " "},
+            "address without its text": {a: t for a, t in record["texts"].items() if a != address},
+        }
+        for case, texts in cases.items():
+            with_texts(texts)
+            assert run_cli("cost", trace.path) == ExitCode.USAGE, case
+            assert run_cli("replay", trace.path) == ExitCode.USAGE, case
+            assert f"line {first + 1}" in capsys.readouterr().err, case
 
 
 class TestReplayCommand:
@@ -527,5 +609,5 @@ class TestReplayCommand:
                 edited.append(json.dumps(event))
             trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
             assert run_cli("replay", trace_path) == ExitCode.USAGE
-            assert f"trace schema {schema} is not supported (want 6)" in capsys.readouterr().err
+            assert f"trace schema {schema} is not supported (want 7)" in capsys.readouterr().err
 

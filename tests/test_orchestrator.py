@@ -34,6 +34,7 @@ from conftest import (
     rules_well,
     small_config,
     well_problem,
+    with_long_replies,
 )
 from test_core import sol
 
@@ -366,6 +367,37 @@ class TestResume:
             assert resumed.solution.proof_text == original.solution.proof_text, checkpoint_id
             assert gateway.ledger.to_dict() == baseline_ledger, checkpoint_id
 
+    def test_resumed_events_keep_the_original_digests(self, registry):
+        """From every marker, the events a resume records after its header
+        equal the original's after the marker, apart from each marker's own
+        seq: an event's stored form, and so its digest, does not depend on
+        what the trace held before it."""
+
+        def comparable(events):
+            out = []
+            for event in events:
+                record = {k: v for k, v in event.to_dict().items() if k not in ("seq", "ts")}
+                if event.kind == "checkpoint":
+                    del record["digest"]
+                    snapshot = {k: v for k, v in record["payload"]["snapshot"].items() if k != "seq"}
+                    record["payload"] = {**record["payload"], "snapshot": snapshot}
+                out.append(record)
+            return out
+
+        config = small_config(initial_iterations=2, conjecture_iterations=2)
+        for rules, status in ((rules_well(), STATUS_VERIFIED), (rules_all_twos(), STATUS_BEST_EFFORT)):
+            rules = with_long_replies(rules)
+            original, _ = run_pipeline(rules, config, registry, problem=well_problem())
+            assert original.status == status
+            # A final marker's resume returns the stored result and records nothing.
+            markers = {c: m for c, m in original.trace.checkpoints.items() if not c.endswith(".final")}
+            assert markers
+            for checkpoint_id, marker in markers.items():
+                gateway = make_gateway(rules, config)
+                resumed = Orchestrator(gateway, registry, config).resume(original.trace, checkpoint_id)
+                recorded = [e for e in resumed.trace.events if e.run_id != "meta"]
+                assert comparable(recorded) == comparable(original.trace.events[marker["seq"] + 1 :]), checkpoint_id
+
     def test_resume_from_final_returns_stored(self, registry):
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
@@ -407,7 +439,7 @@ class TestResume:
                 edit(record)
                 old.events.append(TraceEvent.from_dict(record))
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match=f"trace schema {schema} != 6"):
+            with pytest.raises(ResumeError, match=f"trace schema {schema} != 7"):
                 orch.resume(old, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
