@@ -27,7 +27,7 @@ from .core import (
     Problem,
 )
 from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, Leaf
-from .gateway import BudgetExceeded, CallFailed, failure_text
+from .gateway import CallFailed, failure_text
 
 _HEADER_PREFIX_RE = re.compile(r"^\s*(?:conjecture|negation(?:\s+of\s+conjecture)?)\s*\d*\s*[:.]\s*", re.IGNORECASE)
 
@@ -278,9 +278,11 @@ class ConjectureEngine:
         Both sides are solved as new problems with empty additional
         materials and graded once each; all sides of all pairs run at once
         as one fork/join group. A model failure on either side marks the
-        pair unresolved (distinct from ambiguous); both kinds enter the
-        failure context. Budget exhaustion on any side is raised once every
-        side has finished.
+        pair unresolved (distinct from ambiguous). Each verdict is recorded
+        as a ``pair_proven`` or ``pair_failed`` state event
+        (:meth:`DialecticEngine.record`). Budget exhaustion on any side is
+        raised once every side has finished and the pairs before it are
+        recorded.
         """
         proven: list[Lemma] = []
         failed: list[FailureRecord] = []
@@ -312,9 +314,7 @@ class ConjectureEngine:
                     detail=failure_text(errors[0]),
                 )
                 failed.append(record)
-                self._trace.append(
-                    self.dialectic.run_id, phase, "pair_failed", record.to_dict()
-                )
+                self.dialectic.record(phase, "pair_failed", record)
                 continue
             attempts.extend((pos, neg))
             verdict = classify(pos.score, neg.score, tau)
@@ -326,7 +326,7 @@ class ConjectureEngine:
                     detail=f"g_pos={pos.score}, g_neg={neg.score}, tau={tau}",
                 )
                 failed.append(record)
-                self._trace.append(self.dialectic.run_id, phase, "pair_failed", record.to_dict())
+                self.dialectic.record(phase, "pair_failed", record)
                 continue
             winner = pos if verdict == "positive" else neg
             lemma = Lemma(
@@ -339,11 +339,7 @@ class ConjectureEngine:
                 threshold=tau,
             )
             proven.append(lemma)
-            self._trace.append(self.dialectic.run_id, phase, "pair_proven", lemma.to_dict())
-        if isinstance(stop, BudgetExceeded):
-            # Side attempts answer the side problem, not the main one; they
-            # must never be salvaged into the main solution memory.
-            raise BudgetExceeded(partial=[]) from stop
+            self.dialectic.record(phase, "pair_proven", lemma)
         if stop is not None:
             raise stop
         return VerifyOutcome(tuple(proven), tuple(failed), tuple(attempts))
@@ -371,7 +367,6 @@ class ConjectureEngine:
                 "side": side,
                 "statement": attempt.statement,
                 "score": attempt.score,
-                "proof_text": attempt.proof_text,
             },
         )
         return attempt

@@ -1,11 +1,12 @@
 """Shared domain types for the solving pipeline.
 
 Everything here is plain data: no I/O, no model calls. Types are immutable
-values except :class:`RunState`, which is mutated only by the orchestrator
-(single writer). The types the run trace records (problems, solutions with
-their grades, lemmas, failure records, the config) serialize to a canonical
-JSON dict via ``to_dict`` / ``from_dict``; that dict is the schema of the
-trace, from which a resumed run rebuilds its :class:`RunState`.
+values except :class:`RunState`, which grows only by the state events its
+run records (:data:`STATE_EVENTS`). The types the run trace records
+(problems, solutions with their grades, lemmas, failure records, the
+config) serialize to a canonical JSON dict via ``to_dict`` / ``from_dict``;
+that dict is the schema of the trace, from which a resumed run rebuilds its
+:class:`RunState`.
 """
 from __future__ import annotations
 
@@ -112,7 +113,6 @@ class GradeReport:
     score: int
     issues: tuple[Issue, ...] = ()
     scaffolding: tuple[str, ...] = ()
-    transcript: str = ""
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -132,7 +132,6 @@ class GradeReport:
             "score": self.score,
             "issues": [i.to_dict() for i in self.issues],
             "scaffolding": list(self.scaffolding),
-            "transcript": self.transcript,
             "notes": list(self.notes),
         }
 
@@ -142,7 +141,6 @@ class GradeReport:
             score=d["score"],
             issues=tuple(Issue.from_dict(i) for i in d.get("issues", [])),
             scaffolding=tuple(d.get("scaffolding", [])),
-            transcript=d.get("transcript", ""),
             notes=tuple(d.get("notes", [])),
         )
 
@@ -327,16 +325,30 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as exc:  # an unknown key, or a value of the wrong type
+            raise ValueError(f"bad pipeline config: {exc}") from None
+
+
+# The state events: each event kind that grows a run's state, the type its
+# payload records and the :class:`RunState` memory its item joins.
+STATE_EVENTS: dict[str, tuple[type, str]] = {
+    "solution": (CandidateSolution, "solution_memory"),
+    "pair_proven": (Lemma, "lemma_memory"),
+    "pair_failed": (FailureRecord, "failure_context"),
+}
 
 
 @dataclass
 class RunState:
     """Mutable state of one pipeline run.
 
-    Lemma memory and failure context only ever grow; use the ``add_*``
-    helpers rather than touching the lists, so monotonicity holds by
-    construction.
+    The memories only ever grow, one item per state event of the run
+    (:data:`STATE_EVENTS`), through :meth:`grow`: the live run as it records
+    the event (:meth:`~proofpipe.dialectic.DialecticEngine.record`), a
+    resumed run as it folds the events before its marker (:meth:`fold`). So
+    a run's state is always the fold of its trace.
     """
 
     run_id: str
@@ -344,14 +356,15 @@ class RunState:
     lemma_memory: list[Lemma] = field(default_factory=list)
     failure_context: list[FailureRecord] = field(default_factory=list)
 
-    def add_solutions(self, solutions: Iterable[CandidateSolution]) -> None:
-        self.solution_memory.extend(solutions)
+    def grow(self, kind: str, item: CandidateSolution | Lemma | FailureRecord) -> None:
+        """Add the item of a ``kind`` state event to the memory it grows."""
+        getattr(self, STATE_EVENTS[kind][1]).append(item)
 
-    def add_lemmas(self, lemmas: Iterable[Lemma]) -> None:
-        self.lemma_memory.extend(lemmas)
-
-    def add_failures(self, failures: Iterable[FailureRecord]) -> None:
-        self.failure_context.extend(failures)
+    def fold(self, events: Iterable) -> None:
+        """Grow by this run's state events among ``events`` (trace events), in order."""
+        for event in events:
+            if event.run_id == self.run_id and event.kind in STATE_EVENTS:
+                self.grow(event.kind, STATE_EVENTS[event.kind][0].from_dict(event.payload))
 
 
 @dataclass(frozen=True)

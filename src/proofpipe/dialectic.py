@@ -37,10 +37,11 @@ from .core import (
     Origin,
     PipelineConfig,
     Problem,
+    RunState,
     Severity,
     digest,
 )
-from .gateway import BudgetExceeded, Budget, CallFailed, CostLedger, Lane, ModelGateway, ModelRequest, failure_text
+from .gateway import Budget, CallFailed, CostLedger, Lane, ModelGateway, ModelRequest, failure_text
 from .prompts import PromptRegistry
 from .trace import RunTrace, TraceBuffer
 
@@ -175,13 +176,7 @@ def parse_grade_transcript(transcript: str) -> GradeReport:
         notes.append("perfect score with listed issues; demoted to 6")
         score = 6
 
-    return GradeReport(
-        score=score,
-        issues=issues,
-        scaffolding=scaffolding,
-        transcript=transcript,
-        notes=tuple(notes),
-    )
+    return GradeReport(score=score, issues=issues, scaffolding=scaffolding, notes=tuple(notes))
 
 
 def _graded(transcript: str) -> tuple[GradeReport, dict]:
@@ -260,7 +255,9 @@ class DialecticEngine:
 
     ``trace`` is a :class:`RunTrace` or, inside a fork/join group, the
     trace of the engine's leaf; ``lane`` is that leaf (None outside every
-    group).
+    group). ``state`` is the state of the engine's run (None on the engines
+    of groups and of their leaves): :meth:`record` grows it with each state
+    event it records, and nothing else does.
     """
 
     def __init__(
@@ -272,6 +269,7 @@ class DialecticEngine:
         run_id: str,
         ids: Optional[IdAllocator] = None,
         lane: Optional[Lane] = None,
+        state: Optional[RunState] = None,
     ):
         self.gateway = gateway
         self.registry = registry
@@ -280,6 +278,15 @@ class DialecticEngine:
         self.run_id = run_id
         self.ids = ids or IdAllocator(run_id)
         self.lane = lane
+        self.state = state
+
+    def record(self, phase: int, kind: str, item) -> None:
+        """Record state event ``kind`` (:data:`~proofpipe.core.STATE_EVENTS`)
+        with ``item`` as its payload, and grow the run's state by the item:
+        the rule by which :meth:`RunState.fold` rebuilds that state."""
+        self.trace.append(self.run_id, phase, kind, item.to_dict())
+        if self.state is not None:
+            self.state.grow(kind, item)
 
     # -- gateway plumbing ---------------------------------------------------
 
@@ -434,11 +441,8 @@ class DialecticEngine:
         phase: int,
         origin: Origin,
     ) -> list[CandidateSolution]:
-        """Run ``count`` independent branches; results ordered by branch index.
-
-        On budget exhaustion the completed branches ride along on the
-        raised :class:`BudgetExceeded` so the orchestrator can salvage them.
-        """
+        """Run ``count`` independent branches; results ordered by branch index
+        (:meth:`solve_branches`)."""
         if count < 1:
             raise ValueError("count must be >= 1")
         return self.solve_branches([Branch(problem, ctx, origin, b) for b in range(count)], phase)
@@ -446,28 +450,25 @@ class DialecticEngine:
     def solve_branches(self, branches: Sequence[Branch], phase: int) -> list[CandidateSolution]:
         """Solve ``branches`` as one fork/join group; solutions in branch order.
 
-        Each completed solution is recorded as a ``solution`` event right
-        after its branch's calls; resume rebuilds solution memory from these.
-        A branch that a failed call ended is dropped and recorded as a
-        ``branch_failed`` event in its place. Every branch runs to its end
-        even when a sibling fails. Any other error is raised after the join,
-        the first in branch order; when it is budget exhaustion, every
-        completed branch rides along, in branch order, on the raised
-        :class:`BudgetExceeded`.
+        Each completed solution is recorded (:meth:`record`) as a ``solution``
+        event right after its branch's calls, so it is in the run's state
+        whatever happens next. A branch that a failed call ended is dropped
+        and recorded as a ``branch_failed`` event in its place. Every branch
+        runs to its end even when a sibling fails. Any other error, budget
+        exhaustion among them, is raised after the join, the first in branch
+        order.
         """
         done: list[CandidateSolution] = []
         error: Optional[BaseException] = None
         for solution_id, leaf in self.fork_branches(branches, phase):
             if leaf.error is None:
                 done.append(leaf.result)
-                self.trace.append(self.run_id, phase, "solution", leaf.result.to_dict())
+                self.record(phase, "solution", leaf.result)
             elif isinstance(leaf.error, CallFailed):
                 failure = {"solution_id": solution_id, "error": failure_text(leaf.error)}
                 self.trace.append(self.run_id, phase, "branch_failed", failure)
             elif error is None:
                 error = leaf.error
-        if isinstance(error, BudgetExceeded):
-            raise BudgetExceeded(partial=done) from error
         if error is not None:
             raise error
         return done

@@ -25,7 +25,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Callable, Optional, Sequence
 
 MICRO = Decimal(1_000_000)
@@ -34,11 +34,14 @@ ROLES = ("solver", "grader", "extractor", "parser", "processor", "judge")
 
 
 class BudgetExceeded(Exception):
-    """Raised when a call is requested after the token budget is spent."""
+    """Raised when a call is requested after the token budget is spent.
 
-    def __init__(self, message: str = "token budget exhausted", partial=None):
+    It ends the run; what finished before it is already in the run's state,
+    which grows as each state event is recorded.
+    """
+
+    def __init__(self, message: str = "token budget exhausted"):
         super().__init__(message)
-        self.partial = partial if partial is not None else []
 
 
 class CallFailed(Exception):
@@ -143,10 +146,13 @@ class PriceTable:
     def from_config(cls, raw: dict[str, dict]) -> "PriceTable":
         prices = {}
         for backend_id, entry in raw.items():
-            prices[backend_id] = Price(
-                input_usd_per_million=Decimal(str(entry["input_usd_per_million"])),
-                output_usd_per_million=Decimal(str(entry["output_usd_per_million"])),
-            )
+            try:
+                prices[backend_id] = Price(
+                    input_usd_per_million=Decimal(str(entry["input_usd_per_million"])),
+                    output_usd_per_million=Decimal(str(entry["output_usd_per_million"])),
+                )
+            except InvalidOperation:
+                raise ValueError(f"the price of {backend_id!r} is not two numbers: {entry}") from None
         return cls(prices)
 
     def __contains__(self, backend_id: str) -> bool:

@@ -14,14 +14,18 @@ once, as the leaves of one fork/join group, and the judge after them.
 
 A failed model call ends only the unit that made it (a branch, a bisection
 side, an extraction, a grade, the judge) and is recorded; the run goes on.
-Only budget exhaustion ends a run early.
+Only budget exhaustion ends a run early, with the best graded solution in
+its state.
 
-Every step appends to a :class:`RunTrace`, the only store of run state:
-checkpoints at phase boundaries are small markers, and resuming from one
-folds the events before it back into the run's state and ledger. Under a
-scripted backend a resumed run reproduces the original bit for bit. Run 1
-writes its events as it goes; the events of every later run reach the
-trace, in run order, when the group joins.
+Every step appends to a :class:`RunTrace`, the only store of run state. A
+run's state grows only as its state events (``solution``, ``pair_proven``,
+``pair_failed``) are recorded (:meth:`DialecticEngine.record`).
+Checkpoints at phase boundaries are small markers, and resuming from one
+folds the events before it back into the run's state by the same rule
+(:meth:`RunState.fold`) and into its ledger. Under a scripted backend a
+resumed run reproduces the original bit for bit. Run 1 writes its events
+as it goes; the events of every later run reach the trace, in run order,
+when the group joins.
 """
 from __future__ import annotations
 
@@ -33,8 +37,6 @@ from typing import Optional, Sequence
 from .conjecture import ConjectureEngine, VerifyOutcome
 from .core import (
     CandidateSolution,
-    FailureRecord,
-    Lemma,
     Origin,
     PipelineConfig,
     Problem,
@@ -54,7 +56,7 @@ from .gateway import (
     failure_text,
 )
 from .prompts import PromptRegistry
-from .trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence, is_call
+from .trace import SCHEMA_VERSION, RunTrace, first_divergence, is_call
 
 STATUS_VERIFIED = "verified"
 STATUS_BEST_EFFORT = "best_effort"
@@ -135,19 +137,6 @@ def ledger_from_trace(trace: RunTrace, price_table: PriceTable, end: Optional[in
             usage = Usage.from_dict(payload["usage"])
             ledger.append(event.run_id, payload["role"], backend_id, usage, cost_of(usage, price))
     return ledger
-
-
-def _fold_memory(state: RunState, events: Sequence[TraceEvent]) -> None:
-    """Refill a run's memories from its events, in the order they were recorded."""
-    for event in events:
-        if event.run_id != state.run_id:
-            continue
-        if event.kind == "solution":
-            state.add_solutions([CandidateSolution.from_dict(event.payload)])
-        elif event.kind == "pair_proven":
-            state.add_lemmas([Lemma.from_dict(event.payload)])
-        elif event.kind == "pair_failed":
-            state.add_failures([FailureRecord.from_dict(event.payload)])
 
 
 def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
@@ -283,7 +272,7 @@ class Orchestrator:
             problem = Problem.from_dict(header["problem"])
             position = tuple(marker["position"])
             state = RunState(**marker["state"])
-            _fold_memory(state, source.events[: marker["seq"]])
+            state.fold(source.events[: marker["seq"]])
             ids = IdAllocator.from_dict(marker["ids"])
             ledger = ledger_from_trace(source, self.gateway.price_table, end=marker["seq"])
             cursors = marker["cursors"]
@@ -302,8 +291,8 @@ class Orchestrator:
         if result is not None:
             solution = next((s for s in state.solution_memory if s.id == result["solution_id"]), None)
             return PipelineResult(solution, result["status"], state, trace)
-        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, state.run_id, ids)
-        return self._machine(problem, engine, state, position)
+        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, state.run_id, ids, state=state)
+        return self._machine(problem, engine, position)
 
     # -- internals -------------------------------------------------------------
 
@@ -333,12 +322,11 @@ class Orchestrator:
     def _run_single(self, problem: Problem, leaf_engine: DialecticEngine, run_id: str) -> PipelineResult:
         """One run from its start, on the trace and lane of a leaf of the runs group."""
         trace, lane = leaf_engine.trace, leaf_engine.lane
-        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, lane=lane)
-        return self._machine(problem, engine, RunState(run_id), ("p1", 1))
+        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, lane=lane, state=RunState(run_id))
+        return self._machine(problem, engine, ("p1", 1))
 
-    def _machine(self, problem: Problem, engine: DialecticEngine, state: RunState, position: tuple) -> PipelineResult:
-        run_id = state.run_id
-        trace = engine.trace
+    def _machine(self, problem: Problem, engine: DialecticEngine, position: tuple) -> PipelineResult:
+        run_id, trace, state = engine.run_id, engine.trace, engine.state
         conj = ConjectureEngine(engine)
         cfg = self.config
         try:
@@ -351,13 +339,12 @@ class Orchestrator:
                         ctx = select_kth_top(state.solution_memory, k)
                         branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
                     batch = engine.solve_branches(branches, phase=1)
-                    state.add_solutions(batch)
-                    winner = self._check_verified(batch, problem, engine, trace, run_id)
+                    winner = self._check_verified(batch, problem, engine)
                     if winner is not None:
-                        return self._finish(trace, state, engine, winner, STATUS_VERIFIED)
+                        return self._finish(engine, winner, STATUS_VERIFIED)
                     if i < cfg.initial_iterations:
-                        self._checkpoint(trace, state, engine, f"p1.i{i}", ("p1", i + 1))
-                self._checkpoint(trace, state, engine, "p1.done", ("outer", 1))
+                        self._checkpoint(engine, f"p1.i{i}", ("p1", i + 1))
+                self._checkpoint(engine, "p1.done", ("outer", 1))
                 position = ("outer", 1)
 
             if position[0] == "outer":
@@ -381,29 +368,24 @@ class Orchestrator:
                             trace.append(run_id, 2, "extraction_failed", {"error": failure_text(exc)})
                         else:
                             outcome = conj.verify_hypotheses(pairs, TAU, phase=2)
-                            state.add_lemmas(outcome.proven)
-                            state.add_failures(outcome.failed)
 
                     trace.append(run_id, 3, "phase_start", {"phase": 3, "iteration": l})
                     ctx = self._guided_context(state, outcome)
                     branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
                     branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
                     batch = engine.solve_branches(branches, phase=3)
-                    state.add_solutions(batch)
-                    winner = self._check_verified(batch, problem, engine, trace, run_id)
+                    winner = self._check_verified(batch, problem, engine)
                     if winner is not None:
-                        return self._finish(trace, state, engine, winner, STATUS_VERIFIED)
-                    self._checkpoint(trace, state, engine, f"outer.l{l}", self._after_outer(l))
+                        return self._finish(engine, winner, STATUS_VERIFIED)
+                    self._checkpoint(engine, f"outer.l{l}", self._after_outer(l))
                 position = ("p4", 0)
 
-            return self._phase4(problem, trace, state, engine, conj)
-        except BudgetExceeded as exc:
-            # the completed branches of the refused round are salvaged
-            state.add_solutions(exc.partial)
+            return self._phase4(problem, engine, conj)
+        except BudgetExceeded:
+            # every solution finished before the refused call is already in the state
+            trace.append(run_id, 0, "budget_exhausted", {})
             graded = [s for s in state.solution_memory if s.grade]
-            trace.append(run_id, 0, "budget_exhausted", {"salvaged": len(exc.partial), "graded_pool": len(graded)})
-            solution = best(graded) if graded else None
-            return self._finish(trace, state, engine, solution, STATUS_BUDGET_EXHAUSTED)
+            return self._finish(engine, best(graded) if graded else None, STATUS_BUDGET_EXHAUSTED)
 
     def _after_outer(self, l: int) -> tuple:
         return ("outer", l + 1) if l < self.config.conjecture_iterations else ("p4", 0)
@@ -424,17 +406,17 @@ class Orchestrator:
             prior = (best(graded),)
         return SolveContext(lemmas=tuple(state.lemma_memory), feedback=tuple(feedback), prior_solutions=prior)
 
-    def _phase4(self, problem, trace, state, engine, conj) -> PipelineResult:
+    def _phase4(self, problem: Problem, engine: DialecticEngine, conj: ConjectureEngine) -> PipelineResult:
         cfg = self.config
-        run_id = state.run_id
+        run_id, trace, state = engine.run_id, engine.trace, engine.state
         trace.append(run_id, 4, "phase_start", {"phase": 4})
         graded = [s for s in state.solution_memory if s.grade]
         if not graded:
-            return self._finish(trace, state, engine, None, STATUS_BEST_EFFORT)
+            return self._finish(engine, None, STATUS_BEST_EFFORT)
         s_star = best(graded)
         g_check = engine.grade_independent(s_star, problem, cfg.verify_repeats, phase=4)
         if all(g.clean_perfect for g in g_check):
-            return self._finish(trace, state, engine, s_star, STATUS_VERIFIED)
+            return self._finish(engine, s_star, STATUS_VERIFIED)
 
         check_issue_texts = [i.text for g in g_check for i in g.issues]
         enhance_feedback: list[str] = []
@@ -453,8 +435,6 @@ class Orchestrator:
                 trace.append(run_id, 4, "extraction_failed", {"error": failure_text(exc), "session": session})
                 continue
             outcome = conj.verify_hypotheses(pairs, TAU_E, phase=4)
-            state.add_lemmas(outcome.proven)
-            state.add_failures(outcome.failed)
             for record in outcome.failed:
                 enhance_feedback.append(
                     f"Unresolved conjecture ({record.reason.value}): {record.conjecture}"
@@ -466,7 +446,6 @@ class Orchestrator:
             prior_solutions=(s_star,),
         )
         batch = engine.dialectic_solve(problem, ctx, cfg.solver_width, phase=4, origin=Origin.POST_ENHANCED)
-        state.add_solutions(batch)
         final, final_grades = s_star, g_check
         if batch:  # a round in which every branch failed keeps the incumbent
             s_better = best(batch)
@@ -475,30 +454,26 @@ class Orchestrator:
             if sum(g.score for g in g_better) > sum(g.score for g in g_check):
                 final, final_grades = s_better, g_better
         status = STATUS_VERIFIED if all(g.clean_perfect for g in final_grades) else STATUS_BEST_EFFORT
-        return self._finish(trace, state, engine, final, status)
+        return self._finish(engine, final, status)
 
-    def _check_verified(self, batch, problem, engine, trace, run_id) -> Optional[CandidateSolution]:
+    def _check_verified(self, batch, problem: Problem, engine: DialecticEngine) -> Optional[CandidateSolution]:
         """Try the N-consecutive-clean-grades gate on the batch's candidates.
 
         Only candidates whose inline grade is already a clean 7 are worth
         the extra grader calls; they are tried in comparator order.
         """
+        run_id, trace = engine.run_id, engine.trace
         for candidate in rank(batch):
             if candidate.grade is None or not candidate.grade.clean_perfect:
                 continue
             trace.append(run_id, candidate.phase, "verify_start", {"solution_id": candidate.id})
             if engine.verified_success(candidate, problem):
-                trace.append(
-                    run_id,
-                    candidate.phase,
-                    "verified",
-                    {"solution_id": candidate.id, "proof_text": candidate.proof_text},
-                )
+                trace.append(run_id, candidate.phase, "verified", {"solution_id": candidate.id})
                 return candidate
             trace.append(run_id, candidate.phase, "verify_failed", {"solution_id": candidate.id})
         return None
 
-    def _checkpoint(self, trace, state, engine, name: str, position: tuple, result: Optional[dict] = None) -> None:
+    def _checkpoint(self, engine: DialecticEngine, name: str, position: tuple, result: Optional[dict] = None) -> None:
         """Record checkpoint ``<run_id>.<name>`` as a marker of constant size.
 
         The trace sets its ``seq`` to the marker's own event: resume folds
@@ -506,14 +481,14 @@ class Orchestrator:
         """
         marker = {
             "position": list(position),
-            "state": {"run_id": state.run_id},
+            "state": {"run_id": engine.run_id},
             "ids": engine.ids.to_dict(),
             "cursors": self._cursors(engine.lane),
         }
         if result is not None:
             marker["result"] = result
         phase = {"p1": 1, "outer": 3, "p4": 4, "final": 4}.get(position[0], 0)
-        trace.checkpoint(f"{state.run_id}.{name}", marker, state.run_id, phase)
+        engine.trace.checkpoint(f"{engine.run_id}.{name}", marker, engine.run_id, phase)
 
     def _cursors(self, lane) -> Optional[list[int]]:
         """The scripted cursors a marker records, the same whatever the timing.
@@ -544,12 +519,11 @@ class Orchestrator:
             return None
         return [len(rule["responses"]) - 1 for rule in rules]
 
-    def _finish(self, trace, state, engine, solution, status) -> PipelineResult:
-        run_id = state.run_id
+    def _finish(self, engine: DialecticEngine, solution: Optional[CandidateSolution], status: str) -> PipelineResult:
         result = {"status": status, "solution_id": solution.id if solution else None}
-        self._checkpoint(trace, state, engine, "final", ("final",), result)
-        trace.append(
-            run_id,
+        self._checkpoint(engine, "final", ("final",), result)
+        engine.trace.append(
+            engine.run_id,
             4,
             "result",
             {
@@ -559,7 +533,7 @@ class Orchestrator:
                 "score": solution.grade.score if solution and solution.grade else None,
             },
         )
-        return PipelineResult(solution, status, state, trace)
+        return PipelineResult(solution, status, engine.state, engine.trace)
 
     def _judge(self, problem: Problem, a: PipelineResult, b: PipelineResult, judge: DialecticEngine) -> PipelineResult:
         trace = judge.trace

@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import canonical_json, text_digest
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # Call texts this long or longer are stored once per trace, by address.
 TEXT_MIN = 256

@@ -80,9 +80,23 @@ def _as_schema_6(event):
         event["payload"]["schema_version"] = 6
 
 
+def _as_schema_7(event):
+    """Schema 7 stored grade transcripts, the proof texts of verified
+    solutions and bisection sides, and what a budget-exhausted run salvaged."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 7
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
-OLD_SCHEMAS = {2: _as_schema_2, 3: _as_schema_3, 4: _as_schema_4, 5: _as_schema_5, 6: _as_schema_6}
+OLD_SCHEMAS = {
+    2: _as_schema_2,
+    3: _as_schema_3,
+    4: _as_schema_4,
+    5: _as_schema_5,
+    6: _as_schema_6,
+    7: _as_schema_7,
+}
 
 
 class TestSolve:
@@ -485,6 +499,25 @@ class TestTornTrace:
             assert run_cli("replay", trace_path) == ExitCode.USAGE, case
             assert "line " in capsys.readouterr().err, case
 
+    def test_bad_header_is_usage_error(self, tmp_path, problem_file, capsys):
+        """A header whose config is not a valid one is bad input, not a bug."""
+        out, _ = self._solve(tmp_path, problem_file)
+        trace_path = out / "trace.jsonl"
+        lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad_price = {"scripted": {"input_usd_per_million": "abc", "output_usd_per_million": "10"}}
+        cases = {
+            "replay": ({"no_such_setting": 1}, "no_such_setting"),
+            "cost": ({"price_table": bad_price}, "'scripted'"),
+        }
+        for command, (config, named) in cases.items():
+            header = json.loads(lines[0])
+            header["payload"]["config"].update(config)
+            trace_path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+            capsys.readouterr()
+            assert run_cli(command, trace_path) == ExitCode.USAGE, command
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err, err
+
 
 class TestCallTexts:
     """A trace line stores each long call text by its address, and the text
@@ -609,5 +642,5 @@ class TestReplayCommand:
                 edited.append(json.dumps(event))
             trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
             assert run_cli("replay", trace_path) == ExitCode.USAGE
-            assert f"trace schema {schema} is not supported (want 7)" in capsys.readouterr().err
+            assert f"trace schema {schema} is not supported (want 8)" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from proofpipe.conjecture import ConjectureEngine
-from proofpipe.core import HypothesisPair, Origin, Problem
+from proofpipe.core import HypothesisPair, Origin, Problem, RunState
 from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine
 from proofpipe.gateway import BudgetExceeded, ModelGateway, ModelRequest, ScriptedBackend, ScriptRule
 from proofpipe.orchestrator import STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED, Orchestrator, replay, run_reserve
@@ -221,8 +221,14 @@ SCENARIOS.update(
 )
 
 
-def run_scenario(name, registry, seed):
-    make_rules, make_problem, overrides = SCENARIOS[name]
+# The one-run scenarios, and one whose budget runs out in a bisection after
+# a pair was recorded as failed.
+ONE_RUN = {name: scenario for name, scenario in SCENARIOS.items() if scenario[2].get("parallel_runs", 1) == 1}
+ONE_RUN["cursored_1run_33000"] = (rules_cursored, clean_problem, dict(solver_width=3, token_budget=33_000))
+
+
+def run_scenario(name, registry, seed, scenarios=SCENARIOS):
+    make_rules, make_problem, overrides = scenarios[name]
     config = small_config(**overrides)
     gateway = gateway_for(JitterBackend(ScriptedBackend(make_rules()), seed), config)
     result = Orchestrator(gateway, registry, config).run_parallel(make_problem(), trace=RunTrace(clock=lambda: 0.0))
@@ -278,6 +284,16 @@ def test_determinism_under_jitter(name, registry):
     # so the budget left at any event follows from the trace.
     spent = sum(sum(payload["usage"].values()) for payload in calls)
     assert spent == gateway.tokens_consumed
+
+
+@pytest.mark.parametrize("name", sorted(ONE_RUN))
+def test_live_state_is_the_fold_of_its_trace(name, registry):
+    """A run's state is what resume folds from its trace, also when the
+    budget runs out."""
+    result, _, _ = run_scenario(name, registry, 0, ONE_RUN)
+    folded = RunState(result.state.run_id)
+    folded.fold(result.trace.events)
+    assert result.state == folded
 
 
 def _criterion_9_budgets():
@@ -376,5 +392,6 @@ def test_budget_in_one_leaf_salvages_its_siblings(registry):
     assert result.status == STATUS_BUDGET_EXHAUSTED
     memory = result.state.solution_memory
     assert [(s.id, s.proof_text) for s in memory] == [("run1.s0000", "REFINED_0"), ("run1.s0002", "REFINED_2")]
-    assert result.trace.of_kind("budget_exhausted")[0].payload["salvaged"] == 2
+    assert [e.payload["id"] for e in result.trace.of_kind("solution")] == ["run1.s0000", "run1.s0002"]
+    assert result.trace.of_kind("budget_exhausted")[0].payload == {}
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed

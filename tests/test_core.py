@@ -142,16 +142,25 @@ class TestRoundTrips:
 
 class TestRunState:
     def test_monotone_growth(self):
-        state = RunState("r")
-        lem = Lemma("s", Polarity.POSITIVE, "p", g_pos=7, g_neg=0, pair_id="h")
-        state.add_lemmas([lem])
-        state.add_failures([FailureRecord("h2", "c", FailureReason.AMBIGUOUS)])
-        before_lemmas = list(state.lemma_memory)
-        before_failures = list(state.failure_context)
-        state.add_lemmas([])
-        state.add_failures([])
-        assert state.lemma_memory[: len(before_lemmas)] == before_lemmas
-        assert state.failure_context[: len(before_failures)] == before_failures
+        """Each state event adds its item to its one memory, and folding the
+        run's events grows a fresh state the same way."""
+        from proofpipe.trace import RunTrace
+
+        lemma = Lemma("s", Polarity.POSITIVE, "p", g_pos=7, g_neg=0, pair_id="h")
+        failure = FailureRecord("h2", "c", FailureReason.AMBIGUOUS)
+        solution = sol("r.s0000", 6, issues=1)
+        state, trace = RunState("r"), RunTrace()
+        for kind, item in (("pair_proven", lemma), ("pair_failed", failure), ("solution", solution), ("pair_proven", lemma)):
+            state.grow(kind, item)
+            trace.append("r", 2, kind, item.to_dict())
+            trace.append("other", 2, kind, item.to_dict())  # another run's event
+            trace.append("r", 2, "side_solved", {"pair_id": "h"})  # not a state event
+        assert state.solution_memory == [solution]
+        assert state.lemma_memory == [lemma, lemma]
+        assert state.failure_context == [failure]
+        folded = RunState("r")
+        folded.fold(trace.events)
+        assert folded == state
 
 
 @given(st.integers(min_value=0, max_value=7).filter(lambda s: s != 5), st.integers(0, 3))

@@ -1,7 +1,7 @@
 """Solve-branch shape, grader parsing, censor rules, acceptance gate."""
 import pytest
 
-from proofpipe.core import Origin, Problem, Severity
+from proofpipe.core import CandidateSolution, Origin, Problem, RunState, Severity
 from proofpipe.dialectic import (
     DialecticEngine,
     EMPTY_CONTEXT,
@@ -10,7 +10,7 @@ from proofpipe.dialectic import (
     parse_grade_transcript,
     split_issue_lines,
 )
-from proofpipe.gateway import ScriptRule
+from proofpipe.gateway import BudgetExceeded, ScriptRule
 from proofpipe.trace import RunTrace
 
 from conftest import grader_text, make_gateway, rules_clean, small_config
@@ -170,14 +170,17 @@ class TestDialecticSolve:
         assert EMPTY_CONTEXT.render() == ""
 
     def test_budget_exhaustion_surfaces_partials(self, registry):
+        """The branches that completed before the budget ran out are in the
+        run's state, each as its recorded solution event, once the budget
+        exhaustion is raised."""
         config = small_config(token_budget=9000, max_output_tokens=2048)
-        engine, _ = engine_for(rules_clean(), config=config, registry=registry)
-        from proofpipe.gateway import BudgetExceeded
-
-        with pytest.raises(BudgetExceeded) as err:
+        engine, trace = engine_for(rules_clean(), config=config, registry=registry)
+        engine.state = RunState("run1")
+        with pytest.raises(BudgetExceeded):
             engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
-        # at least one branch completed before the budget died
-        assert isinstance(err.value.partial, list)
+        recorded = [CandidateSolution.from_dict(e.payload) for e in trace.of_kind("solution")]
+        assert recorded  # at least one branch completed before the budget died
+        assert engine.state.solution_memory == recorded
 
 
 class TestVerifiedSuccess:
