@@ -214,7 +214,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution_path.write_text("(no solution produced)\n", encoding="utf-8")
     (out_dir / "ledger.json").write_text(json.dumps(gateway.ledger.to_dict(), separators=(",", ":")), encoding="utf-8")
 
-    score = result.solution.grade.score if result.solution and result.solution.grade else None
+    score = result.solution.grade.score if result.solution else None
     print(f"status: {result.status}")
     print(f"score: {score}")
     print(f"tokens used: {gateway.tokens_consumed} of {config.token_budget}")

@@ -211,7 +211,7 @@ class ConjectureEngine:
         if not seeds:
             raise ValueError("seeds must be non-empty")
         solutions_blob = "\n\n".join(
-            f"--- Candidate solution {i} (graded {s.grade.score if s.grade else '?'}/7) ---\n{s.proof_text}"
+            f"--- Candidate solution {i} (graded {s.grade.score}/7) ---\n{s.proof_text}"
             for i, s in enumerate(seeds, 1)
         )
         facts: list[str] = []
@@ -225,9 +225,8 @@ class ConjectureEngine:
         for rep in extra_reports:
             facts.append(f"Grader report: {rep}")
         for s in seeds:
-            if s.grade:
-                for issue in s.grade.issues:
-                    facts.append(f"Grader issue ({issue.severity.value}) on candidate: {issue.text}")
+            for issue in s.grade.issues:
+                facts.append(f"Grader issue ({issue.severity.value}) on candidate: {issue.text}")
 
         raw = self.dialectic._call(
             "extractor",
@@ -356,7 +355,7 @@ class ConjectureEngine:
             side=side,
             statement=statement,
             proof_text=solution.proof_text,
-            score=solution.grade.score if solution.grade else 0,
+            score=solution.grade.score,
         )
         self._trace.append(
             self.dialectic.run_id,

@@ -113,16 +113,14 @@ def select_kth_top(solutions: Sequence[CandidateSolution], k: int) -> SolveConte
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    graded = [s for s in solutions if s.grade is not None]
-    ordered = rank(graded)
+    ordered = rank(solutions)
     if len(ordered) < k:
         return EMPTY_CONTEXT
     return SolveContext(prior_solutions=(ordered[k - 1],))
 
 
 def select_top(solutions: Sequence[CandidateSolution], n: int) -> list[CandidateSolution]:
-    graded = [s for s in solutions if s.grade is not None]
-    return rank(graded)[:n]
+    return rank(solutions)[:n]
 
 
 def ledger_from_trace(trace: RunTrace, price_table: PriceTable, end: Optional[int] = None) -> CostLedger:
@@ -384,8 +382,8 @@ class Orchestrator:
         except BudgetExceeded:
             # every solution finished before the refused call is already in the state
             trace.append(run_id, 0, "budget_exhausted", {})
-            graded = [s for s in state.solution_memory if s.grade]
-            return self._finish(engine, best(graded) if graded else None, STATUS_BUDGET_EXHAUSTED)
+            memory = state.solution_memory
+            return self._finish(engine, best(memory) if memory else None, STATUS_BUDGET_EXHAUSTED)
 
     def _after_outer(self, l: int) -> tuple:
         return ("outer", l + 1) if l < self.config.conjecture_iterations else ("p4", 0)
@@ -400,20 +398,16 @@ class Orchestrator:
                     f"Partial progress on {attempt.pair_id} ({attempt.side}, scored {attempt.score}/7): "
                     + attempt.proof_text[:HISTORY_CHAR_CAP]
                 )
-        prior: tuple[CandidateSolution, ...] = ()
-        graded = [s for s in state.solution_memory if s.grade]
-        if graded:
-            prior = (best(graded),)
+        prior = (best(state.solution_memory),) if state.solution_memory else ()
         return SolveContext(lemmas=tuple(state.lemma_memory), feedback=tuple(feedback), prior_solutions=prior)
 
     def _phase4(self, problem: Problem, engine: DialecticEngine, conj: ConjectureEngine) -> PipelineResult:
         cfg = self.config
         run_id, trace, state = engine.run_id, engine.trace, engine.state
         trace.append(run_id, 4, "phase_start", {"phase": 4})
-        graded = [s for s in state.solution_memory if s.grade]
-        if not graded:
+        if not state.solution_memory:
             return self._finish(engine, None, STATUS_BEST_EFFORT)
-        s_star = best(graded)
+        s_star = best(state.solution_memory)
         g_check = engine.grade_independent(s_star, problem, cfg.verify_repeats, phase=4)
         if all(g.clean_perfect for g in g_check):
             return self._finish(engine, s_star, STATUS_VERIFIED)
@@ -464,7 +458,7 @@ class Orchestrator:
         """
         run_id, trace = engine.run_id, engine.trace
         for candidate in rank(batch):
-            if candidate.grade is None or not candidate.grade.clean_perfect:
+            if not candidate.grade.clean_perfect:
                 continue
             trace.append(run_id, candidate.phase, "verify_start", {"solution_id": candidate.id})
             if engine.verified_success(candidate, problem):
@@ -530,7 +524,7 @@ class Orchestrator:
                 "status": status,
                 "solution_id": solution.id if solution else None,
                 "proof_text": solution.proof_text if solution else None,
-                "score": solution.grade.score if solution and solution.grade else None,
+                "score": solution.grade.score if solution else None,
             },
         )
         return PipelineResult(solution, status, engine.state, engine.trace)
@@ -563,8 +557,7 @@ class Orchestrator:
     def _history_blob(self, result: PipelineResult) -> str:
         lines = [f"Solution sequence from pipeline {result.state.run_id}:"]
         for i, sol in enumerate(result.state.solution_memory, 1):
-            score = sol.grade.score if sol.grade else "?"
-            lines.append(f"--- attempt {i} (phase {sol.phase}, graded {score}/7) ---")
+            lines.append(f"--- attempt {i} (phase {sol.phase}, graded {sol.grade.score}/7) ---")
             lines.append(sol.proof_text[:HISTORY_CHAR_CAP])
         return "\n".join(lines)
 

@@ -1,7 +1,8 @@
 """Append-only run trace with checkpoint markers.
 
 Events are JSONL-friendly dicts: an envelope (seq, ts, run id, phase, kind,
-payload digest) around a JSON payload. The digest covers only the payload,
+payload digest) around a JSON payload; a trace line holds all but the
+digest, which follows from the payload. The digest covers only the payload,
 never the envelope, so wall-clock timestamps do not break replay
 comparison. The trace is the only store of run state: a checkpoint is a
 small marker (loop position, id counters, scripted cursors and its own seq)
@@ -17,15 +18,20 @@ A model call's event holds its ``role`` and ``slots`` but not the rendered
 prompt: rendering is pure and the header pins ``template_version``, so
 ``registry.render(role, slots)`` rebuilds the exact prompt.
 
-Call texts repeat (the graded text is the draft, every check grade carries
-the same solution), so a trace line stores each of a call event's ``slots``
-values and its ``response`` that is at least :data:`TEXT_MIN` characters
-long as ``{"$text": <sha256 of the text>}``, and the text itself once per
-trace, in the ``texts`` map of the first line that uses it. The digest is
-taken over that addressed payload's canonical JSON, which is what the line
-holds, so it depends only on the event, never on what the trace held
-before. Events in memory, including those :meth:`RunTrace.load` reads
-back, hold the full texts.
+Long texts repeat (the graded text is the draft, a ``solution`` event holds
+the regrade's text, the script attachment holds every scripted reply), so a
+trace line stores each string of at least :data:`TEXT_MIN` characters, at
+any depth of its payload, as ``{"$text": <sha256 of the text>}``, and the
+text itself once per trace, in the ``texts`` map of the first line that uses
+it. A ``result`` line stays plain: it is the run's readable answer. A
+payload's own dict whose only key is ``$text`` or ``$lit`` is stored as
+``{"$lit": <the dict>}``, so a reader never takes it for an address. A line
+stores no digest: the event's digest is the sha256 of its addressed
+payload's canonical JSON, which ``append`` hashes and :meth:`RunTrace.load`
+hashes again from the line. So it depends only on the event, never on what
+the trace held before, and a payload edited in the file changes it. Events
+in memory, including those :meth:`RunTrace.load` reads back, hold the full
+texts.
 """
 from __future__ import annotations
 
@@ -38,12 +44,19 @@ from typing import Callable, Mapping, Optional
 
 from .core import canonical_json, text_digest
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
-# Call texts this long or longer are stored once per trace, by address.
+# Strings this long or longer are stored once per trace, by address.
 TEXT_MIN = 256
 
-_ENVELOPE = frozenset({"seq", "ts", "run_id", "phase", "kind", "digest", "payload"})
+# The kinds whose payload a line stores as it is: a result is the run's readable answer.
+PLAIN_KINDS = frozenset({"result"})
+
+# A dict with one of these as its only key is read as an address or a
+# wrapper; a payload's own such dict is stored inside {"$lit": ...}.
+_MARKERS = frozenset({"$text", "$lit"})
+
+_ENVELOPE = frozenset({"seq", "ts", "run_id", "phase", "kind", "payload"})
 
 
 @dataclass(frozen=True)
@@ -85,20 +98,27 @@ def is_call(payload: dict) -> bool:
     return "role" in payload and "usage" in payload
 
 
-def _text(value, texts: Mapping[str, str]):
-    """A stored slot value or response as the event holds it: the text that
-    a ``{"$text": address}`` names, anything else as it is."""
-    if not isinstance(value, dict):
-        return value
-    address = value.get("$text")
-    if not isinstance(address, str) or address not in texts:
-        raise ValueError(f"no text stored for {value}")
-    return texts[address]
+def _restore(value: dict | list, texts: Mapping[str, str]) -> None:
+    """Put back, in place, the text that each ``{"$text": address}`` within
+    ``value`` names, and the dict that each ``{"$lit": dict}`` wraps."""
+    for key, item in value.items() if type(value) is dict else enumerate(value):
+        if type(item) is dict and len(item) == 1:
+            ((marker, inner),) = item.items()
+            if marker == "$text":
+                if type(inner) is not str or inner not in texts:
+                    raise ValueError(f"no text stored for {item}")
+                value[key] = texts[inner]
+                continue
+            if marker == "$lit":
+                value[key] = item = inner
+        if type(item) is dict or type(item) is list:
+            _restore(item, texts)
 
 
 def _event(record, texts: dict[str, str]) -> TraceEvent:
-    """The event a trace line holds, with its call texts put back. The
-    line's own texts are checked against their addresses and join ``texts``."""
+    """The event a trace line holds, with its digest and its texts put back.
+    The line's own texts are checked against their addresses and join
+    ``texts``; a stored ``digest`` (schema 8 and older) is not read."""
     if not (
         isinstance(record, dict)
         and _ENVELOPE <= record.keys()
@@ -110,13 +130,9 @@ def _event(record, texts: dict[str, str]) -> TraceEvent:
         if not isinstance(text, str) or text_digest(text) != address:
             raise ValueError(f"the text stored for {address} does not match its address")
         texts[address] = text
-    payload = record["payload"]
-    if is_call(payload):  # an older schema's call event may have no slots
-        if isinstance(payload.get("slots"), dict):
-            payload["slots"] = {name: _text(value, texts) for name, value in payload["slots"].items()}
-        if "response" in payload:
-            payload["response"] = _text(payload["response"], texts)
-    return TraceEvent.from_dict(record)
+    event = TraceEvent.from_dict({**record, "digest": text_digest(canonical_json(record["payload"]))})
+    _restore(event.payload, texts)  # after the digest, which covers the stored form
+    return event
 
 
 class RunTrace:
@@ -127,7 +143,7 @@ class RunTrace:
         self._clock = clock
         self.events: list[TraceEvent] = []
         self._file = None  # opened at the first append and kept open: one write and flush per event
-        self._addresses: dict[str, str] = {}  # each long call text stored so far -> its address
+        self._addresses: dict[str, str] = {}  # each long text stored so far -> its address
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -145,27 +161,34 @@ class RunTrace:
             {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
         )
 
-    def _addressed(self, payload: dict) -> tuple[dict, dict[str, str]]:
+    def _addressed(self, kind: str, payload: dict) -> tuple[dict, dict[str, str]]:
         """``payload`` as a trace line stores it, and the texts that it is
         the first event to use, by address."""
-        if not is_call(payload):
+        if kind in PLAIN_KINDS:
             return payload, {}
+        addresses = self._addresses
         new: dict[str, str] = {}
 
         def ref(value):
-            if not isinstance(value, str) or len(value) < TEXT_MIN:
-                return value
-            address = self._addresses.get(value)
-            if address is None:
-                address = self._addresses[value] = text_digest(value)
-                new[address] = value
-            return {"$text": address}
+            if isinstance(value, str):
+                if len(value) < TEXT_MIN:
+                    return value
+                address = addresses.get(value)
+                if address is None:
+                    address = addresses[value] = text_digest(value)
+                    new[address] = value
+                return {"$text": address}
+            if isinstance(value, dict):
+                stored = {key: ref(item) for key, item in value.items()}
+                return {"$lit": stored} if len(value) == 1 and next(iter(value)) in _MARKERS else stored
+            if isinstance(value, (list, tuple)):
+                return [ref(item) for item in value]
+            return value
 
-        slots = {name: ref(value) for name, value in payload["slots"].items()}
-        return {**payload, "slots": slots, "response": ref(payload["response"])}, new
+        return {key: ref(item) for key, item in payload.items()}, new
 
     def append(self, run_id: str, phase: int, kind: str, payload: dict) -> TraceEvent:
-        stored, texts = self._addressed(payload)
+        stored, texts = self._addressed(kind, payload)
         stored_json = canonical_json(stored)
         event = TraceEvent(
             seq=len(self.events),
@@ -178,10 +201,10 @@ class RunTrace:
         )
         self.events.append(event)
         if self.path:
-            envelope = {k: v for k, v in event.to_dict().items() if k != "payload"}
+            head = {"seq": event.seq, "ts": event.ts, "run_id": run_id, "phase": phase, "kind": kind}
             if texts:
-                envelope["texts"] = texts
-            line = json.dumps(envelope, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + stored_json + "}\n"
+                head["texts"] = texts
+            line = json.dumps(head, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + stored_json + "}\n"
             if self._file is None:
                 self._file = self.path.open("a", encoding="utf-8")
             self._file.write(line)
@@ -221,7 +244,7 @@ class RunTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunTrace":
-        """Read a trace back, with every call text in place, dropping a torn
+        """Read a trace back, with every text in place, dropping a torn
         last line (unterminated and unparseable, as a crash mid-append leaves
         it). Any other bad line raises ``ValueError``: one that is not an
         event, a text that does not match its address, an address with no

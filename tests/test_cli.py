@@ -87,6 +87,12 @@ def _as_schema_7(event):
         event["payload"]["schema_version"] = 7
 
 
+def _as_schema_8(event):
+    """Schema 8 stored only call texts by address, and each line's digest."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 8
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -96,6 +102,7 @@ OLD_SCHEMAS = {
     5: _as_schema_5,
     6: _as_schema_6,
     7: _as_schema_7,
+    8: _as_schema_8,
 }
 
 
@@ -520,7 +527,7 @@ class TestTornTrace:
 
 
 class TestCallTexts:
-    """A trace line stores each long call text by its address, and the text
+    """A trace line stores each long text by its address, and the text
     itself once per trace."""
 
     def _solve(self, tmp_path, registry):
@@ -544,24 +551,80 @@ class TestCallTexts:
         return trace
 
     def test_each_long_text_is_stored_once_and_read_back_whole(self, tmp_path, registry):
-        from proofpipe.trace import TEXT_MIN, RunTrace, is_call
+        from proofpipe.trace import PLAIN_KINDS, TEXT_MIN, RunTrace
+
+        def strings(value):
+            if isinstance(value, str):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from strings(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from strings(item)
 
         trace = self._solve(tmp_path, registry)
         loaded = RunTrace.load(trace.path)
         assert [e.to_dict() for e in loaded.events] == [e.to_dict() for e in trace.events]
 
-        texts = {
-            value
+        long = {
+            (e.kind, text)
             for e in trace.events
-            if is_call(e.payload)
-            for value in (*e.payload["slots"].values(), e.payload["response"])
-            if isinstance(value, str) and len(value) >= TEXT_MIN
+            if e.kind not in PLAIN_KINDS
+            for text in strings(e.payload)
+            if len(text) >= TEXT_MIN
         }
+        texts = {text for _, text in long}
         assert len(texts) > 10
+        # Texts nested in the script and in state events are stored once too.
+        assert {"script_attachment", "solution", "pair_proven", "draft", "grade"} <= {kind for kind, _ in long}
         lines = trace.path.read_text(encoding="utf-8").splitlines()
-        call_lines = "\n".join(line for line in lines if is_call(json.loads(line)["payload"]))
+        stored = "\n".join(line for line in lines if json.loads(line)["kind"] not in PLAIN_KINDS)
         for text in texts:
-            assert call_lines.count(json.dumps(text, ensure_ascii=False)) == 1, text[:40]
+            assert stored.count(json.dumps(text, ensure_ascii=False)) == 1, text[:40]
+
+    def test_a_payload_dict_shaped_like_an_address_reads_back_as_itself(
+        self, tmp_path, clean_script, problem_file, capsys
+    ):
+        """A script is input: its own ``{"$text": ...}`` and ``{"$lit": ...}``
+        dicts are stored as literals, never read back as addresses."""
+        from proofpipe.trace import TEXT_MIN, RunTrace
+
+        script = json.loads(clean_script.read_text(encoding="utf-8"))
+        long = "x" * TEXT_MIN
+        script["rules"][0]["responses"][0]["note"] = [
+            {"$text": "hand-written"},
+            {"$lit": {"$text": long}},
+            {"$text": long, "other": 1},
+        ]
+        clean_script.write_text(json.dumps(script), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
+        assert code == ExitCode.VERIFIED
+        loaded = RunTrace.load(out / "trace.jsonl")
+        assert loaded.of_kind("script_attachment")[0].payload["script"] == script
+        capsys.readouterr()
+        assert run_cli("replay", out / "trace.jsonl") == ExitCode.VERIFIED
+        assert capsys.readouterr().out.strip() == "identical"
+
+    def test_a_schema_8_trace_still_loads_for_cost(self, capsys):
+        """A schema-8 line stores its digest and only call texts by address;
+        its payload is hashed on load all the same, to the digest the line
+        holds. The trace is a single clean run with long replies, as the
+        schema-8 writer stored it."""
+        from pathlib import Path
+
+        from proofpipe.trace import RunTrace
+
+        path = Path(__file__).parent / "data" / "schema8_trace.jsonl"
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["payload"]["schema_version"] == 8
+        loaded = RunTrace.load(path)
+        assert [e.digest for e in loaded.events] == [line["digest"] for line in lines]
+        assert run_cli("cost", path) == ExitCode.VERIFIED
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.13981"
+        assert run_cli("replay", path) == ExitCode.USAGE
+        assert "trace schema 8 is not supported (want 9)" in capsys.readouterr().err
 
     def test_a_text_that_does_not_match_its_address_is_refused(self, tmp_path, registry, capsys):
         trace = self._solve(tmp_path, registry)
@@ -613,6 +676,24 @@ class TestReplayCommand:
         assert code == ExitCode.BEST_EFFORT
         assert "divergence at event" in capsys.readouterr().out
 
+    def test_edited_usage_is_a_divergence(self, tmp_path, clean_script, problem_file, capsys):
+        """A line stores no digest, so a payload edited in the file no longer
+        replays identical: its digest is taken from what the line holds."""
+        out = tmp_path / "out"
+        run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
+        trace_path = out / "trace.jsonl"
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "draft")
+        event = json.loads(lines[index])
+        event["payload"]["usage"]["output_tokens"] += 1000
+        lines[index] = json.dumps(event)
+        trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("replay", trace_path) == ExitCode.BEST_EFFORT
+        printed = capsys.readouterr().out
+        assert "identical" not in printed
+        assert printed.startswith(f"divergence at event {index - 1}:")  # the script attachment is skipped
+
     def test_newer_schema_version_refused(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "out"
         run_cli("solve", problem_file, "--script", clean_script, "--out", out, "--parallel-runs", 1)
@@ -642,5 +723,5 @@ class TestReplayCommand:
                 edited.append(json.dumps(event))
             trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
             assert run_cli("replay", trace_path) == ExitCode.USAGE
-            assert f"trace schema {schema} is not supported (want 8)" in capsys.readouterr().err
+            assert f"trace schema {schema} is not supported (want 9)" in capsys.readouterr().err
 

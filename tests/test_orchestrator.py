@@ -439,7 +439,7 @@ class TestResume:
                 edit(record)
                 old.events.append(TraceEvent.from_dict(record))
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match=f"trace schema {schema} != 8"):
+            with pytest.raises(ResumeError, match=f"trace schema {schema} != 9"):
                 orch.resume(old, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
