@@ -6,8 +6,8 @@ main problem stalls at 6/7 (the grader keeps finding the same asserted
 step), so the pipeline extracts the load-bearing claim behind the stall,
 tries to prove the claim AND its negation in fresh detached contexts, and
 discovers the negation is what's true. With that disproof in its lemma
-memory, the next round of guided solving produces a proof the grader
-accepts three times in a row.
+memory, the next round of guided solving produces a proof that three
+fresh grades, made at once, all accept.
 
 Run: python3 demos/01_scripted_pipeline.py
 """

@@ -295,7 +295,7 @@ class PipelineConfig:
     initial_iterations: int = 1          # L0: phase-1 exploration rounds
     conjecture_iterations: int = 3       # L: outer extract/verify/solve rounds
     solver_width: int = 4                # K: solutions per round
-    verify_repeats: int = 3              # N: consecutive clean grades required
+    verify_repeats: int = 3              # N: clean check grades of one text required
     extraction_budget: int = 3           # k: max conjecture pairs per extraction
     parallel_runs: int = 2
     token_budget: int = 8_000_000

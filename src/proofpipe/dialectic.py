@@ -6,9 +6,10 @@ grade's feedback, re-grade. The refined, re-graded solution is the branch
 output. Independent branches run concurrently as one fork/join group
 (:meth:`DialecticEngine.fork_join`) whose trace, ledger and ids are those
 of running the branches one after another; the same fork/join runs the
-bisection sides and the aggregated runs, and groups nest. The module also owns
-grader-transcript parsing and the N-consecutive-clean-grades acceptance
-check; it never decides when the outer loop stops.
+bisection sides, the N check grades of one text and the aggregated runs,
+and groups nest. The module also owns grader-transcript parsing and the
+acceptance check, which needs all N check grades to be clean 7s; it never
+decides when the outer loop stops.
 
 :meth:`DialecticEngine._call` is the one call path of the package: every
 model call, including those of conjecture extraction and the judge, is
@@ -542,34 +543,51 @@ class DialecticEngine:
             leaf.done.set()  # later leaves may be waiting for their turn
 
     def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
-        """True iff ``n`` fresh grades in a row are perfect with zero issues.
-
-        Short-circuits on the first miss; a grade whose call failed is a
-        miss. Every check grade is traced with the exact solution text it
-        judged.
-        """
+        """True iff all ``n`` fresh grades (:meth:`check_grades`) are perfect
+        with zero issues; a grade whose call failed is a miss. A miss does
+        not stop its sibling grades: all ``n`` are made."""
         n = n if n is not None else self.config.verify_repeats
         if n < 1:
             raise ValueError("n must be >= 1")
-        for ordinal in range(n):
-            try:
-                report = self._check_grade(solution, problem, solution.phase, ordinal)
-            except CallFailed:
-                return False
-            if not report.clean_perfect:
-                return False
-        return True
+        return all(
+            not isinstance(g, CallFailed) and g.clean_perfect for g in self.check_grades(solution, problem, solution.phase, n)
+        )
 
     def grade_independent(self, solution: CandidateSolution, problem: Problem, n: int, phase: int) -> list[GradeReport]:
-        """N fresh grades with no short-circuit (mean-score comparisons); a
+        """N fresh grades (:meth:`check_grades`) for mean-score comparisons; a
         grade whose call failed counts as a 0, with the error in its notes."""
-        reports = []
-        for ordinal in range(n):
-            try:
-                reports.append(self._check_grade(solution, problem, phase, ordinal))
-            except CallFailed as exc:
-                reports.append(GradeReport(score=0, notes=(failure_text(exc),)))
-        return reports
+        return [
+            GradeReport(score=0, notes=(failure_text(g),)) if isinstance(g, CallFailed) else g
+            for g in self.check_grades(solution, problem, phase, n)
+        ]
+
+    def check_grades(
+        self, solution: CandidateSolution, problem: Problem, phase: int, n: int
+    ) -> list[GradeReport | CallFailed]:
+        """Grade ``solution`` ``n`` times as one fork/join group, ordinals
+        0..n-1; for each grade its report, or the failure that ended it.
+
+        The grades do not depend on each other, so all of them are in
+        flight at once; each earlier leaf keeps one grader call at
+        ``max_output_tokens`` as its reserve. Any other error, budget
+        exhaustion among them, is raised after the join, the first in
+        ordinal order.
+        """
+        tasks = [
+            partial(DialecticEngine._check_grade, solution=solution, problem=problem, phase=phase, ordinal=k) for k in range(n)
+        ]
+        grades: list[GradeReport | CallFailed] = []
+        error: Optional[BaseException] = None
+        for leaf in self.fork_join(tasks, self.config.max_output_tokens):
+            if leaf.error is None:
+                grades.append(leaf.result)
+            elif isinstance(leaf.error, CallFailed):
+                grades.append(leaf.error)
+            elif error is None:
+                error = leaf.error
+        if error is not None:
+            raise error
+        return grades
 
     def _check_grade(self, solution: CandidateSolution, problem: Problem, phase: int, ordinal: int) -> GradeReport:
         """One check grade; a failed one is recorded as ``check_grade_failed``

@@ -451,7 +451,8 @@ class Orchestrator:
         return self._finish(engine, final, status)
 
     def _check_verified(self, batch, problem: Problem, engine: DialecticEngine) -> Optional[CandidateSolution]:
-        """Try the N-consecutive-clean-grades gate on the batch's candidates.
+        """Try the verify gate, N clean check grades of one text, on the
+        batch's candidates.
 
         Only candidates whose inline grade is already a clean 7 are worth
         the extra grader calls; they are tried in comparator order.

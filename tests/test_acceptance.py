@@ -172,9 +172,12 @@ def test_criterion_3_verified_success_gate(registry):
         for mutant in (six, slipped_seven):
             grades = [clean, clean, clean]
             grades[position] = mutant
-            accepted, checks, _ = gate(grades)
+            accepted, checks, solution = gate(grades)
             assert not accepted, (position, mutant[:30])
-            assert len(checks) == position + 1  # short-circuits at the mutation
+            # A miss does not stop its siblings: all N grades judge the exact text.
+            assert [e.payload["ordinal"] for e in checks] == [0, 1, 2]
+            assert all(e.payload["slots"]["solution"] == solution.proof_text for e in checks)
+            assert [e.payload["score"] for e in checks] == [6 if k == position else 7 for k in range(3)]
     print("PASS criterion 3: triple-clean gate accepts; 6/slip mutations at positions 1-3 all block")
 
 

@@ -22,6 +22,7 @@ from conftest import (
     small_config,
     well_problem,
 )
+from test_core import sol
 
 PROBLEM = Problem(id="p1", statement="Prove that 1 + 1 = 2 in Peano arithmetic.")
 
@@ -50,14 +51,15 @@ class BarrierBackend(Wrapper):
     """Holds each call (of ``role``, if given) until ``parties`` such calls
     are in flight at once."""
 
-    def __init__(self, inner, parties, role=None):
+    def __init__(self, inner, parties, role=None, timeout=10):
         super().__init__(inner)
         self.barrier = threading.Barrier(parties)
         self.role = role
+        self.timeout = timeout
 
     def complete(self, req):
         if self.role in (None, req.role):
-            self.barrier.wait(timeout=10)  # BrokenBarrierError unless all parties arrive
+            self.barrier.wait(timeout=self.timeout)  # BrokenBarrierError unless all parties arrive
         return self.inner.complete(req)
 
 
@@ -118,6 +120,23 @@ class TestOverlap:
         outcome = ConjectureEngine(engine).verify_hypotheses(PAIRS, tau=7)
         assert [lemma.pair_id for lemma in outcome.proven] == ["h0", "h1", "h2"]
         assert len(outcome.attempts) == 6
+
+    @pytest.mark.parametrize("use", ["verified_success", "grade_independent"])
+    def test_check_grades_in_flight_at_once(self, use, registry):
+        # The solution is given, not solved, so every grader call is a check
+        # grade. A barrier that times out raises BrokenBarrierError, which is
+        # not a call failure: it ends the test instead of hanging it.
+        config = small_config()
+        n = config.verify_repeats
+        backend = BarrierBackend(ScriptedBackend(rules_clean()), n, role="grader", timeout=5)
+        trace = RunTrace(clock=lambda: 0.0)
+        engine = DialecticEngine(gateway_for(backend, config), registry, config, trace, "run1")
+        solution = sol("run1.s0000", 7)
+        if use == "verified_success":
+            assert engine.verified_success(solution, PROBLEM, n)
+        else:
+            assert [g.score for g in engine.grade_independent(solution, PROBLEM, n, phase=4)] == [7] * n
+        assert [e.payload["ordinal"] for e in trace.of_kind("check_grade")] == list(range(n))
 
     def test_runs_are_one_group(self, registry):
         # Each well run makes one extraction; the barrier lets them through
@@ -395,3 +414,29 @@ def test_budget_in_one_leaf_salvages_its_siblings(registry):
     assert [e.payload["id"] for e in result.trace.of_kind("solution")] == ["run1.s0000", "run1.s0002"]
     assert result.trace.of_kind("budget_exhausted")[0].payload == {}
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_budget_inside_the_check_grades_keeps_the_grades_before_it(strict, registry):
+    """A budget that admits two of three check grades: the first two are
+    recorded in ordinal order and the third is refused, whatever the timing;
+    the refusal is raised once the group has joined."""
+
+    def gate(budget, seed):
+        config = small_config(token_budget=budget, strict_budget=strict)
+        gateway = gateway_for(JitterBackend(ScriptedBackend(rules_clean()), seed), config)
+        trace = RunTrace(clock=lambda: 0.0)
+        engine = DialecticEngine(gateway, registry, config, trace, "run1")
+        return engine, trace, gateway
+
+    engine, _, gateway = gate(10_000_000, 0)
+    assert engine.verified_success(sol("run1.s0000", 7), PROBLEM, 3)
+    grade = gateway.tokens_consumed // 3  # each check grade costs the same
+    # The last budget at which the third grade is refused.
+    budget = 2 * grade + (small_config().max_output_tokens - 1 if strict else 0)
+    for seed in range(3):
+        engine, trace, gateway = gate(budget, seed)
+        with pytest.raises(BudgetExceeded):
+            engine.verified_success(sol("run1.s0000", 7), PROBLEM, 3)
+        assert [e.payload["ordinal"] for e in trace.of_kind("check_grade")] == [0, 1], seed
+        assert gateway.tokens_consumed == gateway.ledger.total_tokens() == 2 * grade

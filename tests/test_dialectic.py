@@ -193,9 +193,16 @@ class TestVerifiedSuccess:
         assert engine.verified_success(solution, PROBLEM, 3)
         assert trace.count("check_grade") == 3
 
-    def test_short_circuit_on_six(self, registry):
+    def _checks(self, trace, solution):
+        checks = trace.of_kind("check_grade")
+        assert [e.payload["ordinal"] for e in checks] == [0, 1, 2]
+        assert all(e.payload["slots"]["solution"] == solution.proof_text for e in checks)
+        return [e.payload["score"] for e in checks]
+
+    def test_six_blocks_and_every_grade_is_made(self, registry):
         rules = rules_clean()
-        # branch grades (2 calls) then checks: 7, then 6 stops the gate
+        # branch grades (2 calls) then checks: 7, 6, 7; the 6 blocks the gate,
+        # and the grade after it is still made
         rules[2] = ScriptRule(
             "grader",
             None,
@@ -211,7 +218,7 @@ class TestVerifiedSuccess:
         engine, trace = engine_for(rules, registry=registry)
         solution = self._solution(engine)
         assert not engine.verified_success(solution, PROBLEM, 3)
-        assert trace.count("check_grade") == 2
+        assert self._checks(trace, solution) == [7, 6, 7]
 
     def test_seven_with_slip_blocks(self, registry):
         rules = rules_clean()
@@ -228,7 +235,7 @@ class TestVerifiedSuccess:
         engine, trace = engine_for(rules, registry=registry)
         solution = self._solution(engine)
         assert not engine.verified_success(solution, PROBLEM, 3)
-        assert trace.count("check_grade") == 1
+        assert self._checks(trace, solution) == [6, 6, 6]  # each slipped 7 is demoted
 
 
 def test_split_issue_lines_variants():

@@ -182,6 +182,55 @@ class TestPhaseFour:
         assert result.trace.count("enhance_session") == 0
 
 
+class TestFailingGate:
+    """The first gated candidate's first check grade is a 6 with a slip."""
+
+    def run(self, registry):
+        six = grader_text(6, issues=(("late slip", "Slip"),))
+        rules = [
+            # branch 0 drafts and refines PROOF_A, branch 1 PROOF_B
+            ScriptRule(
+                "solver", None, [{"text": "PROOF_A: by induction."}] * 2 + [{"text": "PROOF_B: by counting."}], repeat_last=True
+            ),
+            ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
+            # PROOF_A: grade and regrade 7, then the check grades 6, 7, 7
+            ScriptRule(
+                "grader", "PROOF_A", [{"text": grader_text(7)}] * 2 + [{"text": six}, {"text": grader_text(7)}], repeat_last=True
+            ),
+            ScriptRule("grader", None, [{"text": grader_text(7)}], repeat_last=True),
+        ]
+        config = small_config()
+        result, gateway = run_pipeline(rules, config, registry)
+        return config, result, gateway
+
+    def test_every_grade_is_made_and_the_next_candidate_is_tried(self, registry):
+        config, result, gateway = self.run(registry)
+        n = config.verify_repeats
+        events = [e for e in result.trace.events if e.phase == 1 and e.kind != "phase_start"]
+        branch_kinds = ("draft", "censor", "grade", "refine", "regrade", "solution")
+        gate = [(e.kind, e.payload.get("solution_id"), e.payload.get("ordinal")) for e in events if e.kind not in branch_kinds]
+        assert gate == [
+            ("verify_start", "run1.s0000", None),
+            *[("check_grade", "run1.s0000", k) for k in range(n)],
+            ("verify_failed", "run1.s0000", None),
+            ("verify_start", "run1.s0001", None),
+            *[("check_grade", "run1.s0001", k) for k in range(n)],
+            ("verified", "run1.s0001", None),
+        ]
+        checks = result.trace.of_kind("check_grade")
+        assert [e.payload["score"] for e in checks] == [6, 7, 7, 7, 7, 7]
+        assert [e.payload["slots"]["solution"] for e in checks] == ["PROOF_A: by induction."] * n + ["PROOF_B: by counting."] * n
+        assert result.status == STATUS_VERIFIED
+        assert result.solution.proof_text == "PROOF_B: by counting."
+
+    def test_the_invariants_hold(self, registry):
+        config, result, gateway = self.run(registry)
+        assert gateway.tokens_consumed == gateway.ledger.total_tokens()
+        ceilings = call_ceilings(config, runs=1)
+        assert all(n <= ceilings[role] for role, n in Counter(e.role for e in gateway.ledger.entries).items())
+        assert replay(result.trace, registry=registry) is None
+
+
 class TestJudge:
     CASES = [
         ("analysis...\n<decision>A</decision>", "A"),
