@@ -7,14 +7,15 @@ brand-new problems with no parent-proof context; exactly one side clearing
 the threshold yields a lemma, anything else lands in the failure context.
 A side that a failed call ended (a backend error, a missing script rule, an
 unparseable grade) proves nothing: its pair is recorded as unresolved and
-the other pairs go on.
+the other pairs go on. Every pair whose two sides finished gets its verdict,
+even when another side ran out of budget.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     CandidateSolution,
@@ -26,7 +27,7 @@ from .core import (
     Polarity,
     Problem,
 )
-from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, Leaf
+from .dialectic import EMPTY_CONTEXT, Branch, DialecticEngine, raise_first
 from .gateway import CallFailed, failure_text
 
 _HEADER_PREFIX_RE = re.compile(r"^\s*(?:conjecture|negation(?:\s+of\s+conjecture)?)\s*\d*\s*[:.]\s*", re.IGNORECASE)
@@ -254,7 +255,6 @@ class ConjectureEngine:
                 id=self.dialectic.ids.next("h"),
                 conjecture=c,
                 negation=n,
-                source_solution_ids=tuple(s.id for s in seeds),
             )
             for warning in (*lint_self_containedness(c), *lint_self_containedness(n)):
                 self._trace.append(self.dialectic.run_id, phase, "lint_warning", {"pair_id": pair.id, "warning": warning})
@@ -276,12 +276,14 @@ class ConjectureEngine:
 
         Both sides are solved as new problems with empty additional
         materials and graded once each; all sides of all pairs run at once
-        as one fork/join group. A model failure on either side marks the
-        pair unresolved (distinct from ambiguous). Each verdict is recorded
+        as one fork/join group. After the join, each pair is recorded in
+        pair order: each finished side as ``side_solved``, then the verdict
         as a ``pair_proven`` or ``pair_failed`` state event
-        (:meth:`DialecticEngine.record`). Budget exhaustion on any side is
-        raised once every side has finished and the pairs before it are
-        recorded.
+        (:meth:`DialecticEngine.record`). A model failure on either side
+        marks the pair unresolved (distinct from ambiguous). A pair with a
+        side that any other error ended, budget exhaustion among them, gets
+        no verdict, and :func:`~proofpipe.dialectic.raise_first` raises that
+        error once every pair is recorded.
         """
         proven: list[Lemma] = []
         failed: list[FailureRecord] = []
@@ -293,18 +295,13 @@ class ConjectureEngine:
                 # no materials from the parent proof.
                 side_problem = Problem(id=f"{pair.id}.{side}", statement=statement)
                 branches.append(Branch(side_problem, EMPTY_CONTEXT, Origin.FRESH))
-        leaves = (leaf for _, leaf in self.dialectic.fork_branches(branches, phase))
-        stop: Optional[BaseException] = None  # budget exhaustion or an unexpected error
-        for pair in pairs:
-            # Each side is recorded right after its leaf is committed, where a
-            # sequential run records it; every leaf is taken, even after a stop.
-            pos = self._side_attempt(pair, "pos", pair.conjecture, next(leaves), phase)
-            neg = self._side_attempt(pair, "neg", pair.negation, next(leaves), phase)
+        outcomes = [outcome for _, outcome in self.dialectic.fork_branches(branches, phase)]
+        for pair, pos, neg in zip(pairs, outcomes[::2], outcomes[1::2]):
+            pos = self._side_attempt(pair, "pos", pair.conjecture, pos, phase)
+            neg = self._side_attempt(pair, "neg", pair.negation, neg, phase)
             errors = [r for r in (pos, neg) if isinstance(r, BaseException)]
-            if stop is None:
-                stop = next((e for e in errors if not isinstance(e, CallFailed)), None)
-            if stop is not None:
-                continue
+            if not all(isinstance(e, CallFailed) for e in errors):
+                continue  # a side did not finish: no verdict
             if errors:
                 record = FailureRecord(
                     pair_id=pair.id,
@@ -339,23 +336,21 @@ class ConjectureEngine:
             )
             proven.append(lemma)
             self.dialectic.record(phase, "pair_proven", lemma)
-        if stop is not None:
-            raise stop
+        raise_first(outcomes)
         return VerifyOutcome(tuple(proven), tuple(failed), tuple(attempts))
 
     def _side_attempt(
-        self, pair: HypothesisPair, side: str, statement: str, leaf: Leaf, phase: int
+        self, pair: HypothesisPair, side: str, statement: str, outcome: CandidateSolution | BaseException, phase: int
     ) -> SideAttempt | BaseException:
-        """The side's attempt, recorded in the trace, or the error that stopped it."""
-        if leaf.error is not None:
-            return leaf.error
-        solution = leaf.result
+        """The side's attempt, recorded in the trace, or the error that ended it."""
+        if isinstance(outcome, BaseException):
+            return outcome
         attempt = SideAttempt(
             pair_id=pair.id,
             side=side,
             statement=statement,
-            proof_text=solution.proof_text,
-            score=solution.grade.score,
+            proof_text=outcome.proof_text,
+            score=outcome.grade.score,
         )
         self._trace.append(
             self.dialectic.run_id,

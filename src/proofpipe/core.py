@@ -158,7 +158,6 @@ class CandidateSolution:
     proof_text: str
     origin: Origin
     phase: int
-    context_digest: str
     grade: Optional[GradeReport] = None
 
     def __post_init__(self) -> None:
@@ -174,20 +173,19 @@ class CandidateSolution:
             "proof_text": self.proof_text,
             "origin": self.origin.value,
             "phase": self.phase,
-            "context_digest": self.context_digest,
             "grade": self.grade.to_dict() if self.grade else None,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateSolution":
-        # Older checkpoints also carry "cost_at_creation_micro"; it is ignored.
+        # Older traces also carry "context_digest" (schema 9) or
+        # "cost_at_creation_micro"; they are ignored.
         return cls(
             id=d["id"],
             problem_id=d["problem_id"],
             proof_text=d["proof_text"],
             origin=Origin(d["origin"]),
             phase=d["phase"],
-            context_digest=d["context_digest"],
             grade=GradeReport.from_dict(d["grade"]) if d.get("grade") else None,
         )
 
@@ -203,7 +201,6 @@ class HypothesisPair:
     id: str
     conjecture: str
     negation: str
-    source_solution_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.conjecture.strip() or not self.negation.strip():

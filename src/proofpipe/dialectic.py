@@ -7,7 +7,10 @@ output. Independent branches run concurrently as one fork/join group
 (:meth:`DialecticEngine.fork_join`) whose trace, ledger and ids are those
 of running the branches one after another; the same fork/join runs the
 bisection sides, the N check grades of one text and the aggregated runs,
-and groups nest. The module also owns grader-transcript parsing and the
+and groups nest. A group returns what each of its units returned or the
+exception that ended it; the caller records its units' outcomes after the
+group's events, and one rule (:func:`raise_first`) decides which errors it
+then raises. The module also owns grader-transcript parsing and the
 acceptance check, which needs all N check grades to be clean 7s; it never
 decides when the outer loop stops.
 
@@ -17,7 +20,8 @@ rendered, sent, recorded as one trace event and, where its reply must
 parse, checked there. A failed call (:class:`~proofpipe.gateway.CallFailed`)
 ends only the unit that made it: a branch is dropped and recorded as
 ``branch_failed``; a check grade is recorded as ``check_grade_failed``, and
-fails the verify gate or, as an independent grade, counts as a 0.
+fails the verify gate or, as an independent grade, counts as a 0. Any other
+error, budget exhaustion among them, ends the run.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     FALLACY_CAP,
@@ -40,9 +44,8 @@ from .core import (
     Problem,
     RunState,
     Severity,
-    digest,
 )
-from .gateway import Budget, CallFailed, CostLedger, Lane, ModelGateway, ModelRequest, failure_text
+from .gateway import CallFailed, CostLedger, Lane, ModelGateway, ModelRequest, failure_text
 from .prompts import PromptRegistry
 from .trace import RunTrace, TraceBuffer
 
@@ -72,7 +75,7 @@ class SolveContext:
     """Material injected into a solver call, rendered deterministically.
 
     Serialization order is fixed (lemmas, then feedback, then prior
-    solutions, then scaffolding) so equal contexts hash equally.
+    solutions, then scaffolding) so equal contexts render equally.
     """
 
     lemmas: tuple[Lemma, ...] = ()
@@ -105,9 +108,6 @@ class SolveContext:
             parts.append("[Guiding Questions]")
             parts.extend(f"- {q}" for q in self.scaffolding)
         return "\n".join(parts)
-
-    def digest(self) -> str:
-        return digest(self.render())
 
 
 EMPTY_CONTEXT = SolveContext()
@@ -232,33 +232,24 @@ class Branch:
     index: int = 0
 
 
-class Leaf(Lane):
-    """One task of a fork/join group: its lane, the trace it records into,
-    and what it returned or raised.
-
-    The first leaf of a group records straight into the trace of the
-    engine that forked the group, so it writes as it goes: nothing can come
-    between the fork and its events. Every later leaf records into a
-    :class:`TraceBuffer` that the join commits in leaf order.
-    """
-
-    def __init__(
-        self, parent: Optional[Lane], earlier: Sequence[Lane], trace: RunTrace | TraceBuffer, ledger: CostLedger, budget: Budget
-    ):
-        super().__init__(parent, earlier, ledger, budget)
-        self.trace = trace
-        self.result = None
-        self.error: Optional[BaseException] = None
+def raise_first(outcomes: Iterable, spare: type | tuple[type, ...] = CallFailed) -> None:
+    """The join rule of every fork/join group: raise the first of a group's
+    ``outcomes`` (:meth:`DialecticEngine.fork_join`) that is an exception
+    but not a ``spare`` one. A failed call ends only its unit, which the
+    caller has recorded by then; any other error ends the caller."""
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException) and not isinstance(outcome, spare):
+            raise outcome
 
 
 class DialecticEngine:
     """Executes solve branches and grading against one gateway.
 
     ``trace`` is a :class:`RunTrace` or, inside a fork/join group, the
-    trace of the engine's leaf; ``lane`` is that leaf (None outside every
-    group). ``state`` is the state of the engine's run (None on the engines
-    of groups and of their leaves): :meth:`record` grows it with each state
-    event it records, and nothing else does.
+    trace of the engine's leaf; ``lane`` is that leaf's lane (None outside
+    every group). ``state`` is the state of the engine's run (None on the
+    engines of groups and of their leaves): :meth:`record` grows it with
+    each state event it records, and nothing else does.
     """
 
     def __init__(
@@ -365,14 +356,12 @@ class DialecticEngine:
 
     def _branch(self, spec: Branch, phase: int, solution_id: str) -> CandidateSolution:
         problem, ctx, branch, origin = spec.problem, spec.ctx, spec.index, spec.origin
-        materials = self._materials(problem, ctx)
-        ctx_digest = ctx.digest()
         draft_resp = self._call(
             "solver",
-            {"problem": problem.statement, "additional_materials": materials},
+            {"problem": problem.statement, "additional_materials": self._materials(problem, ctx)},
             phase,
             "draft",
-            {"branch": branch, "ctx_digest": ctx_digest, "ctx_empty": ctx.is_empty()},
+            {"branch": branch},
         )
         proof = extract_final_proof(draft_resp.text)
 
@@ -381,7 +370,7 @@ class DialecticEngine:
             redraft_ctx = SolveContext(
                 lemmas=ctx.lemmas,
                 feedback=(DERIVE_EXPLICITLY, *censor_issues),
-                prior_solutions=(*ctx.prior_solutions, self._as_solution(problem, proof, phase, origin, ctx_digest)),
+                prior_solutions=(*ctx.prior_solutions, self._as_solution(problem, proof, phase, origin)),
                 scaffolding=ctx.scaffolding,
             )
             redraft_resp = self._call(
@@ -389,7 +378,7 @@ class DialecticEngine:
                 {"problem": problem.statement, "additional_materials": self._materials(problem, redraft_ctx)},
                 phase,
                 "draft",
-                {"branch": branch, "redraft": True, "ctx_digest": ctx_digest, "ctx_empty": ctx.is_empty()},
+                {"branch": branch, "redraft": True},
             )
             proof = extract_final_proof(redraft_resp.text)
 
@@ -398,7 +387,7 @@ class DialecticEngine:
         refine_ctx = SolveContext(
             lemmas=ctx.lemmas,
             feedback=tuple(i.text for i in first_grade.issues) or ("Polish the argument; keep every step explicit.",),
-            prior_solutions=(self._as_solution(problem, proof, phase, origin, ctx_digest, first_grade),),
+            prior_solutions=(self._as_solution(problem, proof, phase, origin, first_grade),),
             scaffolding=first_grade.scaffolding,
         )
         refine_resp = self._call(
@@ -417,11 +406,10 @@ class DialecticEngine:
             proof_text=refined,
             origin=origin,
             phase=phase,
-            context_digest=ctx_digest,
             grade=final_grade,
         )
 
-    def _as_solution(self, problem, proof, phase, origin, ctx_digest, grade=None) -> CandidateSolution:
+    def _as_solution(self, problem, proof, phase, origin, grade=None) -> CandidateSolution:
         # Ephemeral wrapper for feeding a draft back into a context; not
         # allocated an id and never stored in memory.
         return CandidateSolution(
@@ -430,7 +418,6 @@ class DialecticEngine:
             proof_text=proof,
             origin=origin,
             phase=phase,
-            context_digest=ctx_digest,
             grade=grade,
         )
 
@@ -451,51 +438,48 @@ class DialecticEngine:
     def solve_branches(self, branches: Sequence[Branch], phase: int) -> list[CandidateSolution]:
         """Solve ``branches`` as one fork/join group; solutions in branch order.
 
-        Each completed solution is recorded (:meth:`record`) as a ``solution``
-        event right after its branch's calls, so it is in the run's state
-        whatever happens next. A branch that a failed call ended is dropped
-        and recorded as a ``branch_failed`` event in its place. Every branch
-        runs to its end even when a sibling fails. Any other error, budget
-        exhaustion among them, is raised after the join, the first in branch
-        order.
+        Every branch runs to its end even when a sibling fails. After the
+        join each branch is recorded, in branch order: a completed solution
+        as a ``solution`` event (:meth:`record`), so it is in the run's state
+        whatever happens next; a branch that a failed call ended is dropped
+        and recorded as ``branch_failed``. Then :func:`raise_first` raises
+        any other error, budget exhaustion among them.
         """
         done: list[CandidateSolution] = []
-        error: Optional[BaseException] = None
-        for solution_id, leaf in self.fork_branches(branches, phase):
-            if leaf.error is None:
-                done.append(leaf.result)
-                self.record(phase, "solution", leaf.result)
-            elif isinstance(leaf.error, CallFailed):
-                failure = {"solution_id": solution_id, "error": failure_text(leaf.error)}
+        outcomes = self.fork_branches(branches, phase)
+        for solution_id, outcome in outcomes:
+            if isinstance(outcome, CandidateSolution):
+                done.append(outcome)
+                self.record(phase, "solution", outcome)
+            elif isinstance(outcome, CallFailed):
+                failure = {"solution_id": solution_id, "error": failure_text(outcome)}
                 self.trace.append(self.run_id, phase, "branch_failed", failure)
-            elif error is None:
-                error = leaf.error
-        if error is not None:
-            raise error
+        raise_first(outcome for _, outcome in outcomes)
         return done
 
-    def fork_branches(self, branches: Sequence[Branch], phase: int) -> Iterator[tuple[str, Leaf]]:
-        """:meth:`fork_join` over solve branches: ``(solution id, leaf)`` in
-        branch order, each leaf's result a :class:`CandidateSolution`.
-        Solution ids are allocated at the fork, in branch order. Each earlier
-        branch keeps its worst case, :data:`BRANCH_CALLS` at
-        ``max_output_tokens`` each."""
+    def fork_branches(self, branches: Sequence[Branch], phase: int) -> list[tuple[str, CandidateSolution | BaseException]]:
+        """:meth:`fork_join` over solve branches: ``(solution id, outcome)``
+        in branch order, each outcome a :class:`CandidateSolution` or the
+        exception that ended its branch. Solution ids are allocated at the
+        fork, in branch order. Each earlier branch keeps its worst case,
+        :data:`BRANCH_CALLS` at ``max_output_tokens`` each."""
         ids = [self.ids.next("s") for _ in branches]
         tasks = [partial(DialecticEngine._branch, spec=b, phase=phase, solution_id=i) for b, i in zip(branches, ids)]
         reserve = sum(BRANCH_CALLS.values()) * self.config.max_output_tokens
-        return zip(ids, self.fork_join(tasks, reserve))
+        return list(zip(ids, self.fork_join(tasks, reserve)))
 
-    def fork_join(self, tasks: Sequence[Callable[["DialecticEngine"], object]], reserve: int) -> Iterator[Leaf]:
-        """Run every task at once, each on its own thread; yield the leaves
-        in task order.
+    def fork_join(self, tasks: Sequence[Callable[["DialecticEngine"], object]], reserve: int) -> list:
+        """Run every task at once, each on its own thread, as the leaves of
+        one group; return, in task order, what each task returned or the
+        exception that ended it.
 
         A task is called with an engine of its own, whose trace and lane are
-        its leaf's; what it returns or raises ends up in ``leaf.result`` or
-        ``leaf.error``. The join commits the leaves' events and ledger
-        entries leaf by leaf in task order, so trace, ledger and ids are
-        those of a run that ran the tasks one after another. A task may fork
-        a group of its own: that group commits into the task's leaf, and its
-        calls wait on the earlier leaves of this group too.
+        its leaf's. The join commits the leaves' events and ledger entries
+        leaf by leaf in task order, so trace, ledger and ids are those of a
+        run that ran the tasks one after another, and what the caller
+        records next follows the group's last event. A task may fork a group
+        of its own: that group commits into the task's leaf, and its calls
+        wait on the earlier leaves of this group too.
 
         The budget of the engine's leaf (the gateway's outside every group)
         keeps ``reserve`` tokens for each earlier leaf, and every later leaf
@@ -504,43 +488,35 @@ class DialecticEngine:
         depend on how far the leaves have got. A later leaf whose share
         cannot hold one call starts in its turn. The first leaf spends from
         the engine's budget and records straight into its trace and ledger,
-        so it writes as it goes.
-
-        A leaf is yielded right after its commit: what the caller records
-        before taking the next leaf lands where that sequential run would
-        have put it. The caller must take every leaf, or the trace and the
-        ledger will miss those it left.
+        so it writes as it goes; every later leaf records into a
+        :class:`TraceBuffer` and a ledger of its own until the join.
         """
         if not tasks:
-            return
-        lane = self.lane
-        ledger, budget = (lane.ledger, lane.budget) if lane is not None else (self.gateway.ledger, self.gateway.budget)
+            return []
+        parent = self.lane
+        ledger, budget = (parent.ledger, parent.budget) if parent is not None else (self.gateway.ledger, self.gateway.budget)
         shares = self.gateway.shares(budget, len(tasks) - 1, reserve)
-        leaves = [Leaf(lane, (), self.trace, ledger, budget)]
+        lanes = [Lane(parent, (), ledger, budget)]
         for share in shares:
-            leaves.append(Leaf(lane, tuple(leaves), TraceBuffer(), CostLedger(), share))
+            lanes.append(Lane(parent, tuple(lanes), CostLedger(), share))
+        traces = [self.trace, *(TraceBuffer() for _ in shares)]
         # One thread per leaf, so every leaf's calls can be in flight at once.
-        with ThreadPoolExecutor(max_workers=len(leaves)) as pool:
-            futures = [pool.submit(self._run_leaf, task, leaf) for task, leaf in zip(tasks, leaves)]
+        with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
+            futures = [pool.submit(self._run_leaf, *leaf) for leaf in zip(tasks, lanes, traces)]
         self.gateway.join(shares)
-        for leaf, future in zip(leaves, futures):
-            leaf.error = future.exception()
-            if leaf.error is None:
-                leaf.result = future.result()
-        yield leaves[0]
-        for leaf in leaves[1:]:
-            leaf.trace.commit(self.trace)
-            for e in leaf.ledger.entries:
+        for lane, trace in zip(lanes[1:], traces[1:]):
+            trace.commit(self.trace)
+            for e in lane.ledger.entries:
                 ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
-            yield leaf
+        return [future.exception() or future.result() for future in futures]
 
-    def _run_leaf(self, task: Callable[["DialecticEngine"], object], leaf: Leaf):
+    def _run_leaf(self, task: Callable[["DialecticEngine"], object], lane: Lane, trace: RunTrace | TraceBuffer):
         try:
-            if leaf.budget.ahead and leaf.budget.cap < self.config.max_output_tokens:
-                leaf.wait_turn()  # its share admits no call
-            return task(DialecticEngine(self.gateway, self.registry, self.config, leaf.trace, self.run_id, self.ids, leaf))
+            if lane.budget.ahead and lane.budget.cap < self.config.max_output_tokens:
+                lane.wait_turn()  # its share admits no call
+            return task(DialecticEngine(self.gateway, self.registry, self.config, trace, self.run_id, self.ids, lane))
         finally:
-            leaf.done.set()  # later leaves may be waiting for their turn
+            lane.done.set()  # later leaves may be waiting for their turn
 
     def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
         """True iff all ``n`` fresh grades (:meth:`check_grades`) are perfect
@@ -569,24 +545,15 @@ class DialecticEngine:
 
         The grades do not depend on each other, so all of them are in
         flight at once; each earlier leaf keeps one grader call at
-        ``max_output_tokens`` as its reserve. Any other error, budget
-        exhaustion among them, is raised after the join, the first in
-        ordinal order.
+        ``max_output_tokens`` as its reserve. Each grade records itself, so
+        after the join :func:`raise_first` only raises any other error,
+        budget exhaustion among them.
         """
         tasks = [
             partial(DialecticEngine._check_grade, solution=solution, problem=problem, phase=phase, ordinal=k) for k in range(n)
         ]
-        grades: list[GradeReport | CallFailed] = []
-        error: Optional[BaseException] = None
-        for leaf in self.fork_join(tasks, self.config.max_output_tokens):
-            if leaf.error is None:
-                grades.append(leaf.result)
-            elif isinstance(leaf.error, CallFailed):
-                grades.append(leaf.error)
-            elif error is None:
-                error = leaf.error
-        if error is not None:
-            raise error
+        grades = self.fork_join(tasks, self.config.max_output_tokens)
+        raise_first(grades)
         return grades
 
     def _check_grade(self, solution: CandidateSolution, problem: Problem, phase: int, ordinal: int) -> GradeReport:

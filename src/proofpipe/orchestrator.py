@@ -15,7 +15,9 @@ once, as the leaves of one fork/join group, and the judge after them.
 A failed model call ends only the unit that made it (a branch, a bisection
 side, an extraction, a grade, the judge) and is recorded; the run goes on.
 Only budget exhaustion ends a run early, with the best graded solution in
-its state.
+its state. A group's units finish before that error is raised
+(:func:`~proofpipe.dialectic.raise_first`), and what they finished is
+recorded, in unit order, after the group's last event.
 
 Every step appends to a :class:`RunTrace`, the only store of run state. A
 run's state grows only as its state events (``solution``, ``pair_proven``,
@@ -44,7 +46,7 @@ from .core import (
     best,
     rank,
 )
-from .dialectic import BRANCH_CALLS, EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext
+from .dialectic import BRANCH_CALLS, EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext, raise_first
 from .gateway import (
     BudgetExceeded,
     CallFailed,
@@ -218,13 +220,8 @@ class Orchestrator:
         self._write_header(trace, problem, runs=n)
         group = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
         tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(n)]
-        # Every leaf is taken before an error is raised, so the events and
-        # the ledger entries of every call made are committed.
-        leaves = list(group.fork_join(tasks, reserve=run_reserve(self.config)))
-        error = next((leaf.error for leaf in leaves if leaf.error is not None), None)
-        if error is not None:
-            raise error
-        results = [leaf.result for leaf in leaves]
+        results = group.fork_join(tasks, reserve=run_reserve(self.config))
+        raise_first(results, spare=())  # a run records its own failed calls
         if n == 1:
             return results[0]  # run 1 recorded straight into ``trace``
         current = results[0]

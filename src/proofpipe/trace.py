@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import canonical_json, text_digest
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # Strings this long or longer are stored once per trace, by address.
 TEXT_MIN = 256

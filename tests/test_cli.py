@@ -6,6 +6,7 @@ import pytest
 from proofpipe.cli import ExitCode, load_problem, main
 from proofpipe.gateway import ScriptedBackend
 from proofpipe.prompts import PromptRegistry
+from proofpipe.trace import SCHEMA_VERSION
 
 from conftest import rules_clean
 
@@ -93,6 +94,13 @@ def _as_schema_8(event):
         event["payload"]["schema_version"] = 8
 
 
+def _as_schema_9(event):
+    """Schema 9 recorded a group's solutions, sides and verdicts between its
+    leaves' events, and the context digest of each draft and solution."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 9
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -103,6 +111,7 @@ OLD_SCHEMAS = {
     6: _as_schema_6,
     7: _as_schema_7,
     8: _as_schema_8,
+    9: _as_schema_9,
 }
 
 
@@ -624,7 +633,7 @@ class TestCallTexts:
         assert run_cli("cost", path) == ExitCode.VERIFIED
         assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.13981"
         assert run_cli("replay", path) == ExitCode.USAGE
-        assert "trace schema 8 is not supported (want 9)" in capsys.readouterr().err
+        assert f"trace schema 8 is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
 
     def test_a_text_that_does_not_match_its_address_is_refused(self, tmp_path, registry, capsys):
         trace = self._solve(tmp_path, registry)
@@ -723,5 +732,5 @@ class TestReplayCommand:
                 edited.append(json.dumps(event))
             trace_path.write_text("\n".join(edited) + "\n", encoding="utf-8")
             assert run_cli("replay", trace_path) == ExitCode.USAGE
-            assert f"trace schema {schema} is not supported (want 9)" in capsys.readouterr().err
+            assert f"trace schema {schema} is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
 

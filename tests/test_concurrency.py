@@ -7,8 +7,8 @@ import pytest
 
 from proofpipe.conjecture import ConjectureEngine
 from proofpipe.core import HypothesisPair, Origin, Problem, RunState
-from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine
-from proofpipe.gateway import BudgetExceeded, ModelGateway, ModelRequest, ScriptedBackend, ScriptRule
+from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine, raise_first
+from proofpipe.gateway import BudgetExceeded, CallFailed, ModelGateway, ModelRequest, ScriptedBackend, ScriptRule
 from proofpipe.orchestrator import STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED, Orchestrator, replay, run_reserve
 from proofpipe.trace import RunTrace, signature
 
@@ -393,14 +393,15 @@ class RefusingGateway(ModelGateway):
 
 def test_budget_in_one_leaf_salvages_its_siblings(registry):
     # Drafts and refines take solver replies in branch order: branch 1
-    # drafts the marked proof, and its refine is refused.
-    solver = ["DRAFT_0", "REFINED_0", "DRAFT_1 REFUSE_ME", "DRAFT_2", "REFINED_2"]
+    # drafts the marked proof, and its refine is refused; branch 3's draft
+    # call fails.
+    solver = [{"text": t} for t in ("DRAFT_0", "REFINED_0", "DRAFT_1 REFUSE_ME", "DRAFT_2", "REFINED_2")]
     rules = [
-        ScriptRule("solver", None, [{"text": t} for t in solver], repeat_last=True),
+        ScriptRule("solver", None, [*solver, {"fail": True}], repeat_last=True),
         ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
         ScriptRule("grader", None, [{"text": grader_text(6, issues=(("slip", "Slip"),))}], repeat_last=True),
     ]
-    config = small_config(solver_width=3)
+    config = small_config(solver_width=4)
     gateway = RefusingGateway(
         JitterBackend(ScriptedBackend(rules), 0),
         token_budget=config.token_budget,
@@ -411,9 +412,64 @@ def test_budget_in_one_leaf_salvages_its_siblings(registry):
     assert result.status == STATUS_BUDGET_EXHAUSTED
     memory = result.state.solution_memory
     assert [(s.id, s.proof_text) for s in memory] == [("run1.s0000", "REFINED_0"), ("run1.s0002", "REFINED_2")]
-    assert [e.payload["id"] for e in result.trace.of_kind("solution")] == ["run1.s0000", "run1.s0002"]
-    assert result.trace.of_kind("budget_exhausted")[0].payload == {}
+    # The round's records follow its last leaf event, in branch order, and
+    # the refusal ends the run only after them.
+    events = result.trace.events
+    last_leaf = max(i for i, e in enumerate(events) if "branch" in e.payload)
+    records = [(e.kind, e.payload.get("id", e.payload.get("solution_id"))) for e in events[last_leaf + 1 :]]
+    assert records[:4] == [
+        ("solution", "run1.s0000"),
+        ("solution", "run1.s0002"),
+        ("branch_failed", "run1.s0003"),
+        ("budget_exhausted", None),
+    ]
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+
+
+def test_fork_join_returns_each_outcome_in_its_slot(registry):
+    """A group returns, in task order, what each task returned or the
+    exception that ended it, and raises none of them; ``raise_first`` raises
+    the first that is not a failed call."""
+    config = small_config()
+    engine = DialecticEngine(gateway_for(ScriptedBackend(rules_clean()), config), registry, config, RunTrace(), "run1")
+    failed, refused = CallFailed("no reply"), BudgetExceeded()
+
+    def raising(exc):
+        def task(_engine):
+            raise exc
+
+        return task
+
+    outcomes = engine.fork_join([lambda _: "a", raising(failed), lambda _: "c", raising(refused)], reserve=0)
+    assert outcomes == ["a", failed, "c", refused]
+    raise_first(outcomes[:3])  # a failed call ends only its unit
+    with pytest.raises(BudgetExceeded):
+        raise_first(outcomes)
+
+
+def test_a_budget_in_one_side_keeps_the_other_pairs_verdicts(registry):
+    """The refine of h0's negation is refused: h0 gets no verdict, and the
+    pairs whose two sides finished are recorded before the refusal is
+    raised, whatever the timing. The run's state is the fold of its trace."""
+    config = small_config()
+    for seed in range(3):
+        gateway = RefusingGateway(
+            JitterBackend(ScriptedBackend(side_rules()), seed),
+            token_budget=config.token_budget,
+            sleep=lambda _: None,
+            marker="NEG_0",
+        )
+        trace = RunTrace(clock=lambda: 0.0)
+        engine = DialecticEngine(gateway, registry, config, trace, "run1", state=RunState("run1"))
+        with pytest.raises(BudgetExceeded):
+            ConjectureEngine(engine).verify_hypotheses(PAIRS, tau=7)
+        sides = [(e.payload["pair_id"], e.payload["side"]) for e in trace.of_kind("side_solved")]
+        assert sides == [("h0", "pos"), ("h1", "pos"), ("h1", "neg"), ("h2", "pos"), ("h2", "neg")], seed
+        assert [e.payload["pair_id"] for e in trace.of_kind("pair_proven", "pair_failed")] == ["h1", "h2"], seed
+        assert [lemma.pair_id for lemma in engine.state.lemma_memory] == ["h1", "h2"], seed
+        folded = RunState("run1")
+        folded.fold(trace.events)
+        assert folded == engine.state, seed
 
 
 @pytest.mark.parametrize("strict", [False, True])

@@ -36,7 +36,6 @@ def sol(id_, score, issues=0, text=None, graded=True):
         proof_text=text or f"proof text {id_}",
         origin=Origin.FRESH,
         phase=1,
-        context_digest="d",
         grade=grade,
     )
 

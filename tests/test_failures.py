@@ -197,7 +197,7 @@ class TestOneUnitFails:
         config = small_config()
         gateway = make_gateway([ScriptRule("grader", None, [{"text": GARBAGE}, FAIL], repeat_last=True)], config)
         dialectic = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
-        seed = CandidateSolution(id="run1.s0000", problem_id="clean-1", proof_text="SKETCH", origin=Origin.FRESH, phase=4, context_digest="")
+        seed = CandidateSolution(id="run1.s0000", problem_id="clean-1", proof_text="SKETCH", origin=Origin.FRESH, phase=4)
         reports = dialectic.grade_independent(seed, clean_problem(), n=2, phase=4)
         assert [r.score for r in reports] == [0, 0]
         assert reports[0].notes == ("GradeParseFailure: no Final Grade anchor in grader output",)

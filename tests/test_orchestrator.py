@@ -21,7 +21,7 @@ from proofpipe.orchestrator import (
     select_kth_top,
     select_top,
 )
-from proofpipe.trace import RunTrace, TraceEvent, first_divergence
+from proofpipe.trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
 
 from conftest import (
     BREAKTHROUGH_TEXT,
@@ -138,7 +138,7 @@ class TestCognitiveWell:
             for e in trace.of_kind("draft")
             if e.phase == 3 and not e.payload.get("redraft")
         ]
-        fresh = [e for e in drafts_p3 if e.payload["ctx_empty"]]
+        fresh = [e for e in drafts_p3 if not e.payload["slots"]["additional_materials"]]
         assert len(phase3_iters) >= 1
         assert len(fresh) == len(phase3_iters)
 
@@ -488,7 +488,7 @@ class TestResume:
                 edit(record)
                 old.events.append(TraceEvent.from_dict(record))
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match=f"trace schema {schema} != 9"):
+            with pytest.raises(ResumeError, match=f"trace schema {schema} != {SCHEMA_VERSION}"):
                 orch.resume(old, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
