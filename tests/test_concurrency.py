@@ -412,6 +412,8 @@ def test_budget_in_one_leaf_salvages_its_siblings(registry):
     assert result.status == STATUS_BUDGET_EXHAUSTED
     memory = result.state.solution_memory
     assert [(s.id, s.proof_text) for s in memory] == [("run1.s0000", "REFINED_0"), ("run1.s0002", "REFINED_2")]
+    assert [e.payload["id"] for e in result.trace.of_kind("solution")] == ["run1.s0000", "run1.s0002"]
+    assert result.trace.of_kind("budget_exhausted")[0].payload == {}
     # The round's records follow its last leaf event, in branch order, and
     # the refusal ends the run only after them.
     events = result.trace.events
