@@ -402,11 +402,27 @@ class ScriptRule:
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"script rule has unknown role {self.role!r} (roles: {', '.join(ROLES)})")
+        if self.match is not None and not isinstance(self.match, str) and not (
+            isinstance(self.match, (list, tuple)) and all(isinstance(needle, str) for needle in self.match)
+        ):
+            raise ValueError(f"script rule for role {self.role!r} has a 'match' that is not a string or a list of strings")
         if not self.responses:
             raise ValueError(f"script rule for role {self.role!r} has no responses")
         for response in self.responses:
             if not isinstance(response, dict) or not ("text" in response or response.get("fail")):
                 raise ValueError(f"script rule for role {self.role!r} has a response with neither 'text' nor 'fail'")
+            if "text" in response and not isinstance(response["text"], str):
+                raise ValueError(f"script rule for role {self.role!r} has a response whose 'text' is not a string")
+            usage = response.get("usage")
+            if usage is not None and not (
+                isinstance(usage, dict)
+                and usage.keys() <= {"input_tokens", "output_tokens", "thinking_tokens"}
+                and all(type(count) is int and count >= 0 for count in usage.values())
+            ):
+                raise ValueError(
+                    f"script rule for role {self.role!r} has a response whose 'usage' is not a dict of non-negative"
+                    f" ints under input_tokens, output_tokens and thinking_tokens: {usage!r}"
+                )
 
     def matches(self, req: ModelRequest) -> bool:
         if req.role != self.role:

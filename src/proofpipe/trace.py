@@ -25,10 +25,17 @@ any depth of its payload, as ``{"$text": <sha256 of the text>}``, and the
 text itself once per trace, in the ``texts`` map of the first line that uses
 it. A ``result`` line stays plain: it is the run's readable answer. A
 payload's own dict whose only key is ``$text`` or ``$lit`` is stored as
-``{"$lit": <the dict>}``, so a reader never takes it for an address. A line
-stores no digest: the event's digest is the sha256 of its addressed
-payload's canonical JSON, which ``append`` hashes and :meth:`RunTrace.load`
-hashes again from the line. So it depends only on the event, never on what
+``{"$lit": <the dict>}``, so a reader never takes it for an address. A long
+text that holds a newline goes into ``texts`` as the list of its lines, and
+each line follows the same rule: a short one stays inline, and a long one
+is an address whose text is stored once per trace (a new one in the same
+``texts`` map, before the text that uses it). Prompts quote earlier proofs
+one to a line (solver contexts, the judge's history), so a quoted proof is
+stored once however often it is quoted (schema 11). A line stores no
+digest: the event's digest is the sha256 of its addressed payload's
+canonical JSON, which ``append`` hashes and :meth:`RunTrace.load` hashes
+again from the line. The payload holds the whole text's address however
+its text is stored, so the digest depends only on the event, never on what
 the trace held before, and a payload edited in the file changes it. Events
 in memory, including those :meth:`RunTrace.load` reads back, hold the full
 texts.
@@ -44,7 +51,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import canonical_json, text_digest
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # Strings this long or longer are stored once per trace, by address.
 TEXT_MIN = 256
@@ -127,6 +134,11 @@ def _event(record, texts: dict[str, str]) -> TraceEvent:
     ):
         raise ValueError("not a trace event")
     for address, text in record.get("texts", {}).items():
+        if type(text) is list:  # a text stored as its lines
+            _restore(text, texts)
+            if not all(type(line) is str for line in text):
+                raise ValueError(f"a line stored for {address} is neither a string nor an address")
+            text = "\n".join(text)
         if not isinstance(text, str) or text_digest(text) != address:
             raise ValueError(f"the text stored for {address} does not match its address")
         texts[address] = text
@@ -161,13 +173,14 @@ class RunTrace:
             {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
         )
 
-    def _addressed(self, kind: str, payload: dict) -> tuple[dict, dict[str, str]]:
+    def _addressed(self, kind: str, payload: dict) -> tuple[dict, dict[str, str | list]]:
         """``payload`` as a trace line stores it, and the texts that it is
-        the first event to use, by address."""
+        the first event to use, by address, each as it is stored: whole, or
+        as its lines."""
         if kind in PLAIN_KINDS:
             return payload, {}
         addresses = self._addresses
-        new: dict[str, str] = {}
+        new: dict[str, str | list] = {}
 
         def ref(value):
             if isinstance(value, str):
@@ -175,8 +188,10 @@ class RunTrace:
                     return value
                 address = addresses.get(value)
                 if address is None:
+                    # A new text's lines are stored by the same rule, before the text.
+                    stored = [ref(line) for line in value.split("\n")] if "\n" in value else value
                     address = addresses[value] = text_digest(value)
-                    new[address] = value
+                    new[address] = stored
                 return {"$text": address}
             if isinstance(value, dict):
                 stored = {key: ref(item) for key, item in value.items()}
@@ -247,8 +262,9 @@ class RunTrace:
         """Read a trace back, with every text in place, dropping a torn
         last line (unterminated and unparseable, as a crash mid-append leaves
         it). Any other bad line raises ``ValueError``: one that is not an
-        event, a text that does not match its address, an address with no
-        text before it."""
+        event, a text that does not match its address (a text stored as its
+        lines is checked once they are joined), a stored line that is neither
+        a string nor an address, an address with no text before it."""
         trace = cls()
         texts: dict[str, str] = {}
         with Path(path).open("rb") as fh:

@@ -101,6 +101,13 @@ def _as_schema_9(event):
         event["payload"]["schema_version"] = 9
 
 
+def _as_schema_10(event):
+    """Schema 10 stored each long text whole, also one that quotes stored
+    texts on lines of its own."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 10
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -112,6 +119,7 @@ OLD_SCHEMAS = {
     7: _as_schema_7,
     8: _as_schema_8,
     9: _as_schema_9,
+    10: _as_schema_10,
 }
 
 
@@ -303,13 +311,39 @@ class TestSolve:
             ({"repeat_lst": True}, "unexpected keyword argument 'repeat_lst'"),
             ({"responses": [{"txt": "GOOD_PROOF"}]}, "has a response with neither 'text' nor 'fail'"),
             ({"role": "solvr"}, "script rule has unknown role 'solvr'"),
+            ({"match": 5}, "has a 'match' that is not a string or a list of strings"),
+            ({"match": ["NO_ISSUES", 5]}, "has a 'match' that is not a string or a list of strings"),
         ],
-        ids=["no_responses", "unknown_key", "response_without_text", "unknown_role"],
+        ids=["no_responses", "unknown_key", "response_without_text", "unknown_role", "int_match", "int_needle"],
     )
     def test_script_rule_without_responses_is_usage_error(self, tmp_path, problem_file, capsys, fault, message):
         script = tmp_path / "script.json"
         rules = ScriptedBackend(rules_clean()).to_dict()["rules"]
         rules[1].update(fault)
+        script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("solve", problem_file, "--script", script, "--out", out)
+        assert code == ExitCode.USAGE
+        err = capsys.readouterr().err
+        assert message in err and "(rule 1 of the script)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"usage": {"input_tokens": -5}}, "whose 'usage' is not a dict of non-negative ints"),
+            ({"usage": {"output_tokens": "12"}}, "whose 'usage' is not a dict of non-negative ints"),
+            ({"usage": [1, 2]}, "whose 'usage' is not a dict of non-negative ints"),
+            ({"text": None}, "whose 'text' is not a string"),
+        ],
+        ids=["negative_usage", "string_usage", "list_usage", "null_text"],
+    )
+    def test_bad_scripted_response_is_refused_before_the_solve(self, tmp_path, problem_file, capsys, fault, message):
+        """A response the backend could not turn into a reply is refused when
+        the script loads, not by an internal error in the middle of a run."""
+        script = tmp_path / "script.json"
+        rules = ScriptedBackend(rules_clean()).to_dict()["rules"]
+        rules[1]["responses"][0].update(fault)
         script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
         out = tmp_path / "o"
         code = run_cli("solve", problem_file, "--script", script, "--out", out)
@@ -560,6 +594,11 @@ class TestCallTexts:
         return trace
 
     def test_each_long_text_is_stored_once_and_read_back_whole(self, tmp_path, registry):
+        """A long text without a newline is stored whole, once; one with a
+        newline is stored once as its lines, each long line itself once."""
+        from collections import Counter
+
+        from proofpipe.core import text_digest
         from proofpipe.trace import PLAIN_KINDS, TEXT_MIN, RunTrace
 
         def strings(value):
@@ -587,10 +626,68 @@ class TestCallTexts:
         assert len(texts) > 10
         # Texts nested in the script and in state events are stored once too.
         assert {"script_attachment", "solution", "pair_proven", "draft", "grade"} <= {kind for kind, _ in long}
+        multiline = {text for text in texts if "\n" in text}
+        long_lines = {line for text in multiline for line in text.split("\n") if len(line) >= TEXT_MIN}
+        assert multiline and long_lines
         lines = trace.path.read_text(encoding="utf-8").splitlines()
-        stored = "\n".join(line for line in lines if json.loads(line)["kind"] not in PLAIN_KINDS)
-        for text in texts:
+        kept = [line for line in lines if json.loads(line)["kind"] not in PLAIN_KINDS]
+        stored = "\n".join(kept)
+        for text in (texts - multiline) | long_lines:
             assert stored.count(json.dumps(text, ensure_ascii=False)) == 1, text[:40]
+        entries = Counter(address for line in kept for address in json.loads(line).get("texts", {}))
+        for text in multiline:
+            assert entries[text_digest(text)] == 1, text[:40]
+
+    def test_a_quoted_proof_is_stored_as_its_address(self, tmp_path, registry):
+        """The judge's history quotes each attempt on a line of its own; the
+        line of a long proof is that proof's address, not a second copy."""
+        from proofpipe.core import text_digest
+        from proofpipe.trace import TEXT_MIN
+
+        trace = self._solve(tmp_path, registry)
+        records = [json.loads(line) for line in trace.path.read_text(encoding="utf-8").splitlines()]
+        texts = {address: text for record in records for address, text in record.get("texts", {}).items()}
+        (judge,) = [record for record in records if record["kind"] == "judge"]
+        materials = texts[judge["payload"]["slots"]["additional_materials"]["$text"]]
+        assert isinstance(materials, list)
+        proofs = {
+            event.payload["proof_text"]
+            for event in trace.of_kind("solution")
+            if len(event.payload["proof_text"]) >= TEXT_MIN and "\n" not in event.payload["proof_text"]
+        }
+        assert proofs
+        for proof in proofs:
+            assert {"$text": text_digest(proof)} in materials, proof[:40]
+            assert isinstance(texts[text_digest(proof)], str)
+
+    def test_a_bad_text_stored_as_lines_is_refused(self, tmp_path, registry, capsys):
+        from proofpipe.trace import RunTrace
+
+        trace = self._solve(tmp_path, registry)
+        lines = trace.path.read_text(encoding="utf-8").splitlines()
+        index, address = next(
+            (i, address)
+            for i, line in enumerate(lines)
+            for address, text in json.loads(line).get("texts", {}).items()
+            if isinstance(text, list) and any(isinstance(piece, dict) for piece in text)
+        )
+        pieces = json.loads(lines[index])["texts"][address]
+        at = next(i for i, piece in enumerate(pieces) if isinstance(piece, dict))
+        cases = {
+            "neither a string nor an address": pieces[:at] + [7] + pieces[at + 1 :],
+            "no text stored for": pieces[:at] + [{"$text": "0" * 64}] + pieces[at + 1 :],
+            "does not match its address": pieces + [""],
+        }
+        for message, edited in cases.items():
+            record = json.loads(lines[index])
+            record["texts"][address] = edited
+            trace.path.write_text("\n".join(lines[:index] + [json.dumps(record)] + lines[index + 1 :]) + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"line {index + 1}: .*{message}"):
+                RunTrace.load(trace.path)
+            capsys.readouterr()
+            assert run_cli("cost", trace.path) == ExitCode.USAGE, message
+            err = capsys.readouterr().err
+            assert f"line {index + 1}" in err and message in err and "Traceback" not in err, err
 
     def test_a_payload_dict_shaped_like_an_address_reads_back_as_itself(
         self, tmp_path, clean_script, problem_file, capsys
@@ -634,6 +731,40 @@ class TestCallTexts:
         assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.13981"
         assert run_cli("replay", path) == ExitCode.USAGE
         assert f"trace schema 8 is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
+
+    def test_a_schema_10_trace_still_loads_and_its_digests_did_not_move(self, registry, capsys):
+        """A schema-10 line stores each long text whole. Its events hash to
+        the digests of a fresh solve of the same script: how a text is
+        stored is not part of any event's digest. The trace is two well
+        runs with long replies and a judge, as the schema-10 writer stored
+        it."""
+        from pathlib import Path
+
+        from proofpipe.core import PipelineConfig, Problem
+        from proofpipe.gateway import ModelGateway
+        from proofpipe.orchestrator import Orchestrator
+        from proofpipe.trace import RunTrace, signature
+
+        path = Path(__file__).parent / "data" / "schema10_trace.jsonl"
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["payload"]["schema_version"] == 10
+        assert all(isinstance(text, str) for line in lines for text in line.get("texts", {}).values())
+        loaded = RunTrace.load(path)
+        header = loaded.header
+        config = PipelineConfig.from_dict(header["config"])
+        backend = ScriptedBackend.from_dict(loaded.of_kind("script_attachment")[0].payload["script"])
+        gateway = ModelGateway(backend, token_budget=config.token_budget, sleep=lambda _: None)
+        fresh = RunTrace()
+        Orchestrator(gateway, registry, config).run_parallel(
+            Problem.from_dict(header["problem"]), trace=fresh, n=header["runs"]
+        )
+        assert loaded.events[0].kind == fresh.events[0].kind == "run_start"
+        assert signature(loaded)[1:] == signature(fresh)[1:]
+        assert any(e.kind == "judge" for e in loaded.events)
+        assert run_cli("cost", path) == ExitCode.VERIFIED
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.79960"
+        assert run_cli("replay", path) == ExitCode.USAGE
+        assert f"trace schema 10 is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
 
     def test_a_text_that_does_not_match_its_address_is_refused(self, tmp_path, registry, capsys):
         trace = self._solve(tmp_path, registry)
