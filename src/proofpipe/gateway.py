@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Optional, Sequence
@@ -397,11 +395,13 @@ class ScriptRule:
     match: str | Sequence[str] | None
     responses: list[dict]
     repeat_last: bool = False
-    cursor: int = 0
+    cursor: int = field(default=0, init=False)  # run state: moved by take, set by ScriptedBackend.restore
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"script rule has unknown role {self.role!r} (roles: {', '.join(ROLES)})")
+        if type(self.repeat_last) is not bool:
+            raise ValueError(f"script rule for role {self.role!r} has a 'repeat_last' that is not true or false")
         if self.match is not None and not isinstance(self.match, str) and not (
             isinstance(self.match, (list, tuple)) and all(isinstance(needle, str) for needle in self.match)
         ):
@@ -561,6 +561,9 @@ class HttpBackend:
         self.backend_id = backend_id
 
     def complete(self, req: ModelRequest) -> ModelResponse:
+        import urllib.error  # here, not at the top: a scripted solve never loads http, ssl or email
+        import urllib.request
+
         body = json.dumps(
             {
                 "model": self.model,

@@ -21,23 +21,28 @@ prompt: rendering is pure and the header pins ``template_version``, so
 Long texts repeat (the graded text is the draft, a ``solution`` event holds
 the regrade's text, the script attachment holds every scripted reply), so a
 trace line stores each string of at least :data:`TEXT_MIN` characters, at
-any depth of its payload, as ``{"$text": <sha256 of the text>}``, and the
-text itself once per trace, in the ``texts`` map of the first line that uses
-it. A ``result`` line stays plain: it is the run's readable answer. A
+any depth of its payload, as a reference to the text, and the text itself
+once per trace, in the ``texts`` map of the first line that uses it, keyed
+by its address (the sha256 of the text). A ``result`` line stays plain: it
+is the run's readable answer. A long text that holds a newline goes into
+``texts`` as the list of its lines, and each line follows the same rule: a
+short one stays inline, and a long one is a reference to a text stored once
+per trace (a new one in the same ``texts`` map, before the text that uses
+it). Prompts quote earlier proofs one to a line (solver contexts, the
+judge's history), so a quoted proof is stored once however often it is
+quoted. A reference is ``{"$text": k}``, where ``k`` numbers the texts in
+the order the file stores them, from 0 (schema 12; schema 11 and older name
+the text by its address, and :meth:`RunTrace.load` still reads that). A
 payload's own dict whose only key is ``$text`` or ``$lit`` is stored as
-``{"$lit": <the dict>}``, so a reader never takes it for an address. A long
-text that holds a newline goes into ``texts`` as the list of its lines, and
-each line follows the same rule: a short one stays inline, and a long one
-is an address whose text is stored once per trace (a new one in the same
-``texts`` map, before the text that uses it). Prompts quote earlier proofs
-one to a line (solver contexts, the judge's history), so a quoted proof is
-stored once however often it is quoted (schema 11). A line stores no
-digest: the event's digest is the sha256 of its addressed payload's
-canonical JSON, which ``append`` hashes and :meth:`RunTrace.load` hashes
-again from the line. The payload holds the whole text's address however
-its text is stored, so the digest depends only on the event, never on what
-the trace held before, and a payload edited in the file changes it. Events
-in memory, including those :meth:`RunTrace.load` reads back, hold the full
+``{"$lit": <the dict>}``, so a reader never takes it for a reference.
+
+A line stores no digest: the event's digest is the sha256 of the canonical
+JSON of its payload with each long text as ``{"$text": <address>}``, which
+``append`` hashes before it writes the numbers, and :meth:`RunTrace.load`
+hashes again once it has put each number's address back. So the digest
+depends only on the event, never on what the trace held before or how a
+text is stored, and a payload edited in the file changes it. Events in
+memory, including those :meth:`RunTrace.load` reads back, hold the full
 texts.
 """
 from __future__ import annotations
@@ -49,21 +54,26 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .core import canonical_json, text_digest
+from .core import text_digest
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
-# Strings this long or longer are stored once per trace, by address.
+# Strings this long or longer are stored once per trace, and referred to.
 TEXT_MIN = 256
 
 # The kinds whose payload a line stores as it is: a result is the run's readable answer.
 PLAIN_KINDS = frozenset({"result"})
 
-# A dict with one of these as its only key is read as an address or a
+# A dict with one of these as its only key is read as a reference or a
 # wrapper; a payload's own such dict is stored inside {"$lit": ...}.
 _MARKERS = frozenset({"$text", "$lit"})
 
 _ENVELOPE = frozenset({"seq", "ts", "run_id", "phase", "kind", "payload"})
+
+# ``core.canonical_json`` and a compact dump, with one encoder each: ``json.dumps``
+# builds an encoder per call, and ``append`` dumps up to three times per line.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_compact = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -105,27 +115,41 @@ def is_call(payload: dict) -> bool:
     return "role" in payload and "usage" in payload
 
 
-def _restore(value: dict | list, texts: Mapping[str, str]) -> None:
-    """Put back, in place, the text that each ``{"$text": address}`` within
-    ``value`` names, and the dict that each ``{"$lit": dict}`` wraps."""
+def _resolve(value: dict | list, texts: Mapping[str, str], numbered: list[str], puts: list) -> None:
+    """Name by its address, in place, each text that a ``{"$text": k}``
+    within ``value`` names by its number, and add to ``puts`` what goes back
+    in each reference's place once the digest is taken: ``(container, key,
+    text)`` for each reference and ``(container, key, dict)`` for each
+    ``{"$lit": dict}``. A reference by address (schema 11 and older) is
+    read as it is."""
     for key, item in value.items() if type(value) is dict else enumerate(value):
         if type(item) is dict and len(item) == 1:
             ((marker, inner),) = item.items()
             if marker == "$text":
-                if type(inner) is not str or inner not in texts:
+                if type(inner) is int and 0 <= inner < len(numbered):
+                    inner = numbered[inner]
+                    item["$text"] = inner  # the digest covers the address
+                elif type(inner) is not str or inner not in texts:
                     raise ValueError(f"no text stored for {item}")
-                value[key] = texts[inner]
+                puts.append((value, key, texts[inner]))
                 continue
             if marker == "$lit":
-                value[key] = item = inner
+                puts.append((value, key, inner))
+                item = inner
         if type(item) is dict or type(item) is list:
-            _restore(item, texts)
+            _resolve(item, texts, numbered, puts)
 
 
-def _event(record, texts: dict[str, str]) -> TraceEvent:
+def _put(puts: list) -> None:
+    for container, key, item in puts:
+        container[key] = item
+
+
+def _event(record, texts: dict[str, str], numbered: list[str]) -> TraceEvent:
     """The event a trace line holds, with its digest and its texts put back.
-    The line's own texts are checked against their addresses and join
-    ``texts``; a stored ``digest`` (schema 8 and older) is not read."""
+    The line's own texts are checked against their addresses, join
+    ``texts`` and are numbered in ``numbered`` in the order they are
+    stored; a stored ``digest`` (schema 8 and older) is not read."""
     if not (
         isinstance(record, dict)
         and _ENVELOPE <= record.keys()
@@ -135,15 +159,20 @@ def _event(record, texts: dict[str, str]) -> TraceEvent:
         raise ValueError("not a trace event")
     for address, text in record.get("texts", {}).items():
         if type(text) is list:  # a text stored as its lines
-            _restore(text, texts)
+            puts = []
+            _resolve(text, texts, numbered, puts)
+            _put(puts)
             if not all(type(line) is str for line in text):
                 raise ValueError(f"a line stored for {address} is neither a string nor an address")
             text = "\n".join(text)
         if not isinstance(text, str) or text_digest(text) != address:
             raise ValueError(f"the text stored for {address} does not match its address")
         texts[address] = text
-    event = TraceEvent.from_dict({**record, "digest": text_digest(canonical_json(record["payload"]))})
-    _restore(event.payload, texts)  # after the digest, which covers the stored form
+        numbered.append(address)
+    puts = []
+    _resolve(record["payload"], texts, numbered, puts)
+    event = TraceEvent.from_dict({**record, "digest": text_digest(_canonical(record["payload"]))})
+    _put(puts)  # after the digest, which covers the payload with each text's address
     return event
 
 
@@ -155,7 +184,7 @@ class RunTrace:
         self._clock = clock
         self.events: list[TraceEvent] = []
         self._file = None  # opened at the first append and kept open: one write and flush per event
-        self._addresses: dict[str, str] = {}  # each long text stored so far -> its address
+        self._stored: dict[str, tuple[str, int]] = {}  # each long text stored so far -> its address and number
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -173,26 +202,30 @@ class RunTrace:
             {e.payload["checkpoint_id"]: e.payload["snapshot"] for e in self.events if e.kind == "checkpoint"}
         )
 
-    def _addressed(self, kind: str, payload: dict) -> tuple[dict, dict[str, str | list]]:
-        """``payload`` as a trace line stores it, and the texts that it is
-        the first event to use, by address, each as it is stored: whole, or
-        as its lines."""
+    def _addressed(self, kind: str, payload: dict) -> tuple[dict, dict[str, str | list], list[tuple[dict, int]]]:
+        """``payload`` with each long text as ``{"$text": <address>}``, the
+        form its digest covers; the texts that it is the first event to use,
+        by address, each as it is stored: whole, or as its lines; and each
+        reference in either, with the number of the text it names."""
         if kind in PLAIN_KINDS:
-            return payload, {}
-        addresses = self._addresses
+            return payload, {}, []
+        stored_texts = self._stored
         new: dict[str, str | list] = {}
+        refs: list[tuple[dict, int]] = []
 
         def ref(value):
             if isinstance(value, str):
                 if len(value) < TEXT_MIN:
                     return value
-                address = addresses.get(value)
-                if address is None:
-                    # A new text's lines are stored by the same rule, before the text.
+                known = stored_texts.get(value)
+                if known is None:
+                    # A new text's lines are stored by the same rule, and numbered before the text.
                     stored = [ref(line) for line in value.split("\n")] if "\n" in value else value
-                    address = addresses[value] = text_digest(value)
-                    new[address] = stored
-                return {"$text": address}
+                    known = stored_texts[value] = (text_digest(value), len(stored_texts))
+                    new[known[0]] = stored
+                reference = {"$text": known[0]}
+                refs.append((reference, known[1]))
+                return reference
             if isinstance(value, dict):
                 stored = {key: ref(item) for key, item in value.items()}
                 return {"$lit": stored} if len(value) == 1 and next(iter(value)) in _MARKERS else stored
@@ -200,11 +233,11 @@ class RunTrace:
                 return [ref(item) for item in value]
             return value
 
-        return {key: ref(item) for key, item in payload.items()}, new
+        return {key: ref(item) for key, item in payload.items()}, new, refs
 
     def append(self, run_id: str, phase: int, kind: str, payload: dict) -> TraceEvent:
-        stored, texts = self._addressed(kind, payload)
-        stored_json = canonical_json(stored)
+        stored, texts, refs = self._addressed(kind, payload)
+        stored_json = _canonical(stored)
         event = TraceEvent(
             seq=len(self.events),
             ts=self._clock(),
@@ -216,10 +249,22 @@ class RunTrace:
         )
         self.events.append(event)
         if self.path:
+            if refs:  # the line names each text by its number; the digest covers its address
+                numbers = {}
+                for reference, number in refs:  # numbers the line lists, and ``stored``
+                    numbers[reference["$text"]] = number
+                    reference["$text"] = number
+                # In canonical JSON, {"$text":"<address>"} is a one-key dict: a reference, or a
+                # payload's own dict, which sits right inside its {"$lit": ...} wrapper.
+                if '{"$lit":{"$text":"' in stored_json:
+                    stored_json = _canonical(stored)
+                else:
+                    for address, number in numbers.items():
+                        stored_json = stored_json.replace(f'{{"$text":"{address}"}}', f'{{"$text":{number}}}')
             head = {"seq": event.seq, "ts": event.ts, "run_id": run_id, "phase": phase, "kind": kind}
             if texts:
                 head["texts"] = texts
-            line = json.dumps(head, ensure_ascii=False, separators=(",", ":"))[:-1] + ',"payload":' + stored_json + "}\n"
+            line = _compact(head)[:-1] + ',"payload":' + stored_json + "}\n"
             if self._file is None:
                 self._file = self.path.open("a", encoding="utf-8")
             self._file.write(line)
@@ -264,9 +309,11 @@ class RunTrace:
         it). Any other bad line raises ``ValueError``: one that is not an
         event, a text that does not match its address (a text stored as its
         lines is checked once they are joined), a stored line that is neither
-        a string nor an address, an address with no text before it."""
+        a string nor an address, a number or an address with no text before
+        it."""
         trace = cls()
         texts: dict[str, str] = {}
+        numbered: list[str] = []  # each stored text's address, by its number
         with Path(path).open("rb") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
@@ -278,7 +325,7 @@ class RunTrace:
                         break
                     raise
                 try:
-                    trace.events.append(_event(record, texts))
+                    trace.events.append(_event(record, texts, numbered))
                 except ValueError as exc:
                     raise ValueError(f"line {number}: {exc}") from None
         trace.path = None  # loaded traces are read-only views

@@ -108,6 +108,12 @@ def _as_schema_10(event):
         event["payload"]["schema_version"] = 10
 
 
+def _as_schema_11(event):
+    """Schema 11 referred to each stored text by its address, not its number."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 11
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -120,6 +126,7 @@ OLD_SCHEMAS = {
     8: _as_schema_8,
     9: _as_schema_9,
     10: _as_schema_10,
+    11: _as_schema_11,
 }
 
 
@@ -313,8 +320,21 @@ class TestSolve:
             ({"role": "solvr"}, "script rule has unknown role 'solvr'"),
             ({"match": 5}, "has a 'match' that is not a string or a list of strings"),
             ({"match": ["NO_ISSUES", 5]}, "has a 'match' that is not a string or a list of strings"),
+            ({"cursor": -1}, "unexpected keyword argument 'cursor'"),
+            ({"cursor": 5}, "unexpected keyword argument 'cursor'"),
+            ({"repeat_last": "no"}, "has a 'repeat_last' that is not true or false"),
         ],
-        ids=["no_responses", "unknown_key", "response_without_text", "unknown_role", "int_match", "int_needle"],
+        ids=[
+            "no_responses",
+            "unknown_key",
+            "response_without_text",
+            "unknown_role",
+            "int_match",
+            "int_needle",
+            "negative_cursor",
+            "cursor",
+            "string_repeat_last",
+        ],
     )
     def test_script_rule_without_responses_is_usage_error(self, tmp_path, problem_file, capsys, fault, message):
         script = tmp_path / "script.json"
@@ -570,8 +590,8 @@ class TestTornTrace:
 
 
 class TestCallTexts:
-    """A trace line stores each long text by its address, and the text
-    itself once per trace."""
+    """A trace line refers to each long text by its number, and stores the
+    text itself once per trace, keyed by its address."""
 
     def _solve(self, tmp_path, registry):
         from proofpipe.gateway import ScriptRule
@@ -638,17 +658,25 @@ class TestCallTexts:
         for text in multiline:
             assert entries[text_digest(text)] == 1, text[:40]
 
+    @staticmethod
+    def _stored(records):
+        """Each text the trace stores, as (address, text as stored), in the
+        order that numbers them."""
+        return [item for record in records for item in record.get("texts", {}).items()]
+
     def test_a_quoted_proof_is_stored_as_its_address(self, tmp_path, registry):
         """The judge's history quotes each attempt on a line of its own; the
-        line of a long proof is that proof's address, not a second copy."""
+        line of a long proof is a reference to that proof, not a second copy."""
         from proofpipe.core import text_digest
         from proofpipe.trace import TEXT_MIN
 
         trace = self._solve(tmp_path, registry)
         records = [json.loads(line) for line in trace.path.read_text(encoding="utf-8").splitlines()]
-        texts = {address: text for record in records for address, text in record.get("texts", {}).items()}
+        stored = self._stored(records)
+        texts = dict(stored)
+        numbers = {address: number for number, (address, _) in enumerate(stored)}
         (judge,) = [record for record in records if record["kind"] == "judge"]
-        materials = texts[judge["payload"]["slots"]["additional_materials"]["$text"]]
+        _, materials = stored[judge["payload"]["slots"]["additional_materials"]["$text"]]
         assert isinstance(materials, list)
         proofs = {
             event.payload["proof_text"]
@@ -657,8 +685,41 @@ class TestCallTexts:
         }
         assert proofs
         for proof in proofs:
-            assert {"$text": text_digest(proof)} in materials, proof[:40]
+            assert {"$text": numbers[text_digest(proof)]} in materials, proof[:40]
             assert isinstance(texts[text_digest(proof)], str)
+
+    def test_each_reference_is_the_number_of_a_text_stored_before_it(self, tmp_path, registry):
+        """A line refers to a stored text by its number, never by its
+        address: an address appears only as the key of its text."""
+        import re
+
+        def references(value):
+            if isinstance(value, dict):
+                if value.keys() == {"$text"}:
+                    yield value["$text"]
+                else:
+                    for item in value.values():
+                        yield from references(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from references(item)
+
+        trace = self._solve(tmp_path, registry)
+        count = 0
+        seen = 0
+        for line in trace.path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            for text in record.get("texts", {}).values():
+                for number in references(text):
+                    assert type(number) is int and 0 <= number < count, (number, count)
+                    seen += 1
+                count += 1
+            for number in references(record["payload"]):
+                assert type(number) is int and 0 <= number < count, (number, count)
+                seen += 1
+            # Each address in the line is the key of a text that the line stores, once.
+            assert sorted(re.findall(r"[0-9a-f]{64}", line)) == sorted(record.get("texts", {}))
+        assert count > 10 and seen > count
 
     def test_a_bad_text_stored_as_lines_is_refused(self, tmp_path, registry, capsys):
         from proofpipe.trace import RunTrace
@@ -673,12 +734,16 @@ class TestCallTexts:
         )
         pieces = json.loads(lines[index])["texts"][address]
         at = next(i for i, piece in enumerate(pieces) if isinstance(piece, dict))
-        cases = {
-            "neither a string nor an address": pieces[:at] + [7] + pieces[at + 1 :],
-            "no text stored for": pieces[:at] + [{"$text": "0" * 64}] + pieces[at + 1 :],
-            "does not match its address": pieces + [""],
-        }
-        for message, edited in cases.items():
+        # The text's own number: the texts stored before it are all there is to name.
+        own = [a for a, _ in self._stored(json.loads(line) for line in lines[: index + 1])].index(address)
+        cases = [
+            ("neither a string nor an address", pieces[:at] + [7] + pieces[at + 1 :]),
+            ("no text stored for", pieces[:at] + [{"$text": "0" * 64}] + pieces[at + 1 :]),
+            ("no text stored for", pieces[:at] + [{"$text": own}] + pieces[at + 1 :]),
+            ("no text stored for", pieces[:at] + [{"$text": -1}] + pieces[at + 1 :]),
+            ("does not match its address", pieces + [""]),
+        ]
+        for message, edited in cases:
             record = json.loads(lines[index])
             record["texts"][address] = edited
             trace.path.write_text("\n".join(lines[:index] + [json.dumps(record)] + lines[index + 1 :]) + "\n", encoding="utf-8")
@@ -693,7 +758,9 @@ class TestCallTexts:
         self, tmp_path, clean_script, problem_file, capsys
     ):
         """A script is input: its own ``{"$text": ...}`` and ``{"$lit": ...}``
-        dicts are stored as literals, never read back as addresses."""
+        dicts are stored as literals, never read back as references, also
+        one that holds a number or the address of a text the line stores."""
+        from proofpipe.core import text_digest
         from proofpipe.trace import TEXT_MIN, RunTrace
 
         script = json.loads(clean_script.read_text(encoding="utf-8"))
@@ -702,6 +769,8 @@ class TestCallTexts:
             {"$text": "hand-written"},
             {"$lit": {"$text": long}},
             {"$text": long, "other": 1},
+            {"$text": 0},
+            {"$text": text_digest(long)},
         ]
         clean_script.write_text(json.dumps(script), encoding="utf-8")
         out = tmp_path / "out"
@@ -732,12 +801,15 @@ class TestCallTexts:
         assert run_cli("replay", path) == ExitCode.USAGE
         assert f"trace schema 8 is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
 
-    def test_a_schema_10_trace_still_loads_and_its_digests_did_not_move(self, registry, capsys):
-        """A schema-10 line stores each long text whole. Its events hash to
-        the digests of a fresh solve of the same script: how a text is
-        stored is not part of any event's digest. The trace is two well
-        runs with long replies and a judge, as the schema-10 writer stored
-        it."""
+    @pytest.mark.parametrize("schema", [10, 11], ids=["schema10", "schema11"])
+    def test_an_old_trace_still_loads_and_its_digests_did_not_move(self, registry, capsys, schema):
+        """A schema-10 line stores each long text whole; a schema-11 line
+        stores a text with a newline as its lines; both refer to a text by
+        its address. Their events hash to the digests of a fresh solve of
+        the same script: how a text is stored or referred to is not part of
+        any event's digest. Each trace is two well runs with long replies
+        and a judge, as that schema's writer stored it."""
+        import re
         from pathlib import Path
 
         from proofpipe.core import PipelineConfig, Problem
@@ -745,10 +817,15 @@ class TestCallTexts:
         from proofpipe.orchestrator import Orchestrator
         from proofpipe.trace import RunTrace, signature
 
-        path = Path(__file__).parent / "data" / "schema10_trace.jsonl"
+        path = Path(__file__).parent / "data" / f"schema{schema}_trace.jsonl"
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert lines[0]["payload"]["schema_version"] == 10
-        assert all(isinstance(text, str) for line in lines for text in line.get("texts", {}).values())
+        assert lines[0]["payload"]["schema_version"] == schema
+        stored = [text for line in lines for text in line.get("texts", {}).values()]
+        if schema == 10:
+            assert all(isinstance(text, str) for text in stored)
+        else:
+            assert any(isinstance(text, list) for text in stored)
+        assert re.search(r'\{"\$text":"[0-9a-f]{64}"\}', path.read_text(encoding="utf-8"))
         loaded = RunTrace.load(path)
         header = loaded.header
         config = PipelineConfig.from_dict(header["config"])
@@ -764,7 +841,7 @@ class TestCallTexts:
         assert run_cli("cost", path) == ExitCode.VERIFIED
         assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.79960"
         assert run_cli("replay", path) == ExitCode.USAGE
-        assert f"trace schema 10 is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
+        assert f"trace schema {schema} is not supported (want {SCHEMA_VERSION})" in capsys.readouterr().err
 
     def test_a_text_that_does_not_match_its_address_is_refused(self, tmp_path, registry, capsys):
         trace = self._solve(tmp_path, registry)

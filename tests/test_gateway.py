@@ -1,9 +1,13 @@
 """Gateway behavior: exact money, budget enforcement, scripted determinism."""
 import io
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 from decimal import Decimal
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -344,3 +348,14 @@ class TestHttpBackend:
         resp = gw.complete(req())
         assert resp.text == "proof" and resp.usage == Usage(7, 5, 0)
         assert gw.tokens_consumed == 12
+
+    def test_importing_the_cli_loads_no_http_stack(self):
+        """``urllib`` is imported when a request is sent, so a scripted solve
+        never pays for loading ``http.client``, ``ssl`` and ``email``."""
+        import proofpipe
+
+        src = str(Path(proofpipe.__file__).resolve().parent.parent)
+        probe = "import sys, proofpipe.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & sys.modules.keys()))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
