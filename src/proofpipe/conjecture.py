@@ -185,14 +185,6 @@ class ConjectureEngine:
     def __init__(self, dialectic: DialecticEngine):
         self.dialectic = dialectic
 
-    @property
-    def _trace(self):
-        return self.dialectic.trace
-
-    @property
-    def _config(self):
-        return self.dialectic.config
-
     def extract_hypotheses(
         self,
         problem: Problem,
@@ -249,6 +241,7 @@ class ConjectureEngine:
             parse=lambda text: (parse_conjectures(text), {}),
             attempts=2,
         )
+        trace, run_id = self.dialectic.trace, self.dialectic.run_id
         pairs = []
         for c, n in zip(parsed.conjectures, parsed.negations):
             pair = HypothesisPair(
@@ -257,17 +250,12 @@ class ConjectureEngine:
                 negation=n,
             )
             for warning in (*lint_self_containedness(c), *lint_self_containedness(n)):
-                self._trace.append(self.dialectic.run_id, phase, "lint_warning", {"pair_id": pair.id, "warning": warning})
+                trace.append(run_id, phase, "lint_warning", {"pair_id": pair.id, "warning": warning})
             pairs.append(pair)
 
-        budget = self._config.extraction_budget
+        budget = self.dialectic.config.extraction_budget
         if len(pairs) > budget:
-            self._trace.append(
-                self.dialectic.run_id,
-                phase,
-                "pairs_truncated",
-                {"kept": budget, "dropped": len(pairs) - budget},
-            )
+            trace.append(run_id, phase, "pairs_truncated", {"kept": budget, "dropped": len(pairs) - budget})
             pairs = pairs[:budget]
         return tuple(pairs)
 
@@ -303,39 +291,33 @@ class ConjectureEngine:
             if not all(isinstance(e, CallFailed) for e in errors):
                 continue  # a side did not finish: no verdict
             if errors:
-                record = FailureRecord(
-                    pair_id=pair.id,
-                    conjecture=pair.conjecture,
-                    reason=FailureReason.UNRESOLVED,
-                    detail=failure_text(errors[0]),
-                )
-                failed.append(record)
-                self.dialectic.record(phase, "pair_failed", record)
-                continue
-            attempts.extend((pos, neg))
-            verdict = classify(pos.score, neg.score, tau)
-            if verdict == "ambiguous":
-                record = FailureRecord(
-                    pair_id=pair.id,
-                    conjecture=pair.conjecture,
-                    reason=FailureReason.AMBIGUOUS,
-                    detail=f"g_pos={pos.score}, g_neg={neg.score}, tau={tau}",
-                )
-                failed.append(record)
-                self.dialectic.record(phase, "pair_failed", record)
-                continue
-            winner = pos if verdict == "positive" else neg
-            lemma = Lemma(
-                statement=winner.statement,
-                polarity=Polarity.POSITIVE if verdict == "positive" else Polarity.NEGATIVE,
-                proof_text=winner.proof_text,
-                g_pos=pos.score,
-                g_neg=neg.score,
+                reason, detail = FailureReason.UNRESOLVED, failure_text(errors[0])
+            else:
+                attempts.extend((pos, neg))
+                verdict = classify(pos.score, neg.score, tau)
+                if verdict != "ambiguous":
+                    winner = pos if verdict == "positive" else neg
+                    lemma = Lemma(
+                        statement=winner.statement,
+                        polarity=Polarity.POSITIVE if verdict == "positive" else Polarity.NEGATIVE,
+                        proof_text=winner.proof_text,
+                        g_pos=pos.score,
+                        g_neg=neg.score,
+                        pair_id=pair.id,
+                        threshold=tau,
+                    )
+                    proven.append(lemma)
+                    self.dialectic.record(phase, "pair_proven", lemma)
+                    continue
+                reason, detail = FailureReason.AMBIGUOUS, f"g_pos={pos.score}, g_neg={neg.score}, tau={tau}"
+            record = FailureRecord(
                 pair_id=pair.id,
-                threshold=tau,
+                conjecture=pair.conjecture,
+                reason=reason,
+                detail=detail,
             )
-            proven.append(lemma)
-            self.dialectic.record(phase, "pair_proven", lemma)
+            failed.append(record)
+            self.dialectic.record(phase, "pair_failed", record)
         raise_first(outcomes)
         return VerifyOutcome(tuple(proven), tuple(failed), tuple(attempts))
 
@@ -352,7 +334,7 @@ class ConjectureEngine:
             proof_text=outcome.proof_text,
             score=outcome.grade.score,
         )
-        self._trace.append(
+        self.dialectic.trace.append(
             self.dialectic.run_id,
             phase,
             "side_solved",

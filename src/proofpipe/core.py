@@ -316,6 +316,8 @@ class PipelineConfig:
             raise ValueError("extraction_budget must be >= 1")
         if self.parallel_runs < 1:
             raise ValueError("parallel_runs must be >= 1")
+        if self.retry_attempts < 1:
+            raise ValueError("retry_attempts must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -318,14 +318,13 @@ class DialecticEngine:
                 return value
         raise error
 
-    def _materials(self, problem: Problem, ctx: SolveContext) -> str:
-        parts = []
-        if problem.additional_materials:
-            parts.append("[Provided Hints]\n" + problem.additional_materials)
-        rendered = ctx.render()
-        if rendered:
-            parts.append(rendered)
-        return "\n\n".join(parts)
+    def _solver_call(self, problem: Problem, ctx: SolveContext, phase: int, kind: str, extra: dict) -> str:
+        """One solver call on ``problem``, its materials the problem's hints
+        and then ``ctx``; return the final proof of the reply."""
+        hints = "[Provided Hints]\n" + problem.additional_materials if problem.additional_materials else ""
+        materials = "\n\n".join(part for part in (hints, ctx.render()) if part)
+        resp = self._call("solver", {"problem": problem.statement, "additional_materials": materials}, phase, kind, extra)
+        return extract_final_proof(resp.text)
 
     # -- operations ---------------------------------------------------------
 
@@ -356,14 +355,7 @@ class DialecticEngine:
 
     def _branch(self, spec: Branch, phase: int, solution_id: str) -> CandidateSolution:
         problem, ctx, branch, origin = spec.problem, spec.ctx, spec.index, spec.origin
-        draft_resp = self._call(
-            "solver",
-            {"problem": problem.statement, "additional_materials": self._materials(problem, ctx)},
-            phase,
-            "draft",
-            {"branch": branch},
-        )
-        proof = extract_final_proof(draft_resp.text)
+        proof = self._solver_call(problem, ctx, phase, "draft", {"branch": branch})
 
         censor_issues = self.lazy_phrase_check(proof, phase, branch)
         if censor_issues:
@@ -373,14 +365,7 @@ class DialecticEngine:
                 prior_solutions=(*ctx.prior_solutions, self._as_solution(problem, proof, phase, origin)),
                 scaffolding=ctx.scaffolding,
             )
-            redraft_resp = self._call(
-                "solver",
-                {"problem": problem.statement, "additional_materials": self._materials(problem, redraft_ctx)},
-                phase,
-                "draft",
-                {"branch": branch, "redraft": True},
-            )
-            proof = extract_final_proof(redraft_resp.text)
+            proof = self._solver_call(problem, redraft_ctx, phase, "draft", {"branch": branch, "redraft": True})
 
         first_grade = self.grade(proof, problem, phase, "grade", {"branch": branch})
 
@@ -390,14 +375,7 @@ class DialecticEngine:
             prior_solutions=(self._as_solution(problem, proof, phase, origin, first_grade),),
             scaffolding=first_grade.scaffolding,
         )
-        refine_resp = self._call(
-            "solver",
-            {"problem": problem.statement, "additional_materials": self._materials(problem, refine_ctx)},
-            phase,
-            "refine",
-            {"branch": branch},
-        )
-        refined = extract_final_proof(refine_resp.text)
+        refined = self._solver_call(problem, refine_ctx, phase, "refine", {"branch": branch})
 
         final_grade = self.grade(refined, problem, phase, "regrade", {"branch": branch})
         return CandidateSolution(
@@ -485,11 +463,13 @@ class DialecticEngine:
         keeps ``reserve`` tokens for each earlier leaf, and every later leaf
         spends ahead of its turn only within an equal share of the rest
         (:meth:`~proofpipe.gateway.Budget.split`); what is admitted does not
-        depend on how far the leaves have got. A later leaf whose share
-        cannot hold one call starts in its turn. The first leaf spends from
-        the engine's budget and records straight into its trace and ledger,
-        so it writes as it goes; every later leaf records into a
-        :class:`TraceBuffer` and a ledger of its own until the join.
+        depend on how far the leaves have got. The first call of a later
+        leaf whose share cannot hold one call waits at admission for the
+        leaf's turn (:meth:`~proofpipe.gateway.ModelGateway.complete`). The
+        first leaf spends from the engine's budget and records straight into
+        its trace and ledger, so it writes as it goes; every later leaf
+        records into a :class:`TraceBuffer` and a ledger of its own until the
+        join.
         """
         if not tasks:
             return []
@@ -512,8 +492,6 @@ class DialecticEngine:
 
     def _run_leaf(self, task: Callable[["DialecticEngine"], object], lane: Lane, trace: RunTrace | TraceBuffer):
         try:
-            if lane.budget.ahead and lane.budget.cap < self.config.max_output_tokens:
-                lane.wait_turn()  # its share admits no call
             return task(DialecticEngine(self.gateway, self.registry, self.config, trace, self.run_id, self.ids, lane))
         finally:
             lane.done.set()  # later leaves may be waiting for their turn

@@ -142,6 +142,8 @@ class PriceTable:
 
     @classmethod
     def from_config(cls, raw: dict[str, dict]) -> "PriceTable":
+        if not isinstance(raw, dict):
+            raise ValueError(f"the price table is not a table of backends: {raw!r}")
         prices = {}
         for backend_id, entry in raw.items():
             try:
@@ -149,8 +151,8 @@ class PriceTable:
                     input_usd_per_million=Decimal(str(entry["input_usd_per_million"])),
                     output_usd_per_million=Decimal(str(entry["output_usd_per_million"])),
                 )
-            except InvalidOperation:
-                raise ValueError(f"the price of {backend_id!r} is not two numbers: {entry}") from None
+            except (InvalidOperation, TypeError):  # TypeError: an entry that is not a table of rates
+                raise ValueError(f"the price of {backend_id!r} is not two numbers: {entry!r}") from None
         return cls(prices)
 
     def __contains__(self, backend_id: str) -> bool:
@@ -627,6 +629,8 @@ class ModelGateway:
     ):
         if token_budget <= 0:
             raise ValueError("token_budget must be positive")
+        if retry_attempts < 1:
+            raise ValueError("retry_attempts must be >= 1")
         # Pricing an unpriced call would fail after its tokens were counted.
         if backend.backend_id not in price_table:
             raise ValueError(f"no price configured for backend {backend.backend_id!r}")

@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 from .conjecture import ConjectureEngine, VerifyOutcome
 from .core import (
     CandidateSolution,
+    FailureRecord,
     Origin,
     PipelineConfig,
     Problem,
@@ -72,6 +73,8 @@ TAU = 7
 TAU_E = 6
 # Characters of one solution quoted in guided feedback and the judge's history.
 HISTORY_CHAR_CAP = 4000
+# The outcome of a conjecture round that bisected nothing.
+NO_OUTCOME = VerifyOutcome((), (), ())
 
 
 class ResumeError(Exception):
@@ -88,10 +91,6 @@ class PipelineResult:
     status: str
     state: RunState
     trace: RunTrace
-
-    @property
-    def verified(self) -> bool:
-        return self.status == STATUS_VERIFIED
 
 
 def extract_decision(text: str) -> Optional[str]:
@@ -123,6 +122,11 @@ def select_kth_top(solutions: Sequence[CandidateSolution], k: int) -> SolveConte
 
 def select_top(solutions: Sequence[CandidateSolution], n: int) -> list[CandidateSolution]:
     return rank(solutions)[:n]
+
+
+def unresolved(record: FailureRecord) -> str:
+    """The solver feedback on a pair that bisection left without a lemma."""
+    return f"Unresolved conjecture ({record.reason.value}): {record.conjecture}"
 
 
 def ledger_from_trace(trace: RunTrace, price_table: PriceTable, end: Optional[int] = None) -> CostLedger:
@@ -322,7 +326,6 @@ class Orchestrator:
 
     def _machine(self, problem: Problem, engine: DialecticEngine, position: tuple) -> PipelineResult:
         run_id, trace, state = engine.run_id, engine.trace, engine.state
-        conj = ConjectureEngine(engine)
         cfg = self.config
         try:
             if position[0] == "p1":
@@ -333,10 +336,8 @@ class Orchestrator:
                     for k in range(1, cfg.solver_width):
                         ctx = select_kth_top(state.solution_memory, k)
                         branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
-                    batch = engine.solve_branches(branches, phase=1)
-                    winner = self._check_verified(batch, problem, engine)
-                    if winner is not None:
-                        return self._finish(engine, winner, STATUS_VERIFIED)
+                    if verified := self._gated_round(problem, engine, branches, phase=1):
+                        return verified
                     if i < cfg.initial_iterations:
                         self._checkpoint(engine, f"p1.i{i}", ("p1", i + 1))
                 self._checkpoint(engine, "p1.done", ("outer", 1))
@@ -346,36 +347,23 @@ class Orchestrator:
                 for l in range(position[1], cfg.conjecture_iterations + 1):
                     trace.append(run_id, 2, "phase_start", {"phase": 2, "iteration": l})
                     seeds = select_top(state.solution_memory, 2)
-                    outcome: Optional[VerifyOutcome] = None
+                    outcome = NO_OUTCOME
                     if not seeds:
                         trace.append(run_id, 2, "extract_skipped", {"reason": "no graded seeds"})
                     else:
-                        try:
-                            pairs = conj.extract_hypotheses(
-                                problem,
-                                seeds,
-                                state.lemma_memory,
-                                state.failure_context,
-                                phase=2,
-                            )
-                        except CallFailed as exc:
-                            # Only the extraction is lost; the guided round still runs.
-                            trace.append(run_id, 2, "extraction_failed", {"error": failure_text(exc)})
-                        else:
-                            outcome = conj.verify_hypotheses(pairs, TAU, phase=2)
+                        # A failed extraction loses only itself; the guided round still runs.
+                        outcome = self._conjecture_round(problem, engine, seeds, TAU, phase=2)
 
                     trace.append(run_id, 3, "phase_start", {"phase": 3, "iteration": l})
                     ctx = self._guided_context(state, outcome)
                     branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
                     branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
-                    batch = engine.solve_branches(branches, phase=3)
-                    winner = self._check_verified(batch, problem, engine)
-                    if winner is not None:
-                        return self._finish(engine, winner, STATUS_VERIFIED)
+                    if verified := self._gated_round(problem, engine, branches, phase=3):
+                        return verified
                     self._checkpoint(engine, f"outer.l{l}", self._after_outer(l))
                 position = ("p4", 0)
 
-            return self._phase4(problem, engine, conj)
+            return self._phase4(problem, engine)
         except BudgetExceeded:
             # every solution finished before the refused call is already in the state
             trace.append(run_id, 0, "budget_exhausted", {})
@@ -385,20 +373,17 @@ class Orchestrator:
     def _after_outer(self, l: int) -> tuple:
         return ("outer", l + 1) if l < self.config.conjecture_iterations else ("p4", 0)
 
-    def _guided_context(self, state: RunState, outcome: Optional[VerifyOutcome]) -> SolveContext:
-        feedback: list[str] = []
-        if outcome:
-            for record in outcome.failed:
-                feedback.append(f"Unresolved conjecture ({record.reason.value}): {record.conjecture}")
-            for attempt in outcome.attempts:
-                feedback.append(
-                    f"Partial progress on {attempt.pair_id} ({attempt.side}, scored {attempt.score}/7): "
-                    + attempt.proof_text[:HISTORY_CHAR_CAP]
-                )
+    def _guided_context(self, state: RunState, outcome: VerifyOutcome) -> SolveContext:
+        feedback = [unresolved(record) for record in outcome.failed]
+        for attempt in outcome.attempts:
+            feedback.append(
+                f"Partial progress on {attempt.pair_id} ({attempt.side}, scored {attempt.score}/7): "
+                + attempt.proof_text[:HISTORY_CHAR_CAP]
+            )
         prior = (best(state.solution_memory),) if state.solution_memory else ()
         return SolveContext(lemmas=tuple(state.lemma_memory), feedback=tuple(feedback), prior_solutions=prior)
 
-    def _phase4(self, problem: Problem, engine: DialecticEngine, conj: ConjectureEngine) -> PipelineResult:
+    def _phase4(self, problem: Problem, engine: DialecticEngine) -> PipelineResult:
         cfg = self.config
         run_id, trace, state = engine.run_id, engine.trace, engine.state
         trace.append(run_id, 4, "phase_start", {"phase": 4})
@@ -413,23 +398,8 @@ class Orchestrator:
         enhance_feedback: list[str] = []
         for session in (1, 2):
             trace.append(run_id, 4, "enhance_session", {"session": session})
-            try:
-                pairs = conj.extract_hypotheses(
-                    problem,
-                    [s_star],
-                    state.lemma_memory,
-                    state.failure_context,
-                    extra_reports=check_issue_texts,
-                    phase=4,
-                )
-            except CallFailed as exc:
-                trace.append(run_id, 4, "extraction_failed", {"error": failure_text(exc), "session": session})
-                continue
-            outcome = conj.verify_hypotheses(pairs, TAU_E, phase=4)
-            for record in outcome.failed:
-                enhance_feedback.append(
-                    f"Unresolved conjecture ({record.reason.value}): {record.conjecture}"
-                )
+            outcome = self._conjecture_round(problem, engine, [s_star], TAU_E, 4, check_issue_texts, session=session)
+            enhance_feedback.extend(unresolved(record) for record in outcome.failed)
 
         ctx = SolveContext(
             lemmas=tuple(state.lemma_memory),
@@ -447,23 +417,47 @@ class Orchestrator:
         status = STATUS_VERIFIED if all(g.clean_perfect for g in final_grades) else STATUS_BEST_EFFORT
         return self._finish(engine, final, status)
 
-    def _check_verified(self, batch, problem: Problem, engine: DialecticEngine) -> Optional[CandidateSolution]:
-        """Try the verify gate, N clean check grades of one text, on the
-        batch's candidates.
+    def _gated_round(
+        self, problem: Problem, engine: DialecticEngine, branches: Sequence[Branch], phase: int
+    ) -> Optional[PipelineResult]:
+        """Solve ``branches`` as one round, then try the verify gate, N clean
+        check grades of one text, on its solutions; the run's verified
+        result, or None if no solution passed.
 
-        Only candidates whose inline grade is already a clean 7 are worth
-        the extra grader calls; they are tried in comparator order.
+        Only solutions whose inline grade is already a clean 7 are worth the
+        extra grader calls; they are tried in comparator order.
         """
         run_id, trace = engine.run_id, engine.trace
-        for candidate in rank(batch):
+        for candidate in rank(engine.solve_branches(branches, phase)):
             if not candidate.grade.clean_perfect:
                 continue
-            trace.append(run_id, candidate.phase, "verify_start", {"solution_id": candidate.id})
+            trace.append(run_id, phase, "verify_start", {"solution_id": candidate.id})
             if engine.verified_success(candidate, problem):
-                trace.append(run_id, candidate.phase, "verified", {"solution_id": candidate.id})
-                return candidate
-            trace.append(run_id, candidate.phase, "verify_failed", {"solution_id": candidate.id})
+                trace.append(run_id, phase, "verified", {"solution_id": candidate.id})
+                return self._finish(engine, candidate, STATUS_VERIFIED)
+            trace.append(run_id, phase, "verify_failed", {"solution_id": candidate.id})
         return None
+
+    def _conjecture_round(
+        self,
+        problem: Problem,
+        engine: DialecticEngine,
+        seeds: Sequence[CandidateSolution],
+        tau: int,
+        phase: int,
+        reports: Sequence[str] = (),
+        **failure_fields,
+    ) -> VerifyOutcome:
+        """Extract conjecture pairs from ``seeds`` (with grader ``reports``)
+        and bisect them at ``tau``. A failed extraction is recorded as
+        ``extraction_failed``, with ``failure_fields``, and bisects nothing."""
+        conj, state = ConjectureEngine(engine), engine.state
+        try:
+            pairs = conj.extract_hypotheses(problem, seeds, state.lemma_memory, state.failure_context, reports, phase)
+        except CallFailed as exc:
+            engine.trace.append(engine.run_id, phase, "extraction_failed", {"error": failure_text(exc), **failure_fields})
+            return NO_OUTCOME
+        return conj.verify_hypotheses(pairs, tau, phase)
 
     def _checkpoint(self, engine: DialecticEngine, name: str, position: tuple, result: Optional[dict] = None) -> None:
         """Record checkpoint ``<run_id>.<name>`` as a marker of constant size.
@@ -529,12 +523,10 @@ class Orchestrator:
 
     def _judge(self, problem: Problem, a: PipelineResult, b: PipelineResult, judge: DialecticEngine) -> PipelineResult:
         trace = judge.trace
-        if a.solution is None:
-            trace.append("aggregate", 4, "judge_fallback", {"reason": "run A produced no solution"})
-            return b
-        if b.solution is None:
-            trace.append("aggregate", 4, "judge_fallback", {"reason": "run B produced no solution"})
-            return a
+        for name, empty, other in (("A", a, b), ("B", b, a)):
+            if empty.solution is None:
+                trace.append("aggregate", 4, "judge_fallback", {"reason": f"run {name} produced no solution"})
+                return other
 
         slots = {
             "problem": problem.statement,

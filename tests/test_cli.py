@@ -275,8 +275,9 @@ class TestSolve:
             ("pipeline", "strict_budget = maybe", "[pipeline] strict_budget = 'maybe' is not a boolean"),
             ("prices", "scripted = 10", "[prices] scripted = '10' is not two rates"),
             ("prices", "scripted = abc, 10", "[prices] scripted = 'abc, 10' is not two rates"),
+            ("pipeline", "retry_attempts = 0", "retry_attempts must be >= 1"),
         ],
-        ids=["not_an_integer", "not_a_boolean", "one_rate", "non_numeric_rate"],
+        ids=["not_an_integer", "not_a_boolean", "one_rate", "non_numeric_rate", "no_attempts"],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, clean_script, problem_file, capsys, section, line, named):
         config = tmp_path / "config.ini"
@@ -575,11 +576,15 @@ class TestTornTrace:
         trace_path = out / "trace.jsonl"
         lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
         bad_price = {"scripted": {"input_usd_per_million": "abc", "output_usd_per_million": "10"}}
-        cases = {
-            "replay": ({"no_such_setting": 1}, "no_such_setting"),
-            "cost": ({"price_table": bad_price}, "'scripted'"),
-        }
-        for command, (config, named) in cases.items():
+        cases = [
+            ("replay", {"no_such_setting": 1}, "no_such_setting"),
+            ("replay", {"retry_attempts": 0}, "retry_attempts must be >= 1"),
+            ("cost", {"price_table": bad_price}, "'scripted'"),
+            ("cost", {"price_table": [1]}, "price table"),
+            ("cost", {"price_table": {"scripted": "10"}}, "'scripted'"),
+            ("cost", {"price_table": {"scripted": []}}, "'scripted'"),
+        ]
+        for command, config, named in cases:
             header = json.loads(lines[0])
             header["payload"]["config"].update(config)
             trace_path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")

@@ -130,6 +130,8 @@ class TestRoundTrips:
             PipelineConfig(token_budget=0)
         with pytest.raises(ValueError):
             PipelineConfig(solver_width=0)
+        with pytest.raises(ValueError, match="retry_attempts"):
+            PipelineConfig(retry_attempts=0)
 
     def test_grading_record_bounds(self):
         GradingRecord(human=0, predicted=7)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from proofpipe.core import CandidateSolution, Origin
 from proofpipe.dialectic import DialecticEngine
-from proofpipe.gateway import DEFAULT_PRICES, ScriptRule
+from proofpipe.gateway import DEFAULT_PRICES, ScriptRule, Usage
 from proofpipe.orchestrator import (
     STATUS_BEST_EFFORT,
     STATUS_VERIFIED,
@@ -22,7 +22,7 @@ from proofpipe.orchestrator import (
     replay,
 )
 from proofpipe.prompts import PromptRegistry
-from proofpipe.trace import RunTrace
+from proofpipe.trace import RunTrace, is_call
 
 from conftest import (
     clean_problem,
@@ -169,6 +169,24 @@ class TestOneUnitFails:
         assert result.trace.count("pair_failed") == 3
         assert result.status == STATUS_BEST_EFFORT
 
+    def test_phase_four_extraction_failure_loses_only_its_session(self, registry):
+        # Both outer iterations extract; phase 4's first session fails on
+        # every retry, and its second extracts again.
+        extracted = {"text": "One conjecture identified."}
+        make_rules = lambda: replace_rule(rules_all_twos(), "extractor", [extracted, extracted] + [FAIL] * 3)
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "extraction_failed")
+        assert failed == [{"error": failed[0]["error"], "session": 1}]
+        assert failed[0]["error"].startswith("BackendFailure: backend failed after 3 attempts")
+        events = result.trace.events
+        first, second = [i for i, e in enumerate(events) if e.kind == "enhance_session"]
+        assert [e.kind for e in events[first + 1 : second]] == ["extraction_failed"]
+        session_two = [e.kind for e in events[second + 1 :]]
+        assert session_two.count("extract") == 1
+        assert session_two.count("side_solved") == 2
+        assert session_two.count("pair_failed") == 1
+        assert [e.phase for e in result.trace.of_kind("extract")] == [2, 2, 4]
+        assert result.status == STATUS_BEST_EFFORT
+
     def test_judge_backend_failure_falls_back_to_the_comparator(self, registry):
         make_rules = lambda: rules_clean() + [ScriptRule("judge", None, [FAIL], repeat_last=True)]
         config = small_config(parallel_runs=2)
@@ -244,7 +262,8 @@ def fault_cases(draw):
     faults = [draw(st.lists(st.sampled_from(["ok", "fail", "garbage"]), max_size=6)) for _ in base]
     budget = draw(st.one_of(st.just(10_000_000), st.integers(1, 200_000)))
     retries = draw(st.integers(1, 3))
-    config = small_config(parallel_runs=runs, token_budget=budget, retry_attempts=retries)
+    strict = draw(st.booleans())
+    config = small_config(parallel_runs=runs, token_budget=budget, retry_attempts=retries, strict_budget=strict)
     return name, faults, config
 
 
@@ -278,6 +297,17 @@ def test_injected_faults_never_crash_a_run(case):
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed
     assert ledger_from_trace(trace, DEFAULT_PRICES).to_dict() == gateway.ledger.to_dict()
     assert replay(trace, registry=REGISTRY) is None
+
+    # Overshoot: at most one call in the default mode, none in strict mode,
+    # where a reservation covers a call's output; beyond that, only what a
+    # call used past its max_output_tokens (its prompt).
+    slack = 0 if config.strict_budget else config.max_output_tokens
+    excess = sum(
+        max(0, Usage.from_dict(e.payload["usage"]).total - config.max_output_tokens)
+        for e in trace.events
+        if is_call(e.payload)
+    )
+    assert gateway.tokens_consumed <= config.token_budget + slack + excess
 
     # No pair proves both its claim and its negation.
     proven = [e.payload for e in trace.of_kind("pair_proven")]

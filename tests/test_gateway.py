@@ -253,6 +253,10 @@ class TestGatewayBudget:
         assert gw.tokens_consumed == 20
         assert len(gw.ledger.entries) == 1
 
+    def test_a_gateway_that_makes_no_attempt_is_refused(self):
+        with pytest.raises(ValueError, match="retry_attempts must be >= 1"):
+            self._gateway([ScriptRule("solver", None, [{"text": "t"}])], budget=1000, retry_attempts=0)
+
     def test_retry_exhaustion(self):
         gw = self._gateway(
             [ScriptRule("solver", None, [{"fail": True, "text": "boom"}], repeat_last=True)],

@@ -310,6 +310,24 @@ class TestJudge:
         assert trace.of_kind("result")[-1].run_id == "aggregate"
         assert gateway.ledger.total_tokens() == gateway.tokens_consumed
 
+    @pytest.mark.parametrize("empty, kept", [("A", "run2"), ("B", "run1")])
+    def test_a_run_with_no_solution_leaves_the_other(self, registry, empty, kept):
+        # Width 1 and no outer iteration: a run whose one draft fails has no
+        # solution. Run 1 takes the first two solver replies (draft and
+        # refine), run 2 the next. The judge, if asked, would pick the empty run.
+        ok = {"text": "GOOD_PROOF: the bound holds by direct induction."}
+        solver = [{"fail": True}, ok] if empty == "A" else [ok, ok, {"fail": True}]
+        rules = [ScriptRule("solver", None, solver, repeat_last=True), *rules_clean()[1:]]
+        rules.append(ScriptRule("judge", None, [{"text": f"<decision>{empty}</decision>"}], repeat_last=True))
+        config = small_config(parallel_runs=2, solver_width=1, conjecture_iterations=0, retry_attempts=1)
+        result, _ = run_pipeline(rules, config, registry, parallel=True, n=2)
+        trace = result.trace
+        assert trace.count("judge") == 0
+        assert [e.payload for e in trace.of_kind("judge_fallback")] == [{"reason": f"run {empty} produced no solution"}]
+        assert result.state.run_id == kept
+        assert result.status == STATUS_VERIFIED
+        assert trace.of_kind("result")[-1].payload["solution_id"] == result.solution.id
+
     def test_single_run_no_judge(self, registry):
         config = small_config(parallel_runs=1)
         result, _ = run_pipeline(rules_clean(), config, registry, parallel=True, n=1)
@@ -500,6 +518,14 @@ class TestResume:
         orch, _ = self._fresh_orchestrator(config, registry)
         with pytest.raises(ResumeError, match="corrupt"):
             orch.resume(original.trace, "broken")
+
+    def test_header_with_no_call_attempts_refused(self, registry):
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original.trace.header["config"]["retry_attempts"] = 0
+        orch, _ = self._fresh_orchestrator(config, registry)
+        with pytest.raises(ResumeError, match="retry_attempts must be >= 1"):
+            orch.resume(original.trace, "run1.p1.done")
 
     def test_config_mismatch_guard(self, registry):
         config = small_config()
