@@ -89,7 +89,9 @@ def load_problem(path: str | Path) -> Problem:
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        return Problem.from_dict(json.loads(text))
+        data = json.loads(text)
+        json.dumps(data, ensure_ascii=False).encode("utf-8")  # refuses a lone surrogate, which UTF-8 cannot encode
+        return Problem.from_dict(data)
     fields: dict[str, list[str]] = {}
     current: str | None = None
     for line in text.splitlines():

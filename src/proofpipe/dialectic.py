@@ -45,7 +45,7 @@ from .core import (
     RunState,
     Severity,
 )
-from .gateway import CallFailed, CostLedger, Lane, ModelGateway, ModelRequest, failure_text
+from .gateway import CallFailed, Lane, ModelGateway, ModelRequest, failure_text
 from .prompts import PromptRegistry
 from .trace import RunTrace, TraceBuffer
 
@@ -246,10 +246,10 @@ class DialecticEngine:
     """Executes solve branches and grading against one gateway.
 
     ``trace`` is a :class:`RunTrace` or, inside a fork/join group, the
-    trace of the engine's leaf; ``lane`` is that leaf's lane (None outside
-    every group). ``state`` is the state of the engine's run (None on the
-    engines of groups and of their leaves): :meth:`record` grows it with
-    each state event it records, and nothing else does.
+    trace of the engine's leaf; ``lane`` is that leaf's lane (the gateway's
+    root lane outside every group). ``state`` is the state of the engine's
+    run (None on the engines of groups and of their leaves): :meth:`record`
+    grows it with each state event it records, and nothing else does.
     """
 
     def __init__(
@@ -269,7 +269,7 @@ class DialecticEngine:
         self.trace = trace
         self.run_id = run_id
         self.ids = ids or IdAllocator(run_id)
-        self.lane = lane
+        self.lane = lane or gateway.root
         self.state = state
 
     def record(self, phase: int, kind: str, item) -> None:
@@ -452,42 +452,35 @@ class DialecticEngine:
         exception that ended it.
 
         A task is called with an engine of its own, whose trace and lane are
-        its leaf's. The join commits the leaves' events and ledger entries
-        leaf by leaf in task order, so trace, ledger and ids are those of a
-        run that ran the tasks one after another, and what the caller
-        records next follows the group's last event. A task may fork a group
-        of its own: that group commits into the task's leaf, and its calls
-        wait on the earlier leaves of this group too.
+        its leaf's. The join commits the leaves' events leaf by leaf in task
+        order, and the gateway's join their ledger entries, so trace, ledger
+        and ids are those of a run that ran the tasks one after another, and
+        what the caller records next follows the group's last event. A task
+        may fork a group of its own: that group commits into the task's
+        leaf, and its calls wait on the earlier leaves of this group too.
 
-        The budget of the engine's leaf (the gateway's outside every group)
-        keeps ``reserve`` tokens for each earlier leaf, and every later leaf
-        spends ahead of its turn only within an equal share of the rest
-        (:meth:`~proofpipe.gateway.Budget.split`); what is admitted does not
-        depend on how far the leaves have got. The first call of a later
-        leaf whose share cannot hold one call waits at admission for the
-        leaf's turn (:meth:`~proofpipe.gateway.ModelGateway.complete`). The
-        first leaf spends from the engine's budget and records straight into
-        its trace and ledger, so it writes as it goes; every later leaf
-        records into a :class:`TraceBuffer` and a ledger of its own until the
-        join.
+        The gateway forks the engine's lane into the group's lanes
+        (:meth:`~proofpipe.gateway.ModelGateway.fork`): the budget that
+        decides the engine's calls keeps ``reserve`` tokens for each earlier
+        leaf, and every later leaf spends ahead of its turn only within an
+        equal share of the rest, so what is admitted does not depend on how
+        far the leaves have got. The first call of a later leaf whose share
+        cannot hold one call waits at admission for the leaf's turn
+        (:meth:`~proofpipe.gateway.ModelGateway.complete`). The first leaf
+        spends from the engine's lane and records straight into its trace and
+        ledger, so it writes as it goes; every later leaf records into a
+        :class:`TraceBuffer` and a ledger of its own until the join.
         """
         if not tasks:
             return []
-        parent = self.lane
-        ledger, budget = (parent.ledger, parent.budget) if parent is not None else (self.gateway.ledger, self.gateway.budget)
-        shares = self.gateway.shares(budget, len(tasks) - 1, reserve)
-        lanes = [Lane(parent, (), ledger, budget)]
-        for share in shares:
-            lanes.append(Lane(parent, tuple(lanes), CostLedger(), share))
-        traces = [self.trace, *(TraceBuffer() for _ in shares)]
+        lanes = self.gateway.fork(self.lane, len(tasks), reserve)
+        traces = [self.trace, *(TraceBuffer() for _ in lanes[1:])]
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
             futures = [pool.submit(self._run_leaf, *leaf) for leaf in zip(tasks, lanes, traces)]
-        self.gateway.join(shares)
-        for lane, trace in zip(lanes[1:], traces[1:]):
+        self.gateway.join(lanes)
+        for trace in traces[1:]:
             trace.commit(self.trace)
-            for e in lane.ledger.entries:
-                ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
         return [future.exception() or future.result() for future in futures]
 
     def _run_leaf(self, task: Callable[["DialecticEngine"], object], lane: Lane, trace: RunTrace | TraceBuffer):

@@ -13,9 +13,11 @@ run overshoots by less than one call's ``max_output_tokens`` plus whatever
 the calls in flight use beyond their reservations. Strict mode also
 reserves the new call's ``max_output_tokens``; since no reservation covers
 a prompt, it overshoots by at most the prompt tokens of the calls in
-flight. Every later leaf of a fork/join group spends ahead of its turn
-only within a :class:`Budget` share, so what it is admitted does not
-depend on how far the leaves before it have got.
+flight. Nested fork/join groups are one tree of lanes (:class:`Lane`),
+which the gateway forks and joins, so it alone admits and meters calls.
+Every later leaf of a group spends ahead of its turn only within a share
+of its own, so what it is admitted does not depend on how far the leaves
+before it have got.
 """
 from __future__ import annotations
 
@@ -298,78 +300,52 @@ class CostLedger:
         return "\n".join(lines) + "\n"
 
 
-class Budget:
-    """Tokens that calls may spend: a cap, and what calls have consumed and
-    reserved against it (``used``).
+class Lane:
+    """The calls of one leaf of a fork/join group, and the tokens they may
+    spend: a node of the gateway's tree of lanes.
 
-    The gateway's token budget is the root. A fork/join group keeps a
-    reserve of its parent's budget for each earlier leaf and gives each
-    later leaf an equal share of the rest; the first leaf spends from the
-    parent's budget. A share is spent ahead of the leaf's turn, and the
-    parent counts the whole share as spent, so no admission decision
-    depends on how far concurrent leaves have got. A call that does not fit
-    its share waits for its turn; then the share joins its parent, which
-    from then on counts what the leaf really spent. The gateway's lock
-    guards every budget.
+    The root lane holds the token budget as ``cap`` and the gateway's
+    ledger. A group's first leaf meters into its parent's ledger and
+    charges its parent as it goes. Every later leaf has a ledger of its own,
+    which the join commits in leaf order, and a share: a ``cap`` it spends
+    ahead of its turn, which the parent counts as spent (``ahead``), so no
+    admission decision depends on how far concurrent leaves have got. A call
+    past the share waits for the leaf's turn; then the share joins its
+    parent, which from then on counts what the leaf really spent. ``used``
+    is what calls have consumed and reserved here and below. A leaf may fork
+    a group of its own, whose lanes know it as ``parent``. The gateway's
+    lock guards every count; ``ScriptedBackend`` calls ``wait_turn`` before
+    answering a request whose reply depends on the order of earlier calls.
     """
 
-    def __init__(self, cap: int, parent: Optional["Budget"] = None):
-        self.cap = cap
+    def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], ledger: CostLedger, cap: int = 0):
         self.parent = parent
+        self._earlier = tuple(earlier)
+        self.done = threading.Event()
+        self.ledger = ledger
+        self.cap = cap
         self.used = 0
-        self.ahead = parent is not None  # a share its parent counts as ``cap``
+        self.ahead = bool(self._earlier)  # a later leaf's share, which its parent counts as ``cap``
 
     def charge(self, tokens: int) -> None:
-        """Add ``tokens`` here and to every budget that counts this one as it is."""
-        budget: Optional[Budget] = self
-        while budget is not None:
-            budget.used += tokens
-            budget = None if budget.ahead else budget.parent
+        """Add ``tokens`` here and to every lane that counts this one as it is."""
+        lane: Optional[Lane] = self
+        while lane is not None:
+            lane.used += tokens
+            lane = None if lane.ahead else lane.parent
 
-    def deciding(self) -> "Budget":
-        """The budget that admits this one's calls: the nearest share, or the root."""
-        budget = self
-        while not budget.ahead and budget.parent is not None:
-            budget = budget.parent
-        return budget
-
-    def split(self, later: int, reserve: int) -> list["Budget"]:
-        """The shares of a group's ``later`` leaves after the first: what is
-        left beyond ``reserve`` for each of ``later`` earlier leaves, split
-        equally and counted as spent here."""
-        left = self.deciding()
-        part = max(0, left.cap - left.used - later * reserve) // later
-        shares = [Budget(part, self) for _ in range(later)]
-        self.charge(part * later)
-        return shares
+    def deciding(self) -> "Lane":
+        """The lane that admits this one's calls: the nearest share, or the root."""
+        lane = self
+        while not lane.ahead and lane.parent is not None:
+            lane = lane.parent
+        return lane
 
     def join(self) -> None:
         """Stop being a share: the parent counts what was really spent."""
         if self.ahead:
             self.ahead = False
             self.parent.charge(self.used - self.cap)
-
-
-class Lane:
-    """The calls of one leaf of a fork/join group, as the gateway sees them.
-
-    A request made for a leaf carries its lane. The gateway meters the
-    call into ``ledger`` and admits it against ``budget``. A group's first
-    leaf has its parent's ledger and budget; every later leaf has a ledger
-    of its own, which the join commits in leaf order, and a
-    :class:`Budget` share. Groups nest: a leaf may fork a group of its own,
-    whose lanes know it as ``parent``. ``ScriptedBackend`` calls
-    ``wait_turn`` before answering a request whose reply depends on the
-    order of earlier calls; the gateway calls the ``wait_turn`` of the leaf
-    that holds a share before admitting a call that does not fit in it.
-    """
-
-    def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], ledger: CostLedger, budget: Budget):
-        self.parent = parent
-        self._earlier = tuple(earlier)
-        self.done = threading.Event()
-        self.ledger = ledger
-        self.budget = budget
 
     def wait_turn(self) -> None:
         """Block until every earlier leaf has finished, in this lane's group
@@ -539,6 +515,7 @@ class ScriptedBackend:
         rules = []
         for index, r in enumerate(d["rules"]):
             try:
+                json.dumps(r, ensure_ascii=False).encode("utf-8")  # refuses a lone surrogate, which UTF-8 cannot encode
                 rules.append(ScriptRule(**{**r, "match": r.get("match")}))
             except (TypeError, ValueError) as exc:  # a bad rule: unknown or missing keys, or bad responses
                 raise ValueError(f"{exc} (rule {index} of the script)") from None
@@ -599,6 +576,7 @@ class HttpBackend:
             text = payload["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise BackendFailure(f"malformed response payload: content is {type(text).__name__}, not a string")
+            text.encode("utf-8")  # refuses a lone surrogate, which UTF-8 cannot encode
             counts = payload.get("usage", {})
             usage = Usage(
                 input_tokens=counts.get("prompt_tokens", 0),
@@ -611,7 +589,8 @@ class HttpBackend:
 
 
 class ModelGateway:
-    """Meters calls against a backend; owns the ledger and the budget.
+    """Meters calls against a backend; owns the tree of lanes, whose root
+    holds the ledger and the token budget.
 
     ``complete`` is safe for concurrent callers: admission, the ledger
     append and the budget decrement are linearizable. Completed retries
@@ -635,14 +614,18 @@ class ModelGateway:
         if backend.backend_id not in price_table:
             raise ValueError(f"no price configured for backend {backend.backend_id!r}")
         self.backend = backend
-        self.ledger = CostLedger()
         self.price_table = price_table
         self.retry_attempts = retry_attempts
         self.strict_budget = strict_budget
         self._sleep = sleep
-        self.budget = Budget(token_budget)
-        self._consumed = 0
+        self.root = Lane(None, (), CostLedger(), token_budget)
+        self._consumed = 0  # counted apart from the lanes, so the ledger can be checked against it
         self._lock = threading.Lock()
+
+    @property
+    def ledger(self) -> CostLedger:
+        """The ledger of every committed call: the root lane's."""
+        return self.root.ledger
 
     @property
     def tokens_consumed(self) -> int:
@@ -653,73 +636,84 @@ class ModelGateway:
         """Continue from ``ledger`` (rebuilt from a trace on resume): it becomes
         this gateway's ledger, and its token total the tokens consumed."""
         with self._lock:
-            if self.budget.used != self._consumed:
+            if self.root.used != self._consumed:
                 raise RuntimeError("cannot restore accounting with calls in flight")
-            self.ledger = ledger
-            self._consumed = self.budget.used = ledger.total_tokens()
+            self.root.ledger = ledger
+            self._consumed = self.root.used = ledger.total_tokens()
 
-    def shares(self, budget: Budget, later: int, reserve: int) -> list[Budget]:
-        """The budgets of the ``later`` leaves that follow the first leaf of a
-        group forked under ``budget`` (:meth:`Budget.split`)."""
+    def fork(self, parent: Lane, leaves: int, reserve: int) -> list[Lane]:
+        """The lanes of a group of ``leaves`` forked under ``parent``. The
+        lane that decides ``parent``'s calls (:meth:`Lane.deciding`) keeps
+        ``reserve`` tokens for each earlier leaf, and each later leaf gets an
+        equal share of the rest, counted as spent in ``parent``; the first
+        leaf spends from ``parent`` and meters into its ledger."""
+        lanes = [Lane(parent, (), parent.ledger)]
+        later = leaves - 1
+        if later:
+            with self._lock:
+                left = parent.deciding()
+                part = max(0, left.cap - left.used - later * reserve) // later
+                parent.charge(part * later)
+            for _ in range(later):
+                lanes.append(Lane(parent, lanes, CostLedger(), part))
+        return lanes
+
+    def join(self, lanes: Sequence[Lane]) -> None:
+        """End the group of ``lanes`` (:meth:`fork`) once every leaf has
+        finished: each share joins its parent, and each later leaf's ledger
+        entries are committed into the parent's ledger, in leaf order."""
         with self._lock:
-            return budget.split(later, reserve) if later else []
+            for lane in lanes[1:]:
+                lane.join()
+                for e in lane.ledger.entries:
+                    lane.parent.ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
 
-    def join(self, budgets: Sequence[Budget]) -> None:
-        """End a group: its shares join the budget they were taken from."""
-        with self._lock:
-            for budget in budgets:
-                budget.join()
-
-    def _fits(self, budget: Budget, tokens: int) -> bool:
+    def _fits(self, lane: Lane, tokens: int) -> bool:
         # A share admits a call only while its max_output_tokens fit; the
         # root does so only in strict mode.
-        if budget.ahead or self.strict_budget:
-            return budget.used + tokens <= budget.cap
-        return budget.used < budget.cap
+        if lane.ahead or self.strict_budget:
+            return lane.used + tokens <= lane.cap
+        return lane.used < lane.cap
 
-    def _admit(self, req: ModelRequest) -> Budget:
-        """Reserve the request's ``max_output_tokens``; return the budget charged."""
-        budget = req.lane.budget if req.lane is not None else self.budget
+    def _admit(self, req: ModelRequest) -> Lane:
+        """Reserve the request's ``max_output_tokens``; return the lane charged."""
+        lane = req.lane or self.root
         reserve = req.max_output_tokens
         with self._lock:
-            deciding = budget.deciding()
+            deciding = lane.deciding()
             if self._fits(deciding, reserve):
-                budget.charge(reserve)
-                return budget
+                lane.charge(reserve)
+                return lane
         if not deciding.ahead:
             raise BudgetExceeded()
-        # Past its share: once every leaf before the one that holds the share
-        # has finished, each share on the way up joins its parent and the
-        # call is admitted as if the leaves had run one after another.
-        holder = req.lane
-        while holder.parent is not None and holder.parent.budget is deciding:
-            holder = holder.parent
-        holder.wait_turn()
+        # Past its share: once every leaf before the share's has finished,
+        # each share on the way up joins its parent and the call is admitted
+        # as if the leaves had run one after another.
+        deciding.wait_turn()
         with self._lock:
-            while budget.deciding().ahead:
-                budget.deciding().join()
-            if not self._fits(budget.deciding(), reserve):
+            while lane.deciding().ahead:
+                lane.deciding().join()
+            if not self._fits(lane.deciding(), reserve):
                 raise BudgetExceeded()
-            budget.charge(reserve)
-            return budget
+            lane.charge(reserve)
+            return lane
 
-    def _settle(self, req: ModelRequest, budget: Budget, usage: Optional[Usage]) -> None:
+    def _settle(self, req: ModelRequest, lane: Lane, usage: Optional[Usage]) -> None:
         with self._lock:
-            budget.charge((usage.total if usage is not None else 0) - req.max_output_tokens)
+            lane.charge((usage.total if usage is not None else 0) - req.max_output_tokens)
             if usage is not None:
                 self._consumed += usage.total
 
     def complete(self, req: ModelRequest) -> ModelResponse:
-        budget = self._admit(req)
+        lane = self._admit(req)
         usage: Optional[Usage] = None
         try:
             response = self._call_with_retry(req)
             usage = response.usage
         finally:
-            self._settle(req, budget, usage)
+            self._settle(req, lane, usage)
         price = self.price_table.get(response.backend_id)
-        ledger = self.ledger if req.lane is None else req.lane.ledger
-        ledger.append(req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))
+        lane.ledger.append(req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))
         return response
 
     def _call_with_retry(self, req: ModelRequest) -> ModelResponse:

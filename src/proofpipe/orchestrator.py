@@ -488,7 +488,7 @@ class Orchestrator:
         if not hasattr(backend, "snapshot"):
             return None
         cursors = backend.snapshot()
-        if lane is not None and cursors != self._settled_cursors:
+        if cursors != self._settled_cursors:
             lane.wait_turn()
             cursors = backend.snapshot()
         return cursors

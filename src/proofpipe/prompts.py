@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -19,6 +20,7 @@ from typing import Mapping
 SLOT_OPEN = "{{slot:"
 SLOT_CLOSE = "}}"
 EMPTY_MARKER = "(none provided)"
+_SLOT_RE = re.compile(re.escape(SLOT_OPEN) + r"(\w+)" + re.escape(SLOT_CLOSE))
 
 
 class MissingSlot(KeyError):
@@ -64,16 +66,13 @@ class PromptTemplate:
         for name in sorted(self.required_slots):
             if name not in slots:
                 raise MissingSlot(name)
-        out = self.body
-        for name in sorted(declared):
-            if name in self.required_slots:
-                value = slots[name]
-            else:
-                value = slots.get(name, "")
-                if not value.strip():
-                    value = EMPTY_MARKER
-            out = out.replace(_slot_token(name), value)
-        return out
+        values = {name: slots[name] for name in self.required_slots}
+        for name in self.optional_slots:
+            value = slots.get(name, "")
+            values[name] = value if value.strip() else EMPTY_MARKER
+        # One pass over the body's tokens: a value that holds a slot token
+        # is inserted as it is.
+        return _SLOT_RE.sub(lambda m: values.get(m.group(1), m.group(0)), self.body)
 
 
 class PromptRegistry:

@@ -1,4 +1,5 @@
 """Command-line surface: artifacts, exit codes, estimate arithmetic."""
+import io
 import json
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from proofpipe.cli import ExitCode, load_problem, main
 from proofpipe.gateway import ScriptedBackend
 from proofpipe.prompts import PromptRegistry
-from proofpipe.trace import SCHEMA_VERSION
+from proofpipe.trace import SCHEMA_VERSION, RunTrace
 
 from conftest import rules_clean
 
@@ -249,6 +250,27 @@ class TestSolve:
         assert "no price configured for backend 'http'" in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
 
+    def test_a_reply_with_a_lone_surrogate_ends_only_its_unit(self, tmp_path, problem_file, monkeypatch):
+        """A reply that UTF-8 cannot encode is a failed call, not a crash."""
+        import urllib.request
+
+        def urlopen(request, timeout):
+            reply = {"choices": [{"message": {"content": "proof \ud800"}}], "usage": {"prompt_tokens": 9, "completion_tokens": 3}}
+            return io.BytesIO(json.dumps(reply).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("PROOFPIPE_TEST_KEY", "k")
+        config = tmp_path / "http.ini"
+        config.write_text(
+            "[backend]\nkind = http\nendpoint = http://localhost:9/v1/chat\nmodel = m\n"
+            "api_key_env = PROOFPIPE_TEST_KEY\n[prices]\nhttp = 10, 10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run_cli("solve", problem_file, "--config", config, "--out", out) in (0, 1, 3)
+        failures = RunTrace.load(out / "trace.jsonl").of_kind("branch_failed")
+        assert failures and all("surrogates not allowed" in event.payload["error"] for event in failures)
+
     def test_missing_config_file_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "o"
         code = run_cli(
@@ -356,8 +378,9 @@ class TestSolve:
             ({"usage": {"output_tokens": "12"}}, "whose 'usage' is not a dict of non-negative ints"),
             ({"usage": [1, 2]}, "whose 'usage' is not a dict of non-negative ints"),
             ({"text": None}, "whose 'text' is not a string"),
+            ({"text": "NO_ISSUES \ud800"}, "surrogates not allowed"),
         ],
-        ids=["negative_usage", "string_usage", "list_usage", "null_text"],
+        ids=["negative_usage", "string_usage", "list_usage", "null_text", "lone_surrogate_text"],
     )
     def test_bad_scripted_response_is_refused_before_the_solve(self, tmp_path, problem_file, capsys, fault, message):
         """A response the backend could not turn into a reply is refused when
@@ -403,6 +426,14 @@ class TestProblemFile:
         assert problem.id == "sample-2"
         assert "4-colorable" in problem.statement
         assert "Euler" in problem.additional_materials
+
+    def test_a_lone_surrogate_is_refused(self, tmp_path, clean_script, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"id": "p", "statement": "Prove \ud800."}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("solve", path, "--script", clean_script, "--out", out) == ExitCode.USAGE
+        assert "surrogates not allowed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_statement_rejected(self, tmp_path):
         path = tmp_path / "p.txt"

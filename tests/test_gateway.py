@@ -6,6 +6,7 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from fractions import Fraction
@@ -284,6 +285,71 @@ class TestGatewayBudget:
         assert run() == run()
 
 
+class TestForkJoin:
+    """The tree of lanes, driven by hand on one thread: each call fits its
+    lane's share or its leaf's turn has come, so none of them waits."""
+
+    def _gateway(self, budget=10_000):
+        usage = {"input_tokens": 100, "output_tokens": 50}
+        rules = [ScriptRule(role, None, [{"text": "t", "usage": usage}], repeat_last=True) for role in ("solver", "grader")]
+        return ModelGateway(ScriptedBackend(rules), token_budget=budget, sleep=lambda _: None)
+
+    def _call(self, gw, lane, run_id="r", max_out=1000):
+        return gw.complete(replace(req(max_out=max_out), lane=lane, run_id=run_id))
+
+    def test_a_later_lane_gets_an_equal_share_of_what_the_reserves_leave(self):
+        gw = self._gateway()
+        self._call(gw, gw.root)
+        first, *later = gw.fork(gw.root, 3, reserve=1000)
+        part = (10_000 - 150 - 2 * 1000) // 2
+        assert [lane.cap for lane in later] == [part, part]
+        assert gw.root.used == 150 + 2 * part  # the parent counts each share as spent
+        assert not first.ahead and all(lane.ahead for lane in later)
+        assert first.ledger is gw.ledger
+        assert len({id(lane.ledger) for lane in [first, *later]}) == 3
+
+    def test_a_first_lane_charges_through_its_parent(self):
+        gw = self._gateway()
+        first, second = gw.fork(gw.root, 2, reserve=1000)
+        assert first.deciding() is gw.root and second.deciding() is second
+        used = gw.root.used
+        self._call(gw, first)
+        assert first.used == 150 and gw.root.used == used + 150 and second.used == 0
+        assert len(gw.ledger.entries) == 1
+
+    def test_a_fork_under_a_later_lane_is_decided_by_that_lane(self):
+        gw = self._gateway()
+        _, second = gw.fork(gw.root, 2, reserve=1000)
+        assert second.cap == 9_000 and gw.root.used == 9_000
+        inner_first, inner_second = gw.fork(second, 2, reserve=2_000)
+        # Taken from second's share: the root has only 1,000 tokens left.
+        assert inner_second.cap == 9_000 - 2_000
+        assert second.used == 7_000 and gw.root.used == 9_000
+        assert inner_first.deciding() is second
+        self._call(gw, inner_first)
+        assert second.used == 7_150 and gw.root.used == 9_000
+
+    def test_join_counts_what_was_spent_and_commits_later_ledgers_in_leaf_order(self):
+        gw = self._gateway()
+        lanes = gw.fork(gw.root, 3, reserve=1000)
+        for lane, run_id in [(lanes[2], "c"), (lanes[1], "b"), (lanes[0], "a"), (lanes[1], "b")]:
+            self._call(gw, lane, run_id)
+        assert [e.run_id for e in gw.ledger.entries] == ["a"]
+        gw.join(lanes)
+        assert gw.root.used == gw.tokens_consumed == 4 * 150
+        assert not any(lane.ahead for lane in lanes)
+        assert [(e.seq, e.run_id) for e in gw.ledger.entries] == [(0, "a"), (1, "b"), (2, "b"), (3, "c")]
+
+    def test_a_call_past_its_share_joins_it_once_its_turn_has_come(self):
+        gw = self._gateway(budget=2_000)
+        first, second = gw.fork(gw.root, 2, reserve=1_500)
+        assert second.cap == 500
+        first.done.set()  # the first leaf has finished
+        self._call(gw, second)
+        assert not second.ahead and second.deciding() is gw.root
+        assert gw.root.used == second.used == 150
+
+
 def test_price_table_from_config_and_missing_backend():
     table = PriceTable.from_config({"b": {"input_usd_per_million": "1.5", "output_usd_per_million": 3}})
     assert table.get("b").output_usd_per_million == Decimal("3")
@@ -328,7 +394,9 @@ class TestHttpBackend:
         assert len(calls) == 3
 
     @pytest.mark.parametrize(
-        "payload", [{}, {"choices": []}, {"choices": [{"message": {}}]}, [], {"choices": [{"message": {"content": None}}]}]
+        "payload",
+        [{}, {"choices": []}, {"choices": [{"message": {}}]}, [], {"choices": [{"message": {"content": None}}]},
+         {"choices": [{"message": {"content": "proof \ud800"}}]}],
     )
     def test_malformed_payload_is_backend_failure(self, monkeypatch, payload):
         gw, calls = self._gateway(monkeypatch, payload)

@@ -71,6 +71,18 @@ def test_template_declares_slots_it_lacks():
         )
 
 
+def test_a_value_that_holds_another_slots_token_is_inserted_verbatim(registry):
+    slots = {"problem": "P", "solution_a": "A says {{slot:solution_b}}", "solution_b": "BBB", "additional_materials": "M"}
+    out = registry.render("judge", slots)
+    assert "A says {{slot:solution_b}}" in out
+    assert out.count("BBB") == 1
+
+
+def test_materials_that_quote_the_problem_token_keep_it(registry):
+    out = registry.render("solver", {"problem": "PPP", "additional_materials": "Restate {{slot:problem}} first."})
+    assert "Restate {{slot:problem}} first." in out
+    assert out.count("PPP") == registry.get("solver").body.count("{{slot:problem}}")
+
 @given(problem=slot_free_text, materials=slot_free_text)
 def test_values_appear_exactly_once_per_occurrence(registry, problem, materials):
     template = registry.get("grader")
