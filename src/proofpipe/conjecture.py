@@ -241,7 +241,6 @@ class ConjectureEngine:
             parse=lambda text: (parse_conjectures(text), {}),
             attempts=2,
         )
-        trace, run_id = self.dialectic.trace, self.dialectic.run_id
         pairs = []
         for c, n in zip(parsed.conjectures, parsed.negations):
             pair = HypothesisPair(
@@ -250,12 +249,12 @@ class ConjectureEngine:
                 negation=n,
             )
             for warning in (*lint_self_containedness(c), *lint_self_containedness(n)):
-                trace.append(run_id, phase, "lint_warning", {"pair_id": pair.id, "warning": warning})
+                self.dialectic.append(phase, "lint_warning", {"pair_id": pair.id, "warning": warning})
             pairs.append(pair)
 
         budget = self.dialectic.config.extraction_budget
         if len(pairs) > budget:
-            trace.append(run_id, phase, "pairs_truncated", {"kept": budget, "dropped": len(pairs) - budget})
+            self.dialectic.append(phase, "pairs_truncated", {"kept": budget, "dropped": len(pairs) - budget})
             pairs = pairs[:budget]
         return tuple(pairs)
 
@@ -334,15 +333,9 @@ class ConjectureEngine:
             proof_text=outcome.proof_text,
             score=outcome.grade.score,
         )
-        self.dialectic.trace.append(
-            self.dialectic.run_id,
+        self.dialectic.append(
             phase,
             "side_solved",
-            {
-                "pair_id": pair.id,
-                "side": side,
-                "statement": attempt.statement,
-                "score": attempt.score,
-            },
+            {"pair_id": pair.id, "side": side, "statement": attempt.statement, "score": attempt.score},
         )
         return attempt

@@ -66,10 +66,12 @@ class Problem:
     additional_materials: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.statement or not self.statement.strip():
-            raise ValueError("problem statement must be non-empty")
-        if not self.id:
-            raise ValueError("problem id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"problem id must be a non-empty string, not {self.id!r}")
+        if not isinstance(self.statement, str) or not self.statement.strip():
+            raise ValueError(f"problem statement must be a non-empty string, not {self.statement!r}")
+        if not isinstance(self.additional_materials, (str, type(None))):
+            raise ValueError(f"problem additional_materials must be a string, not {self.additional_materials!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -47,7 +47,7 @@ from .core import (
 )
 from .gateway import CallFailed, Lane, ModelGateway, ModelRequest, failure_text
 from .prompts import PromptRegistry
-from .trace import RunTrace, TraceBuffer
+from .trace import RunTrace
 
 NO_ISSUES = "NO_ISSUES"
 DERIVE_EXPLICITLY = "Derive explicitly"
@@ -180,6 +180,13 @@ def parse_grade_transcript(transcript: str) -> GradeReport:
     return GradeReport(score=score, issues=issues, scaffolding=scaffolding, notes=tuple(notes))
 
 
+def _proved(transcript: str) -> tuple[str, dict]:
+    proof = extract_final_proof(transcript)
+    if not proof:
+        raise CallFailed("the reply holds no proof")
+    return proof, {}
+
+
 def _graded(transcript: str) -> tuple[GradeReport, dict]:
     report = parse_grade_transcript(transcript)
     return report, {"score": report.score, "issue_count": len(report.issues), "notes": list(report.notes)}
@@ -245,11 +252,12 @@ def raise_first(outcomes: Iterable, spare: type | tuple[type, ...] = CallFailed)
 class DialecticEngine:
     """Executes solve branches and grading against one gateway.
 
-    ``trace`` is a :class:`RunTrace` or, inside a fork/join group, the
-    trace of the engine's leaf; ``lane`` is that leaf's lane (the gateway's
-    root lane outside every group). ``state`` is the state of the engine's
-    run (None on the engines of groups and of their leaves): :meth:`record`
-    grows it with each state event it records, and nothing else does.
+    ``trace`` is the run's :class:`RunTrace`, and ``lane`` is the lane of
+    the engine's leaf (the gateway's root lane outside every group), through
+    which :meth:`append` records each event. ``state`` is the state of the
+    engine's run (None on the engines of groups and of their leaves):
+    :meth:`record` grows it with each state event it records, and nothing
+    else does.
     """
 
     def __init__(
@@ -257,7 +265,7 @@ class DialecticEngine:
         gateway: ModelGateway,
         registry: PromptRegistry,
         config: PipelineConfig,
-        trace: RunTrace | TraceBuffer,
+        trace: RunTrace,
         run_id: str,
         ids: Optional[IdAllocator] = None,
         lane: Optional[Lane] = None,
@@ -272,11 +280,17 @@ class DialecticEngine:
         self.lane = lane or gateway.root
         self.state = state
 
+    def append(self, phase: int, kind: str, payload: dict) -> None:
+        """Record event ``kind`` of the engine's run through its lane
+        (:meth:`~proofpipe.gateway.Lane.record`): into the trace at once, or
+        held by a later leaf until its group joins."""
+        self.lane.record(self.trace.append, self.run_id, phase, kind, payload)
+
     def record(self, phase: int, kind: str, item) -> None:
         """Record state event ``kind`` (:data:`~proofpipe.core.STATE_EVENTS`)
         with ``item`` as its payload, and grow the run's state by the item:
         the rule by which :meth:`RunState.fold` rebuilds that state."""
-        self.trace.append(self.run_id, phase, kind, item.to_dict())
+        self.append(phase, kind, item.to_dict())
         if self.state is not None:
             self.state.grow(kind, item)
 
@@ -313,18 +327,19 @@ class DialecticEngine:
                 value, fields = parse(resp.text) if parse else (resp, {})
             except CallFailed as exc:
                 error, fields = exc, {"parse_error": str(exc)}
-            self.trace.append(self.run_id, phase, kind, {**payload, **fields})
+            self.append(phase, kind, {**payload, **fields})
             if error is None:
                 return value
         raise error
 
     def _solver_call(self, problem: Problem, ctx: SolveContext, phase: int, kind: str, extra: dict) -> str:
         """One solver call on ``problem``, its materials the problem's hints
-        and then ``ctx``; return the final proof of the reply."""
+        and then ``ctx``; return the final proof of the reply, which must not
+        be empty."""
         hints = "[Provided Hints]\n" + problem.additional_materials if problem.additional_materials else ""
         materials = "\n\n".join(part for part in (hints, ctx.render()) if part)
-        resp = self._call("solver", {"problem": problem.statement, "additional_materials": materials}, phase, kind, extra)
-        return extract_final_proof(resp.text)
+        slots = {"problem": problem.statement, "additional_materials": materials}
+        return self._call("solver", slots, phase, kind, extra, parse=_proved)
 
     # -- operations ---------------------------------------------------------
 
@@ -431,7 +446,7 @@ class DialecticEngine:
                 self.record(phase, "solution", outcome)
             elif isinstance(outcome, CallFailed):
                 failure = {"solution_id": solution_id, "error": failure_text(outcome)}
-                self.trace.append(self.run_id, phase, "branch_failed", failure)
+                self.append(phase, "branch_failed", failure)
         raise_first(outcome for _, outcome in outcomes)
         return done
 
@@ -451,10 +466,12 @@ class DialecticEngine:
         one group; return, in task order, what each task returned or the
         exception that ended it.
 
-        A task is called with an engine of its own, whose trace and lane are
-        its leaf's. The join commits the leaves' events leaf by leaf in task
-        order, and the gateway's join their ledger entries, so trace, ledger
-        and ids are those of a run that ran the tasks one after another, and
+        A task is called with an engine of its own, whose lane is its leaf's.
+        The first leaf records as it goes, through the engine's lane; every
+        later leaf holds its trace events, markers and ledger entries in its
+        lane, and the gateway's join commits them leaf by leaf in task order
+        (:meth:`~proofpipe.gateway.ModelGateway.join`). So trace, ledger and
+        ids are those of a run that ran the tasks one after another, and
         what the caller records next follows the group's last event. A task
         may fork a group of its own: that group commits into the task's
         leaf, and its calls wait on the earlier leaves of this group too.
@@ -467,25 +484,20 @@ class DialecticEngine:
         far the leaves have got. The first call of a later leaf whose share
         cannot hold one call waits at admission for the leaf's turn
         (:meth:`~proofpipe.gateway.ModelGateway.complete`). The first leaf
-        spends from the engine's lane and records straight into its trace and
-        ledger, so it writes as it goes; every later leaf records into a
-        :class:`TraceBuffer` and a ledger of its own until the join.
+        spends from the engine's lane.
         """
         if not tasks:
             return []
         lanes = self.gateway.fork(self.lane, len(tasks), reserve)
-        traces = [self.trace, *(TraceBuffer() for _ in lanes[1:])]
         # One thread per leaf, so every leaf's calls can be in flight at once.
         with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
-            futures = [pool.submit(self._run_leaf, *leaf) for leaf in zip(tasks, lanes, traces)]
+            futures = [pool.submit(self._run_leaf, *leaf) for leaf in zip(tasks, lanes)]
         self.gateway.join(lanes)
-        for trace in traces[1:]:
-            trace.commit(self.trace)
         return [future.exception() or future.result() for future in futures]
 
-    def _run_leaf(self, task: Callable[["DialecticEngine"], object], lane: Lane, trace: RunTrace | TraceBuffer):
+    def _run_leaf(self, task: Callable[["DialecticEngine"], object], lane: Lane):
         try:
-            return task(DialecticEngine(self.gateway, self.registry, self.config, trace, self.run_id, self.ids, lane))
+            return task(DialecticEngine(self.gateway, self.registry, self.config, self.trace, self.run_id, self.ids, lane))
         finally:
             lane.done.set()  # later leaves may be waiting for their turn
 
@@ -540,5 +552,5 @@ class DialecticEngine:
             )
         except CallFailed as exc:
             failure = {"solution_id": solution.id, "ordinal": ordinal, "error": failure_text(exc)}
-            self.trace.append(self.run_id, phase, "check_grade_failed", failure)
+            self.append(phase, "check_grade_failed", failure)
             raise

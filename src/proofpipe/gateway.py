@@ -17,7 +17,8 @@ flight. Nested fork/join groups are one tree of lanes (:class:`Lane`),
 which the gateway forks and joins, so it alone admits and meters calls.
 Every later leaf of a group spends ahead of its turn only within a share
 of its own, so what it is admitted does not depend on how far the leaves
-before it have got.
+before it have got, and holds its records (:meth:`Lane.record`) until the
+join commits them in leaf order.
 """
 from __future__ import annotations
 
@@ -301,31 +302,44 @@ class CostLedger:
 
 
 class Lane:
-    """The calls of one leaf of a fork/join group, and the tokens they may
-    spend: a node of the gateway's tree of lanes.
+    """The calls of one leaf of a fork/join group, the tokens they may spend
+    and the records they hold back: a node of the gateway's tree of lanes.
 
-    The root lane holds the token budget as ``cap`` and the gateway's
-    ledger. A group's first leaf meters into its parent's ledger and
-    charges its parent as it goes. Every later leaf has a ledger of its own,
-    which the join commits in leaf order, and a share: a ``cap`` it spends
-    ahead of its turn, which the parent counts as spent (``ahead``), so no
-    admission decision depends on how far concurrent leaves have got. A call
-    past the share waits for the leaf's turn; then the share joins its
-    parent, which from then on counts what the leaf really spent. ``used``
-    is what calls have consumed and reserved here and below. A leaf may fork
-    a group of its own, whose lanes know it as ``parent``. The gateway's
-    lock guards every count; ``ScriptedBackend`` calls ``wait_turn`` before
-    answering a request whose reply depends on the order of earlier calls.
+    The root lane holds the token budget as ``cap``. A group's first leaf
+    charges its parent as it goes and records through it. Every later leaf
+    holds its records (trace events, markers, ledger entries) until the
+    join, which commits them into its parent in leaf order, and spends
+    ahead of its turn within a share: a ``cap`` which the parent counts as
+    spent (``ahead``), so no admission decision depends on how far
+    concurrent leaves have got. A call past the share waits for the leaf's
+    turn; then the share joins its parent, which from then on counts what
+    the leaf really spent. ``used`` is what calls have consumed and reserved
+    here and below. A leaf may fork a group of its own, whose lanes know it
+    as ``parent``. The gateway's lock guards every count; ``ScriptedBackend``
+    calls ``wait_turn`` before answering a request whose reply depends on
+    the order of earlier calls.
     """
 
-    def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], ledger: CostLedger, cap: int = 0):
+    def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], cap: int = 0):
         self.parent = parent
         self._earlier = tuple(earlier)
         self.done = threading.Event()
-        self.ledger = ledger
         self.cap = cap
         self.used = 0
         self.ahead = bool(self._earlier)  # a later leaf's share, which its parent counts as ``cap``
+        self.held: list[tuple[Callable, tuple]] = []  # a later leaf's records, committed at the join
+
+    def record(self, write: Callable, *args) -> None:
+        """Call ``write(*args)`` where the sequential order puts it: held by
+        the nearest later leaf at or above this lane, or at once on the root
+        chain."""
+        lane = self
+        while lane.parent is not None:
+            if lane._earlier:
+                lane.held.append((write, args))
+                return
+            lane = lane.parent
+        write(*args)
 
     def charge(self, tokens: int) -> None:
         """Add ``tokens`` here and to every lane that counts this one as it is."""
@@ -589,8 +603,8 @@ class HttpBackend:
 
 
 class ModelGateway:
-    """Meters calls against a backend; owns the tree of lanes, whose root
-    holds the ledger and the token budget.
+    """Meters calls against a backend into its ledger; owns the tree of
+    lanes, whose root holds the token budget.
 
     ``complete`` is safe for concurrent callers: admission, the ledger
     append and the budget decrement are linearizable. Completed retries
@@ -618,14 +632,10 @@ class ModelGateway:
         self.retry_attempts = retry_attempts
         self.strict_budget = strict_budget
         self._sleep = sleep
-        self.root = Lane(None, (), CostLedger(), token_budget)
+        self.root = Lane(None, (), token_budget)
+        self.ledger = CostLedger()  # every committed call's entry
         self._consumed = 0  # counted apart from the lanes, so the ledger can be checked against it
         self._lock = threading.Lock()
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The ledger of every committed call: the root lane's."""
-        return self.root.ledger
 
     @property
     def tokens_consumed(self) -> int:
@@ -638,7 +648,7 @@ class ModelGateway:
         with self._lock:
             if self.root.used != self._consumed:
                 raise RuntimeError("cannot restore accounting with calls in flight")
-            self.root.ledger = ledger
+            self.ledger = ledger
             self._consumed = self.root.used = ledger.total_tokens()
 
     def fork(self, parent: Lane, leaves: int, reserve: int) -> list[Lane]:
@@ -646,8 +656,8 @@ class ModelGateway:
         lane that decides ``parent``'s calls (:meth:`Lane.deciding`) keeps
         ``reserve`` tokens for each earlier leaf, and each later leaf gets an
         equal share of the rest, counted as spent in ``parent``; the first
-        leaf spends from ``parent`` and meters into its ledger."""
-        lanes = [Lane(parent, (), parent.ledger)]
+        leaf spends from ``parent`` and records through it."""
+        lanes = [Lane(parent, ())]
         later = leaves - 1
         if later:
             with self._lock:
@@ -655,18 +665,19 @@ class ModelGateway:
                 part = max(0, left.cap - left.used - later * reserve) // later
                 parent.charge(part * later)
             for _ in range(later):
-                lanes.append(Lane(parent, lanes, CostLedger(), part))
+                lanes.append(Lane(parent, lanes, part))
         return lanes
 
     def join(self, lanes: Sequence[Lane]) -> None:
         """End the group of ``lanes`` (:meth:`fork`) once every leaf has
-        finished: each share joins its parent, and each later leaf's ledger
-        entries are committed into the parent's ledger, in leaf order."""
+        finished: each share joins its parent, and then each later leaf's
+        held records are recorded into its parent, in leaf order."""
         with self._lock:
             for lane in lanes[1:]:
                 lane.join()
-                for e in lane.ledger.entries:
-                    lane.parent.ledger.append(e.run_id, e.role, e.backend_id, e.usage, e.usd)
+        for lane in lanes[1:]:
+            for write, args in lane.held:
+                lane.parent.record(write, *args)
 
     def _fits(self, lane: Lane, tokens: int) -> bool:
         # A share admits a call only while its max_output_tokens fit; the
@@ -713,7 +724,7 @@ class ModelGateway:
         finally:
             self._settle(req, lane, usage)
         price = self.price_table.get(response.backend_id)
-        lane.ledger.append(req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))
+        lane.record(self.ledger.append, req.run_id, req.role, response.backend_id, usage, cost_of(usage, price))
         return response
 
     def _call_with_retry(self, req: ModelRequest) -> ModelResponse:

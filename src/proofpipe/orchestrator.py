@@ -231,8 +231,7 @@ class Orchestrator:
         current = results[0]
         for challenger in results[1:]:
             current = self._judge(problem, current, challenger, group)
-        trace.append(
-            "aggregate",
+        group.append(
             4,
             "result",
             {
@@ -325,12 +324,11 @@ class Orchestrator:
         return self._machine(problem, engine, ("p1", 1))
 
     def _machine(self, problem: Problem, engine: DialecticEngine, position: tuple) -> PipelineResult:
-        run_id, trace, state = engine.run_id, engine.trace, engine.state
-        cfg = self.config
+        state, cfg = engine.state, self.config
         try:
             if position[0] == "p1":
                 for i in range(position[1], cfg.initial_iterations + 1):
-                    trace.append(run_id, 1, "phase_start", {"phase": 1, "iteration": i})
+                    engine.append(1, "phase_start", {"phase": 1, "iteration": i})
                     # contexts come from the previous iterations' solutions
                     branches = [Branch(problem, EMPTY_CONTEXT, Origin.FRESH)]
                     for k in range(1, cfg.solver_width):
@@ -345,16 +343,16 @@ class Orchestrator:
 
             if position[0] == "outer":
                 for l in range(position[1], cfg.conjecture_iterations + 1):
-                    trace.append(run_id, 2, "phase_start", {"phase": 2, "iteration": l})
+                    engine.append(2, "phase_start", {"phase": 2, "iteration": l})
                     seeds = select_top(state.solution_memory, 2)
                     outcome = NO_OUTCOME
                     if not seeds:
-                        trace.append(run_id, 2, "extract_skipped", {"reason": "no graded seeds"})
+                        engine.append(2, "extract_skipped", {"reason": "no graded seeds"})
                     else:
                         # A failed extraction loses only itself; the guided round still runs.
                         outcome = self._conjecture_round(problem, engine, seeds, TAU, phase=2)
 
-                    trace.append(run_id, 3, "phase_start", {"phase": 3, "iteration": l})
+                    engine.append(3, "phase_start", {"phase": 3, "iteration": l})
                     ctx = self._guided_context(state, outcome)
                     branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
                     branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
@@ -366,7 +364,7 @@ class Orchestrator:
             return self._phase4(problem, engine)
         except BudgetExceeded:
             # every solution finished before the refused call is already in the state
-            trace.append(run_id, 0, "budget_exhausted", {})
+            engine.append(0, "budget_exhausted", {})
             memory = state.solution_memory
             return self._finish(engine, best(memory) if memory else None, STATUS_BUDGET_EXHAUSTED)
 
@@ -385,8 +383,8 @@ class Orchestrator:
 
     def _phase4(self, problem: Problem, engine: DialecticEngine) -> PipelineResult:
         cfg = self.config
-        run_id, trace, state = engine.run_id, engine.trace, engine.state
-        trace.append(run_id, 4, "phase_start", {"phase": 4})
+        state = engine.state
+        engine.append(4, "phase_start", {"phase": 4})
         if not state.solution_memory:
             return self._finish(engine, None, STATUS_BEST_EFFORT)
         s_star = best(state.solution_memory)
@@ -397,7 +395,7 @@ class Orchestrator:
         check_issue_texts = [i.text for g in g_check for i in g.issues]
         enhance_feedback: list[str] = []
         for session in (1, 2):
-            trace.append(run_id, 4, "enhance_session", {"session": session})
+            engine.append(4, "enhance_session", {"session": session})
             outcome = self._conjecture_round(problem, engine, [s_star], TAU_E, 4, check_issue_texts, session=session)
             enhance_feedback.extend(unresolved(record) for record in outcome.failed)
 
@@ -427,15 +425,14 @@ class Orchestrator:
         Only solutions whose inline grade is already a clean 7 are worth the
         extra grader calls; they are tried in comparator order.
         """
-        run_id, trace = engine.run_id, engine.trace
         for candidate in rank(engine.solve_branches(branches, phase)):
             if not candidate.grade.clean_perfect:
                 continue
-            trace.append(run_id, phase, "verify_start", {"solution_id": candidate.id})
+            engine.append(phase, "verify_start", {"solution_id": candidate.id})
             if engine.verified_success(candidate, problem):
-                trace.append(run_id, phase, "verified", {"solution_id": candidate.id})
+                engine.append(phase, "verified", {"solution_id": candidate.id})
                 return self._finish(engine, candidate, STATUS_VERIFIED)
-            trace.append(run_id, phase, "verify_failed", {"solution_id": candidate.id})
+            engine.append(phase, "verify_failed", {"solution_id": candidate.id})
         return None
 
     def _conjecture_round(
@@ -455,7 +452,7 @@ class Orchestrator:
         try:
             pairs = conj.extract_hypotheses(problem, seeds, state.lemma_memory, state.failure_context, reports, phase)
         except CallFailed as exc:
-            engine.trace.append(engine.run_id, phase, "extraction_failed", {"error": failure_text(exc), **failure_fields})
+            engine.append(phase, "extraction_failed", {"error": failure_text(exc), **failure_fields})
             return NO_OUTCOME
         return conj.verify_hypotheses(pairs, tau, phase)
 
@@ -474,7 +471,7 @@ class Orchestrator:
         if result is not None:
             marker["result"] = result
         phase = {"p1": 1, "outer": 3, "p4": 4, "final": 4}.get(position[0], 0)
-        engine.trace.checkpoint(f"{engine.run_id}.{name}", marker, engine.run_id, phase)
+        engine.lane.record(engine.trace.checkpoint, f"{engine.run_id}.{name}", marker, engine.run_id, phase)
 
     def _cursors(self, lane) -> Optional[list[int]]:
         """The scripted cursors a marker records, the same whatever the timing.
@@ -508,8 +505,7 @@ class Orchestrator:
     def _finish(self, engine: DialecticEngine, solution: Optional[CandidateSolution], status: str) -> PipelineResult:
         result = {"status": status, "solution_id": solution.id if solution else None}
         self._checkpoint(engine, "final", ("final",), result)
-        engine.trace.append(
-            engine.run_id,
+        engine.append(
             4,
             "result",
             {
@@ -522,10 +518,9 @@ class Orchestrator:
         return PipelineResult(solution, status, engine.state, engine.trace)
 
     def _judge(self, problem: Problem, a: PipelineResult, b: PipelineResult, judge: DialecticEngine) -> PipelineResult:
-        trace = judge.trace
         for name, empty, other in (("A", a, b), ("B", b, a)):
             if empty.solution is None:
-                trace.append("aggregate", 4, "judge_fallback", {"reason": f"run {name} produced no solution"})
+                judge.append(4, "judge_fallback", {"reason": f"run {name} produced no solution"})
                 return other
 
         slots = {
@@ -541,7 +536,7 @@ class Orchestrator:
             reason = "token budget exhausted before a decision"
         except CallFailed as exc:
             reason = failure_text(exc)
-        trace.append("aggregate", 4, "judge_fallback", {"reason": reason})
+        judge.append(4, "judge_fallback", {"reason": reason})
         return a if best([a.solution, b.solution]) is a.solution else b
 
     def _history_blob(self, result: PipelineResult) -> str:

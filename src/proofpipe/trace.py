@@ -8,11 +8,12 @@ comparison. The trace is the only store of run state: a checkpoint is a
 small marker (loop position, id counters, scripted cursors and its own seq)
 recorded as an event, and resuming from it folds the events before it.
 When the trace is backed by a file, each marker is also written to
-``checkpoints/<id>.json`` next to it. Concurrent work that must not write
-yet records into a :class:`TraceBuffer`, which replays its events into the
-trace later, in one go. A fact that follows from others is
-not stored: the budget left at an event is the header's ``token_budget``
-minus the usage of the call events up to it.
+``checkpoints/<id>.json`` next to it. The later leaves of a fork/join group
+do not write yet: each holds its ``append`` and ``checkpoint`` calls in its
+lane (:meth:`~proofpipe.gateway.Lane.record`) until the group joins, and a
+held marker gets its seq, and its file, when it lands here. A fact that
+follows from others is not stored: the budget left at an event is the
+header's ``token_budget`` minus the usage of the call events up to it.
 
 A model call's event holds its ``role`` and ``slots`` but not the rendered
 prompt: rendering is pure and the header pins ``template_version``, so
@@ -330,26 +331,6 @@ class RunTrace:
                     raise ValueError(f"line {number}: {exc}") from None
         trace.path = None  # loaded traces are read-only views
         return trace
-
-
-class TraceBuffer:
-    """Events held back from a trace: the same ``append`` and ``checkpoint``
-    as :class:`RunTrace`, replayed into another trace (or buffer) by
-    ``commit``. A held marker gets its seq, and its file, when it lands in
-    a :class:`RunTrace`."""
-
-    def __init__(self) -> None:
-        self._held: list[tuple[str, tuple]] = []
-
-    def append(self, run_id: str, phase: int, kind: str, payload: dict) -> None:
-        self._held.append(("append", (run_id, phase, kind, payload)))
-
-    def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
-        self._held.append(("checkpoint", (checkpoint_id, snapshot, run_id, phase)))
-
-    def commit(self, trace: "RunTrace | TraceBuffer") -> None:
-        for method, args in self._held:
-            getattr(trace, method)(*args)
 
 
 # Attachments carry run inputs (the backend script); they are not pipeline

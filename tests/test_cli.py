@@ -435,6 +435,23 @@ class TestProblemFile:
         assert "surrogates not allowed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"id": "a", "statement": 5}, "statement"),
+            ({"id": "a", "statement": "Prove it.", "additional_materials": 7}, "additional_materials"),
+            ({"id": ["a"], "statement": "Prove it."}, "id"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_refused(self, tmp_path, clean_script, capsys, fields, named):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(fields), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("solve", path, "--script", clean_script, "--out", out) == ExitCode.USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem {named} must be") and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_statement_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("id: sample\n", encoding="utf-8")
