@@ -264,6 +264,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
         trace = RunTrace.load(args.trace)
         if trace.header is None:
             raise ValueError("no run_start event")
+        if not isinstance(trace.header["config"], dict):
+            raise ValueError(f"the header's config is not a table: {trace.header['config']!r}")
         raw_prices = trace.header["config"]["price_table"]
         ledger = ledger_from_trace(trace, PriceTable.from_config(raw_prices) if raw_prices else DEFAULT_PRICES)
     except (OSError, KeyError, ValueError) as exc:

@@ -2,19 +2,24 @@
 
 Everything here is plain data: no I/O, no model calls. Types are immutable
 values except :class:`RunState`, which grows only by the state events its
-run records (:data:`STATE_EVENTS`). The types the run trace records
-(problems, solutions with their grades, lemmas, failure records, the
-config) serialize to a canonical JSON dict via ``to_dict`` / ``from_dict``;
-that dict is the schema of the trace, from which a resumed run rebuilds its
-:class:`RunState`.
+run records (:data:`STATE_EVENTS`). The records the run trace stores
+(problems, solutions with their grades, lemmas, failure records, and in
+other modules a call's usage and the trace event itself) derive from
+:class:`Record`, which holds their JSON form once: ``to_dict`` and
+``from_dict``. That form is the schema of the trace, from which a resumed
+run rebuilds its :class:`RunState`; the config, which is input, keeps a
+stricter reader of its own.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Union
 
 VALID_SCORES = frozenset({0, 1, 2, 3, 4, 6, 7})  # 5 is disallowed by the rubric
 PERFECT_SCORE = 7
@@ -57,8 +62,73 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+class Record:
+    """The JSON form of a dataclass that the trace stores.
+
+    ``to_dict`` stores each field under its name, in field order: an enum
+    as its value, a tuple as a list, a nested record as its dict, any other
+    value as it is. ``from_dict`` reads that back by the fields' type hints
+    (``Optional[X]``, ``tuple[X, ...]``, an enum, a nested record). A field
+    with a default may be missing, a missing required field raises
+    ``KeyError``, and a key the class lacks (one an older trace stored) is
+    skipped. Each class's event digests cover this form, so it must not
+    move.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: _stored(getattr(self, name)) for name, _, _ in _plan(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ValueError(f"a {cls.__name__} is stored as a dict, not {d!r}")
+        values = {}
+        for name, read, required in _plan(cls):
+            if name in d:
+                values[name] = d[name] if read is None else read(d[name])
+            elif required:
+                raise KeyError(name)
+        return cls(**values)
+
+
+def _stored(value: Any) -> Any:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_stored(item) for item in value]
+    return value
+
+
+def _reader(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """What turns a stored value back into a field of type ``hint``; None
+    when the stored value is the field's value."""
+    origin = typing.get_origin(hint)
+    if origin is Union or origin is types.UnionType:
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        read = _reader(inner)
+        return read and (lambda value: None if value is None else read(value))
+    if origin is tuple:
+        read = _reader(typing.get_args(hint)[0])
+        return (lambda value: tuple(map(read, value))) if read else tuple
+    if isinstance(hint, type) and issubclass(hint, (Record, Enum)):
+        return hint.from_dict if issubclass(hint, Record) else hint
+    return None
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, Optional[Callable[[Any], Any]], bool], ...]:
+    """Each field of record class ``cls``: its name, its reader and whether
+    it is required. Computed once per class: ``get_type_hints`` is slow."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, _reader(hints[f.name]), f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+    )
+
+
 @dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """A problem statement plus optional unverified hint material."""
 
     id: str
@@ -73,37 +143,15 @@ class Problem:
         if not isinstance(self.additional_materials, (str, type(None))):
             raise ValueError(f"problem additional_materials must be a string, not {self.additional_materials!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "additional_materials": self.additional_materials,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Problem":
-        return cls(
-            id=d["id"],
-            statement=d["statement"],
-            additional_materials=d.get("additional_materials"),
-        )
-
 
 @dataclass(frozen=True)
-class Issue:
+class Issue(Record):
     text: str
     severity: Severity
 
-    def to_dict(self) -> dict:
-        return {"text": self.text, "severity": self.severity.value}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Issue":
-        return cls(text=d["text"], severity=Severity(d["severity"]))
-
 
 @dataclass(frozen=True)
-class GradeReport:
+class GradeReport(Record):
     """A parsed grading verdict on the 0-7 scale.
 
     Construction enforces the rubric's shape: 5 is never a valid stored
@@ -129,26 +177,9 @@ class GradeReport:
     def clean_perfect(self) -> bool:
         return self.score == PERFECT_SCORE and not self.issues
 
-    def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "issues": [i.to_dict() for i in self.issues],
-            "scaffolding": list(self.scaffolding),
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradeReport":
-        return cls(
-            score=d["score"],
-            issues=tuple(Issue.from_dict(i) for i in d.get("issues", [])),
-            scaffolding=tuple(d.get("scaffolding", [])),
-            notes=tuple(d.get("notes", [])),
-        )
-
 
 @dataclass(frozen=True)
-class CandidateSolution:
+class CandidateSolution(Record):
     """A proof attempt with provenance: which phase and context produced it.
 
     ``id`` is allocated when the solve that produces the solution is forked,
@@ -167,29 +198,6 @@ class CandidateSolution:
             raise ValueError("proof_text must be non-empty")
         if self.phase not in (1, 2, 3, 4):
             raise ValueError(f"phase must be 1..4, got {self.phase}")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "problem_id": self.problem_id,
-            "proof_text": self.proof_text,
-            "origin": self.origin.value,
-            "phase": self.phase,
-            "grade": self.grade.to_dict() if self.grade else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CandidateSolution":
-        # Older traces also carry "context_digest" (schema 9) or
-        # "cost_at_creation_micro"; they are ignored.
-        return cls(
-            id=d["id"],
-            problem_id=d["problem_id"],
-            proof_text=d["proof_text"],
-            origin=Origin(d["origin"]),
-            phase=d["phase"],
-            grade=GradeReport.from_dict(d["grade"]) if d.get("grade") else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ class HypothesisPair:
 
 
 @dataclass(frozen=True)
-class Lemma:
+class Lemma(Record):
     """A bisection-verified statement: exactly one side cleared the bar."""
 
     statement: str
@@ -229,55 +237,15 @@ class Lemma:
         if (self.polarity is Polarity.POSITIVE) != pos_won:
             raise ValueError("lemma polarity does not match the winning side")
 
-    def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "polarity": self.polarity.value,
-            "proof_text": self.proof_text,
-            "g_pos": self.g_pos,
-            "g_neg": self.g_neg,
-            "pair_id": self.pair_id,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Lemma":
-        return cls(
-            statement=d["statement"],
-            polarity=Polarity(d["polarity"]),
-            proof_text=d["proof_text"],
-            g_pos=d["g_pos"],
-            g_neg=d["g_neg"],
-            pair_id=d["pair_id"],
-            threshold=d.get("threshold", PERFECT_SCORE),
-        )
-
 
 @dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(Record):
     """A bisection pair that yielded no lemma, and why."""
 
     pair_id: str
     conjecture: str
     reason: FailureReason
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "conjecture": self.conjecture,
-            "reason": self.reason.value,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FailureRecord":
-        return cls(
-            pair_id=d["pair_id"],
-            conjecture=d["conjecture"],
-            reason=FailureReason(d["reason"]),
-            detail=d.get("detail", ""),
-        )
 
 
 @dataclass
@@ -326,6 +294,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        # Not a Record: a config is input, so an unknown key is refused, not skipped.
         try:
             return cls(**d)
         except TypeError as exc:  # an unknown key, or a value of the wrong type

@@ -220,6 +220,7 @@ class IdAllocator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IdAllocator":
+        # Not a Record: a marker must hold ``counters``, or a resumed run would restart its ids.
         return cls(run_id=d["run_id"], counters=dict(d["counters"]))
 
 
@@ -320,6 +321,8 @@ class DialecticEngine:
         for attempt in range(attempts):
             resp = self.gateway.complete(request)
             payload = {"role": role, "slots": slots, "response": resp.text, "usage": resp.usage.to_dict(), **extra}
+            if resp.coerced:
+                payload["coerced"] = resp.coerced
             if attempts > 1:
                 payload["attempt"] = attempt
             error = None

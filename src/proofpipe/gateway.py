@@ -23,15 +23,20 @@ join commits them in leaf order.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Optional, Sequence
 
+from .core import Record
+
 MICRO = Decimal(1_000_000)
 
 ROLES = ("solver", "grader", "extractor", "parser", "processor", "judge")
+
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON may escape one; UTF-8 cannot encode it, nor a digest hash it
 
 
 class BudgetExceeded(Exception):
@@ -90,33 +95,19 @@ class ModelRequest:
 
 
 @dataclass(frozen=True)
-class Usage:
+class Usage(Record):
     input_tokens: int
     output_tokens: int
     thinking_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.input_tokens, self.output_tokens, self.thinking_tokens) < 0:
-            raise ValueError("token counts must be >= 0")
+        counts = (self.input_tokens, self.output_tokens, self.thinking_tokens)
+        if not all(type(count) is int and count >= 0 for count in counts):
+            raise ValueError(f"token counts must be ints >= 0, not {counts!r}")
 
     @property
     def total(self) -> int:
         return self.input_tokens + self.output_tokens + self.thinking_tokens
-
-    def to_dict(self) -> dict:
-        return {
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "thinking_tokens": self.thinking_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Usage":
-        return cls(
-            input_tokens=d["input_tokens"],
-            output_tokens=d["output_tokens"],
-            thinking_tokens=d.get("thinking_tokens", 0),
-        )
 
 
 @dataclass(frozen=True)
@@ -125,6 +116,7 @@ class ModelResponse:
     usage: Usage
     backend_id: str
     latency_ms: float = 0.0
+    coerced: str = ""  # what was changed to make the reply text (its call event records it)
 
 
 @dataclass(frozen=True)
@@ -220,6 +212,7 @@ class CostEntry:
     usd: Decimal
 
     def to_dict(self) -> dict:
+        # Not a Record: ledger.json stores an entry flat, its usage inline and its usd a string.
         return {
             "seq": self.seq,
             "run_id": self.run_id,
@@ -235,6 +228,7 @@ class CostLedger:
 
     Totals are always exact decimal sums over the entries; the ledger is
     internally serialized so concurrent callers interleave cleanly.
+    ``to_dict`` is the form of ``ledger.json``, which the benchmark reads.
     """
 
     def __init__(self) -> None:
@@ -438,6 +432,7 @@ class ScriptRule:
         return self.responses[idx]
 
     def to_dict(self) -> dict:
+        # Not a Record: the script form, which has no cursor and a free-form ``match``.
         return {
             "role": self.role,
             "match": list(self.match) if isinstance(self.match, (list, tuple)) else self.match,
@@ -447,13 +442,9 @@ class ScriptRule:
 
 
 def _synthetic_usage(prompt: str, text: str, declared: Optional[dict]) -> Usage:
-    if declared:
-        return Usage(
-            input_tokens=declared.get("input_tokens", max(1, len(prompt) // 4)),
-            output_tokens=declared.get("output_tokens", max(1, len(text) // 4)),
-            thinking_tokens=declared.get("thinking_tokens", 0),
-        )
-    return Usage(max(1, len(prompt) // 4), max(1, len(text) // 4), 0)
+    """A rule's declared counts; one it leaves out is a quarter of the prompt's or reply's length, or 0 thinking."""
+    counts = {"input_tokens": max(1, len(prompt) // 4), "output_tokens": max(1, len(text) // 4)}
+    return Usage.from_dict({**counts, **(declared or {})})
 
 
 class ScriptedBackend:
@@ -526,6 +517,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScriptedBackend":
+        # A script is input, so each rule is checked as it loads and a bad one is named.
         rules = []
         for index, r in enumerate(d["rules"]):
             try:
@@ -588,18 +580,17 @@ class HttpBackend:
         latency = (time.monotonic() - start) * 1000
         try:
             text = payload["choices"][0]["message"]["content"]
-            if not isinstance(text, str):
-                raise BackendFailure(f"malformed response payload: content is {type(text).__name__}, not a string")
-            text.encode("utf-8")  # refuses a lone surrogate, which UTF-8 cannot encode
             counts = payload.get("usage", {})
-            usage = Usage(
-                input_tokens=counts.get("prompt_tokens", 0),
-                output_tokens=counts.get("completion_tokens", 0),
-                thinking_tokens=counts.get("reasoning_tokens", 0),
-            )
+            usage = Usage(*(counts.get(key, 0) for key in ("prompt_tokens", "completion_tokens", "reasoning_tokens")))
         except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise BackendFailure(f"malformed response payload: {exc!r}") from exc
-        return ModelResponse(text=text, usage=usage, backend_id=self.backend_id, latency_ms=latency)
+        # The provider billed this reply, so it is metered and recorded; its role's parse rules judge it.
+        coerced = ""
+        if not isinstance(text, str):
+            text, coerced = "", f"content {type(text).__name__} read as an empty reply"
+        elif LONE_SURROGATE.search(text):
+            text, coerced = LONE_SURROGATE.sub("\ufffd", text), "lone surrogates read as U+FFFD"
+        return ModelResponse(text, usage, self.backend_id, latency, coerced)
 
 
 class ModelGateway:

@@ -70,6 +70,7 @@ class MetricsReport:
     confusion: tuple[tuple[int, ...], ...]  # rows: human bucket, cols: predicted bucket
 
     def to_dict(self) -> dict:
+        # report.json, written once and never read back: each fraction as a value and a ratio.
         def frac(v: Optional[Fraction]):
             return None if v is None else {"value": float(v), "ratio": f"{v.numerator}/{v.denominator}"}
 

@@ -566,6 +566,8 @@ def replay(original: RunTrace, registry: Optional[PromptRegistry] = None) -> Opt
             f"trace schema {header['schema_version']} is not supported (want {SCHEMA_VERSION})"
         )
 
+    if type(header["runs"]) is not int or header["runs"] < 1:
+        raise ReplayError(f"the header's runs is not a count of at least 1: {header['runs']!r}")
     config = PipelineConfig.from_dict(header["config"])
     problem = Problem.from_dict(header["problem"])
     backend = ScriptedBackend.from_dict(attachments[0].payload["script"])

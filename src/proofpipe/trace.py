@@ -55,7 +55,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .core import text_digest
+from .core import Record, text_digest
 
 SCHEMA_VERSION = 12
 
@@ -78,7 +78,7 @@ _compact = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Record):
     seq: int
     ts: float
     run_id: str
@@ -86,29 +86,6 @@ class TraceEvent:
     kind: str
     digest: str
     payload: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "ts": self.ts,
-            "run_id": self.run_id,
-            "phase": self.phase,
-            "kind": self.kind,
-            "digest": self.digest,
-            "payload": self.payload,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceEvent":
-        return cls(
-            seq=d["seq"],
-            ts=d["ts"],
-            run_id=d["run_id"],
-            phase=d["phase"],
-            kind=d["kind"],
-            digest=d["digest"],
-            payload=d["payload"],
-        )
 
 
 def is_call(payload: dict) -> bool:

@@ -250,12 +250,21 @@ class TestSolve:
         assert "no price configured for backend 'http'" in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
 
-    def test_a_reply_with_a_lone_surrogate_ends_only_its_unit(self, tmp_path, problem_file, monkeypatch):
-        """A reply that UTF-8 cannot encode is a failed call, not a crash."""
+    def test_a_reply_with_a_lone_surrogate_ends_only_its_unit(self, tmp_path, problem_file, monkeypatch, capsys):
+        """A billed reply that UTF-8 cannot encode is read with U+FFFD in place
+        of its lone surrogate: the call is metered and recorded with what was
+        coerced, and its parse rules end only its unit (here each grade)."""
+        import re
         import urllib.request
+
+        from proofpipe.gateway import PriceTable
+        from proofpipe.orchestrator import ledger_from_trace
+
+        billed = []
 
         def urlopen(request, timeout):
             reply = {"choices": [{"message": {"content": "proof \ud800"}}], "usage": {"prompt_tokens": 9, "completion_tokens": 3}}
+            billed.append(12)
             return io.BytesIO(json.dumps(reply).encode("utf-8"))
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
@@ -268,8 +277,15 @@ class TestSolve:
         )
         out = tmp_path / "o"
         assert run_cli("solve", problem_file, "--config", config, "--out", out) in (0, 1, 3)
-        failures = RunTrace.load(out / "trace.jsonl").of_kind("branch_failed")
-        assert failures and all("surrogates not allowed" in event.payload["error"] for event in failures)
+        trace = RunTrace.load(out / "trace.jsonl")
+        used = int(re.search(r"^tokens used: (\d+) of ", capsys.readouterr().out, re.M).group(1))
+        folded = ledger_from_trace(trace, PriceTable.from_config(trace.header["config"]["price_table"]))
+        assert used == sum(billed) == folded.total_tokens() > 0
+        calls = [event.payload for event in trace.events if "usage" in event.payload]
+        assert len(calls) == len(billed)
+        assert all(call["response"] == "proof \ufffd" and call["coerced"] == "lone surrogates read as U+FFFD" for call in calls)
+        failures = trace.of_kind("branch_failed")
+        assert failures and all(event.payload["error"].startswith("GradeParseFailure") for event in failures)
 
     def test_missing_config_file_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "o"
@@ -619,27 +635,59 @@ class TestTornTrace:
             assert "line " in capsys.readouterr().err, case
 
     def test_bad_header_is_usage_error(self, tmp_path, problem_file, capsys):
-        """A header whose config is not a valid one is bad input, not a bug."""
+        """A header whose config, runs or problem is not a valid one is bad
+        input, not a bug."""
         out, _ = self._solve(tmp_path, problem_file)
         trace_path = out / "trace.jsonl"
         lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
         bad_price = {"scripted": {"input_usd_per_million": "abc", "output_usd_per_million": "10"}}
+        # Each case's edits to the header: a dict updates the config; any other value replaces its key.
         cases = [
-            ("replay", {"no_such_setting": 1}, "no_such_setting"),
-            ("replay", {"retry_attempts": 0}, "retry_attempts must be >= 1"),
-            ("cost", {"price_table": bad_price}, "'scripted'"),
-            ("cost", {"price_table": [1]}, "price table"),
-            ("cost", {"price_table": {"scripted": "10"}}, "'scripted'"),
-            ("cost", {"price_table": {"scripted": []}}, "'scripted'"),
+            ("replay", {"config": {"no_such_setting": 1}}, "no_such_setting"),
+            ("replay", {"config": {"retry_attempts": 0}}, "retry_attempts must be >= 1"),
+            ("cost", {"config": {"price_table": bad_price}}, "'scripted'"),
+            ("cost", {"config": {"price_table": [1]}}, "price table"),
+            ("cost", {"config": {"price_table": {"scripted": "10"}}}, "'scripted'"),
+            ("cost", {"config": {"price_table": {"scripted": []}}}, "'scripted'"),
+            ("cost", {"config": []}, "config is not a table"),
+            ("replay", {"runs": "2"}, "runs is not a count"),
+            ("replay", {"runs": 0}, "runs is not a count"),
+            ("replay", {"problem": None}, "a Problem is stored as a dict"),
         ]
-        for command, config, named in cases:
+        for command, edits, named in cases:
             header = json.loads(lines[0])
-            header["payload"]["config"].update(config)
+            for key, value in edits.items():
+                header["payload"][key] = {**header["payload"][key], **value} if isinstance(value, dict) else value
             trace_path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
             capsys.readouterr()
-            assert run_cli(command, trace_path) == ExitCode.USAGE, command
+            assert run_cli(command, trace_path) == ExitCode.USAGE, (command, edits)
             err = capsys.readouterr().err
             assert named in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize(
+        "usage, named",
+        [
+            ({"input_tokens": "5", "output_tokens": 1}, "token counts must be ints"),
+            ({"input_tokens": 1.5, "output_tokens": 1}, "token counts must be ints"),
+            (5, "a Usage is stored as a dict"),
+            (None, "a Usage is stored as a dict"),
+        ],
+    )
+    def test_bad_call_usage_is_usage_error(self, tmp_path, problem_file, capsys, usage, named):
+        """A call event whose usage is not a dict of int counts is bad input:
+        ``cost`` exits 2, where it would otherwise crash or price it."""
+        out, _ = self._solve(tmp_path, problem_file)
+        trace_path = out / "trace.jsonl"
+        lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if '"usage":' in line)
+        event = json.loads(lines[index])
+        event["payload"]["usage"] = usage
+        lines[index] = json.dumps(event) + "\n"
+        trace_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("cost", trace_path) == ExitCode.USAGE
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err
 
 
 class TestCallTexts:

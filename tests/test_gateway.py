@@ -381,6 +381,12 @@ def test_usage_rejects_negative():
         Usage(-1, 0)
 
 
+@pytest.mark.parametrize("counts", [("5", 0, 0), (1.5, 0, 0), (0, True, 0), (0, 0, None)])
+def test_usage_takes_only_int_counts(counts):
+    with pytest.raises(ValueError, match="token counts must be ints"):
+        Usage(*counts)
+
+
 class TestHttpBackend:
     """Offline: ``urllib.request.urlopen`` is replaced by a stub."""
 
@@ -414,8 +420,10 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "payload",
-        [{}, {"choices": []}, {"choices": [{"message": {}}]}, [], {"choices": [{"message": {"content": None}}]},
-         {"choices": [{"message": {"content": "proof \ud800"}}]}],
+        [{}, {"choices": []}, {"choices": [{"message": {}}]}, [],
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": "5"}}, id="string_count"),
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"completion_tokens": 1.5}}, id="float_count"),
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": True}}, id="bool_count")],
     )
     def test_malformed_payload_is_backend_failure(self, monkeypatch, payload):
         gw, calls = self._gateway(monkeypatch, payload)
@@ -423,6 +431,29 @@ class TestHttpBackend:
             gw.complete(req())
         assert len(calls) == 1
         assert not gw.ledger.entries
+
+    @pytest.mark.parametrize(
+        "content, text, coerced",
+        [
+            pytest.param(None, "", "content NoneType read as an empty reply", id="null_content"),
+            pytest.param(["a"], "", "content list read as an empty reply", id="list_content"),
+            pytest.param("proof \ud800 and \udfff\ud800", "proof \ufffd and \ufffd\ufffd", "lone surrogates read as U+FFFD",
+                         id="lone_surrogate"),
+        ],
+    )
+    def test_a_coerced_reply_is_metered(self, monkeypatch, content, text, coerced):
+        """The provider billed a reply whose content is not UTF-8 text, so it
+        is read as text, metered and put in the ledger like any other, and
+        says what was coerced; a well-formed one says nothing."""
+        payload = {"choices": [{"message": {"content": content}}], "usage": {"prompt_tokens": 900, "completion_tokens": 463}}
+        gw, calls = self._gateway(monkeypatch, payload)
+        resp = gw.complete(req())
+        assert (resp.text, resp.coerced) == (text, coerced)
+        assert resp.usage == Usage(900, 463, 0) and gw.tokens_consumed == 1363
+        assert [entry.usage for entry in gw.ledger.entries] == [Usage(900, 463, 0)] and len(calls) == 1
+        resp.text.encode("utf-8")
+        payload["choices"][0]["message"]["content"] = "proof \ud83d\ude00"  # a pair, not a lone surrogate
+        assert not self._gateway(monkeypatch, payload)[0].complete(req()).coerced
 
     def test_unpriced_backend_rejected_before_any_call(self):
         with pytest.raises(ValueError, match="no price configured for backend 'http'"):

@@ -149,9 +149,9 @@ http_replies = st.one_of(reply_texts, st.tuples(reply_texts, lone_surrogate).map
 def test_no_http_reply_crashes_a_solve(replies, budget):
     """The stubbed server answers each prompt with one of its role's drawn
     replies or the well script's, picked by the prompt's hash, so a solve
-    does not depend on timing. A reply with a lone surrogate is refused and
-    leaves no call event."""
-    received, refused = Counter(), Counter()
+    does not depend on timing. A reply with a lone surrogate is read with
+    U+FFFD in its place, and its call event says so."""
+    received, spoilt = Counter(), set()
 
     def urlopen(request, timeout):
         prompt = json.loads(request.data)["messages"][0]["content"]
@@ -159,7 +159,8 @@ def test_no_http_reply_crashes_a_solve(replies, budget):
         options = [*replies[role], well_reply(role, prompt)]
         text = options[zlib.crc32(prompt.encode("utf-8", "surrogatepass")) % len(options)]
         received[role, prompt] += 1
-        refused[role, prompt] += holds_surrogate(text)
+        if holds_surrogate(text):
+            spoilt.add((role, prompt))
         usage = {"prompt_tokens": len(prompt) // 4, "completion_tokens": len(text) // 4}
         body = {"choices": [{"message": {"content": text}}], "usage": usage}
         return io.BytesIO(json.dumps(body).encode("utf-8"))
@@ -170,4 +171,8 @@ def test_no_http_reply_crashes_a_solve(replies, budget):
         tmp = Path(tmp)
         assert solve(tmp, "--token-budget", budget) in (0, 1, 3)
         trace = RunTrace.load(tmp / "out" / "trace.jsonl")
-    assert sent_prompts(trace) + refused == received
+    assert sent_prompts(trace) == received
+    for event in trace.events:
+        if is_call(event.payload):
+            role = event.payload["role"]
+            assert ("coerced" in event.payload) == ((role, REGISTRY.render(role, event.payload["slots"])) in spoilt)
