@@ -6,9 +6,8 @@ run records (:data:`STATE_EVENTS`). The records the run trace stores
 (problems, solutions with their grades, lemmas, failure records, and in
 other modules a call's usage and the trace event itself) derive from
 :class:`Record`, which holds their JSON form once: ``to_dict`` and
-``from_dict``. That form is the schema of the trace, from which a resumed
-run rebuilds its :class:`RunState`; the config, which is input, keeps a
-stricter reader of its own.
+``from_dict``. That form is the schema of the trace; the config, which is
+input, keeps a stricter reader of its own.
 """
 from __future__ import annotations
 
@@ -315,10 +314,10 @@ class RunState:
     """Mutable state of one pipeline run.
 
     The memories only ever grow, one item per state event of the run
-    (:data:`STATE_EVENTS`), through :meth:`grow`: the live run as it records
-    the event (:meth:`~proofpipe.dialectic.DialecticEngine.record`), a
-    resumed run as it folds the events before its marker (:meth:`fold`). So
-    a run's state is always the fold of its trace.
+    (:data:`STATE_EVENTS`), through :meth:`grow`, as the run records the
+    event (:meth:`~proofpipe.dialectic.DialecticEngine.record`). So a run's
+    state is always the fold of its trace's state events, and a resumed run,
+    which runs again against its trace, rebuilds it.
     """
 
     run_id: str
@@ -329,12 +328,6 @@ class RunState:
     def grow(self, kind: str, item: CandidateSolution | Lemma | FailureRecord) -> None:
         """Add the item of a ``kind`` state event to the memory it grows."""
         getattr(self, STATE_EVENTS[kind][1]).append(item)
-
-    def fold(self, events: Iterable) -> None:
-        """Grow by this run's state events among ``events`` (trace events), in order."""
-        for event in events:
-            if event.run_id == self.run_id and event.kind in STATE_EVENTS:
-                self.grow(event.kind, STATE_EVENTS[event.kind][0].from_dict(event.payload))
 
 
 @dataclass(frozen=True)

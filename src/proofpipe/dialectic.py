@@ -215,14 +215,6 @@ class IdAllocator:
             self.counters[kind] = n + 1
         return f"{self.run_id}.{kind}{n:04d}"
 
-    def to_dict(self) -> dict:
-        return {"run_id": self.run_id, "counters": dict(self.counters)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IdAllocator":
-        # Not a Record: a marker must hold ``counters``, or a resumed run would restart its ids.
-        return cls(run_id=d["run_id"], counters=dict(d["counters"]))
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -290,7 +282,7 @@ class DialecticEngine:
     def record(self, phase: int, kind: str, item) -> None:
         """Record state event ``kind`` (:data:`~proofpipe.core.STATE_EVENTS`)
         with ``item`` as its payload, and grow the run's state by the item:
-        the rule by which :meth:`RunState.fold` rebuilds that state."""
+        the only way that state grows."""
         self.append(phase, kind, item.to_dict())
         if self.state is not None:
             self.state.grow(kind, item)

@@ -26,9 +26,10 @@ import json
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import Record
 
@@ -310,8 +311,8 @@ class Lane:
     the leaf really spent. ``used`` is what calls have consumed and reserved
     here and below. A leaf may fork a group of its own, whose lanes know it
     as ``parent``. The gateway's lock guards every count; ``ScriptedBackend``
-    calls ``wait_turn`` before answering a request whose reply depends on
-    the order of earlier calls.
+    and ``RecordedBackend`` call ``wait_turn`` before answering a request
+    whose reply depends on the order of earlier calls.
     """
 
     def __init__(self, parent: Optional["Lane"], earlier: Sequence["Lane"], cap: int = 0):
@@ -381,7 +382,7 @@ class ScriptRule:
     match: str | Sequence[str] | None
     responses: list[dict]
     repeat_last: bool = False
-    cursor: int = field(default=0, init=False)  # run state: moved by take, set by ScriptedBackend.restore
+    cursor: int = field(default=0, init=False)  # run state, moved by take
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
@@ -452,8 +453,8 @@ class ScriptedBackend:
 
     Rules are scanned in order; the first non-exhausted match answers.
     The same script driven by the same request sequence always yields the
-    same response sequence. Cursor state can be snapshotted and restored,
-    which is what makes checkpoint resume bit-identical.
+    same response sequence, which is what makes replay and resume exact:
+    both run the solve again from its start against the same script.
 
     Replies follow logical call order, not arrival order. A request made
     for a leaf of a fork/join group whose first matching rule is not yet
@@ -499,19 +500,6 @@ class ScriptedBackend:
             latency_ms=0.0,
         )
 
-    def snapshot(self) -> list[int]:
-        """The rules' cursors. A ``repeat_last`` rule's never passes its last
-        response index; a spent rule without it is at ``len(responses)``."""
-        with self._lock:
-            return [r.cursor for r in self._rules]
-
-    def restore(self, cursors: Sequence[int]) -> None:
-        with self._lock:
-            if len(cursors) != len(self._rules):
-                raise ValueError("cursor snapshot does not match script shape")
-            for rule, cur in zip(self._rules, cursors):
-                rule.cursor = cur
-
     def to_dict(self) -> dict:
         return {"rules": [r.to_dict() for r in self._rules]}
 
@@ -531,6 +519,54 @@ class ScriptedBackend:
     def from_file(cls, path) -> "ScriptedBackend":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+class RecordedBackend:
+    """Answers each call that a trace recorded with the reply it recorded,
+    and asks ``inner`` for any other: the backend of a resumed solve.
+
+    ``calls`` are ``(role, prompt, response)`` in trace order, which is the
+    sequential, leaf-by-leaf order of the calls. A call whose key, its role
+    and prompt, is recorded first waits for its turn (:meth:`Lane.wait_turn`),
+    so every call before it in that order has taken its reply, and then it
+    takes the next reply of its key. A trace cut by a kill can hold fewer
+    replies of a key than the re-run asks for: the calls past them go to
+    ``inner``, and only the sequential order says which calls those are.
+    """
+
+    def __init__(self, inner, calls: Iterable[tuple[str, str, ModelResponse]]):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self._replies: dict[tuple[str, str], deque[ModelResponse]] = {}
+        for role, prompt, response in calls:
+            self._replies.setdefault((role, prompt), deque()).append(response)
+
+    def complete(self, req: ModelRequest) -> ModelResponse:
+        replies = self._replies.get((req.role, req.prompt))
+        if replies is not None:
+            if req.lane is not None:
+                req.lane.wait_turn()
+            try:
+                return replies.popleft()
+            except IndexError:  # the re-run asks for more calls of this key than the trace holds
+                pass
+        return self.inner.complete(req)
+
+
+def _http_usage(counts: Optional[dict]) -> tuple[Usage, list[str]]:
+    """An HTTP reply's usage, and a note for each value read as another: no
+    usage is 0 tokens, and an integral float count is its int. Any other
+    count that is not an int >= 0 is refused (``ValueError``)."""
+    if counts is None:
+        return Usage(0, 0), ["no usage read as 0 tokens"]
+    values, notes = [], []
+    for key in ("prompt_tokens", "completion_tokens", "reasoning_tokens"):
+        count = counts.get(key, 0)
+        if type(count) is float and count.is_integer():
+            notes.append(f"{key} {count!r} read as {int(count)}")
+            count = int(count)
+        values.append(count)
+    return Usage(*values), notes
 
 
 class HttpBackend:
@@ -580,17 +616,17 @@ class HttpBackend:
         latency = (time.monotonic() - start) * 1000
         try:
             text = payload["choices"][0]["message"]["content"]
-            counts = payload.get("usage", {})
-            usage = Usage(*(counts.get(key, 0) for key in ("prompt_tokens", "completion_tokens", "reasoning_tokens")))
+            usage, notes = _http_usage(payload.get("usage"))
         except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise BackendFailure(f"malformed response payload: {exc!r}") from exc
         # The provider billed this reply, so it is metered and recorded; its role's parse rules judge it.
-        coerced = ""
         if not isinstance(text, str):
-            text, coerced = "", f"content {type(text).__name__} read as an empty reply"
+            notes.insert(0, f"content {type(text).__name__} read as an empty reply")
+            text = ""
         elif LONE_SURROGATE.search(text):
-            text, coerced = LONE_SURROGATE.sub("\ufffd", text), "lone surrogates read as U+FFFD"
-        return ModelResponse(text, usage, self.backend_id, latency, coerced)
+            text = LONE_SURROGATE.sub("\ufffd", text)
+            notes.insert(0, "lone surrogates read as U+FFFD")
+        return ModelResponse(text, usage, self.backend_id, latency, "; ".join(notes))
 
 
 class ModelGateway:
@@ -632,15 +668,6 @@ class ModelGateway:
     def tokens_consumed(self) -> int:
         with self._lock:
             return self._consumed
-
-    def restore(self, ledger: CostLedger) -> None:
-        """Continue from ``ledger`` (rebuilt from a trace on resume): it becomes
-        this gateway's ledger, and its token total the tokens consumed."""
-        with self._lock:
-            if self.root.used != self._consumed:
-                raise RuntimeError("cannot restore accounting with calls in flight")
-            self.ledger = ledger
-            self._consumed = self.root.used = ledger.total_tokens()
 
     def fork(self, parent: Lane, leaves: int, reserve: int) -> list[Lane]:
         """The lanes of a group of ``leaves`` forked under ``parent``. The

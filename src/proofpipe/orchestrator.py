@@ -21,19 +21,20 @@ recorded, in unit order, after the group's last event.
 
 Every step appends to a :class:`RunTrace`, the only store of run state. A
 run's state grows only as its state events (``solution``, ``pair_proven``,
-``pair_failed``) are recorded (:meth:`DialecticEngine.record`).
-Checkpoints at phase boundaries are small markers, and resuming from one
-folds the events before it back into the run's state by the same rule
-(:meth:`RunState.fold`) and into its ledger. Under a scripted backend a
-resumed run reproduces the original bit for bit. Run 1 writes its events
-as it goes; the events of every later run reach the trace, in run order,
-when the group joins.
+``pair_failed``) are recorded (:meth:`DialecticEngine.record`). A
+checkpoint marker at each phase boundary only names its run. The program is
+deterministic given its replies, so resuming (:meth:`Orchestrator.resume`)
+runs the solve again from its start and answers each call that the trace
+recorded from the trace: that rebuilds every run's state, ids, ledger and
+scripted cursors, and the re-run must record what the trace holds. Run 1
+writes its events as it goes; the events of every later run reach the
+trace, in run order, when the group joins.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Optional, Sequence
 
 from .conjecture import ConjectureEngine, VerifyOutcome
@@ -47,19 +48,22 @@ from .core import (
     best,
     rank,
 )
-from .dialectic import BRANCH_CALLS, EMPTY_CONTEXT, Branch, DialecticEngine, IdAllocator, SolveContext, raise_first
+from .dialectic import BRANCH_CALLS, EMPTY_CONTEXT, Branch, DialecticEngine, SolveContext, raise_first
 from .gateway import (
+    ROLES,
     BudgetExceeded,
     CallFailed,
     CostLedger,
     ModelGateway,
+    ModelResponse,
     PriceTable,
+    RecordedBackend,
     Usage,
     cost_of,
     failure_text,
 )
 from .prompts import PromptRegistry
-from .trace import SCHEMA_VERSION, RunTrace, first_divergence, is_call
+from .trace import SCHEMA_VERSION, RunTrace, first_divergence, is_call, signature
 
 STATUS_VERIFIED = "verified"
 STATUS_BEST_EFFORT = "best_effort"
@@ -129,18 +133,36 @@ def unresolved(record: FailureRecord) -> str:
     return f"Unresolved conjecture ({record.reason.value}): {record.conjecture}"
 
 
-def ledger_from_trace(trace: RunTrace, price_table: PriceTable, end: Optional[int] = None) -> CostLedger:
-    """The ledger of the calls recorded before seq ``end`` (all by default):
-    one per call event, priced at the header's backend."""
-    backend_id = ((trace.header or {}).get("backend") or {}).get("backend_id", "scripted")
+def ledger_from_trace(trace: RunTrace, price_table: PriceTable) -> CostLedger:
+    """The ledger of the calls a trace records: one per call event, priced
+    at the header's backend. A header backend that is not a table with a
+    string ``backend_id``, or a call whose role is not a model role, raises
+    ``ValueError``."""
+    backend = (trace.header or {}).get("backend")
+    if not (isinstance(backend, dict) and isinstance(backend.get("backend_id"), str)):
+        raise ValueError(f"the header's backend is not a table with a backend_id: {backend!r}")
+    backend_id = backend["backend_id"]
     price = price_table.get(backend_id)
     ledger = CostLedger()
-    for event in trace.events[:end]:
+    for event in trace.events:
         payload = event.payload
         if is_call(payload):
+            if payload["role"] not in ROLES:
+                raise ValueError(f"a call event's role is not a model role: {payload['role']!r}")
             usage = Usage.from_dict(payload["usage"])
             ledger.append(event.run_id, payload["role"], backend_id, usage, cost_of(usage, price))
     return ledger
+
+
+def recorded_calls(trace: RunTrace, registry: PromptRegistry, backend_id: str) -> list[tuple[str, str, ModelResponse]]:
+    """Each call event of ``trace`` as :class:`RecordedBackend` takes it, in
+    trace order: its role, its prompt rebuilt from its slots, and its reply."""
+    return [
+        (p["role"], registry.render(p["role"], p["slots"]),
+         ModelResponse(p["response"], Usage.from_dict(p["usage"]), backend_id, coerced=p.get("coerced", "")))
+        for p in (event.payload for event in trace.events)
+        if is_call(p)
+    ]
 
 
 def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
@@ -221,11 +243,7 @@ class Orchestrator:
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
-        self._write_header(trace, problem, runs=n)
-        group = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
-        tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(n)]
-        results = group.fork_join(tasks, reserve=run_reserve(self.config))
-        raise_first(results, spare=())  # a run records its own failed calls
+        group, results = self._runs(problem, trace, n)
         if n == 1:
             return results[0]  # run 1 recorded straight into ``trace``
         current = results[0]
@@ -243,14 +261,19 @@ class Orchestrator:
         return PipelineResult(current.solution, current.status, current.state, trace)
 
     def resume(self, source: RunTrace, checkpoint_id: str) -> PipelineResult:
-        """Continue a run from a checkpoint marker.
+        """The result of the run of checkpoint marker ``checkpoint_id``,
+        from running the solve of ``source`` again.
 
-        What the marker does not hold is folded from the events before it
-        (the ledger is priced with this gateway's table). The caller
-        supplies an orchestrator whose gateway wraps a backend compatible
-        with the original (for scripted backends: the same script). Events
-        after the checkpoint are discarded; under scripted backends the
-        continuation reproduces them exactly.
+        The header's runs run again from their start, on a fresh trace, as
+        the same fork/join group, with no judge. A backend that carries a
+        script (``to_dict``) answers every call, so its cursors stay in
+        step; any other is wrapped in a :class:`RecordedBackend` that answers
+        each call ``source`` recorded from the trace, so only the calls the
+        trace lacks reach it. Every call is admitted, metered and recorded
+        as usual: the gateway's budget and ledger (every run's entries) and
+        the fresh trace come out as the uninterrupted run's. Each event of
+        ``source`` must equal the fresh one over their common prefix, or
+        :class:`ResumeError` names the first that differs.
         """
         marker = source.checkpoints.get(checkpoint_id)
         if marker is None:
@@ -258,43 +281,52 @@ class Orchestrator:
         header = source.header
         if header is None:
             raise ResumeError("trace has no header event")
+        backend = self.gateway.backend
         try:
             if header["schema_version"] != SCHEMA_VERSION:
                 raise ResumeError(f"trace schema {header['schema_version']} != {SCHEMA_VERSION}")
-            if header["resumed_from"] is not None:
-                raise ResumeError("the trace of a resumed run lacks the events before its checkpoint")
             if header["template_version"] != self.registry.version():
                 raise ResumeError("checkpoint was taken with different prompt templates")
             if PipelineConfig.from_dict(header["config"]).to_dict() != self.config.to_dict():
                 raise ResumeError("checkpoint was taken under a different pipeline config")
+            if header["backend"]["backend_id"] != backend.backend_id:
+                taken = header["backend"]["backend_id"]
+                raise ResumeError(f"checkpoint was taken with backend {taken!r}, not {backend.backend_id!r}")
+            runs = header["runs"]
+            if type(runs) is not int or runs < 1:
+                raise ResumeError(f"the header's runs is not a count of at least 1: {runs!r}")
             problem = Problem.from_dict(header["problem"])
-            position = tuple(marker["position"])
-            state = RunState(**marker["state"])
-            state.fold(source.events[: marker["seq"]])
-            ids = IdAllocator.from_dict(marker["ids"])
-            ledger = ledger_from_trace(source, self.gateway.price_table, end=marker["seq"])
-            cursors = marker["cursors"]
-            result = marker["result"] if position[0] == "final" else None
+            run = [f"run{i + 1}" for i in range(runs)].index(marker["state"]["run_id"])
+            if not hasattr(backend, "to_dict"):
+                calls = recorded_calls(source, self.registry, backend.backend_id)
+                self.gateway.backend = RecordedBackend(backend, calls)
         except (KeyError, TypeError, ValueError) as exc:
             raise ResumeError(f"corrupt checkpoint: {exc}") from exc
 
-        self.gateway.restore(ledger)
-        if cursors is not None:
-            if not hasattr(self.gateway.backend, "restore"):
-                raise ResumeError("checkpoint carries scripted cursors but backend is not scripted")
-            self.gateway.backend.restore(cursors)
-
         trace = RunTrace()
-        self._write_header(trace, problem, resumed_from=checkpoint_id)
-        if result is not None:
-            solution = next((s for s in state.solution_memory if s.id == result["solution_id"]), None)
-            return PipelineResult(solution, result["status"], state, trace)
-        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, state.run_id, ids, state=state)
-        return self._machine(problem, engine, position)
+        try:
+            _, results = self._runs(problem, trace, runs)
+        finally:
+            self.gateway.backend = backend
+        for index, (held, rerun) in enumerate(zip(signature(source), signature(trace))):
+            if held != rerun:
+                raise ResumeError(f"the re-run differs from the trace at event {index}: {rerun[:3]}, not {held[:3]}")
+        return results[run]
 
     # -- internals -------------------------------------------------------------
 
-    def _write_header(self, trace: RunTrace, problem: Problem, runs: int = 1, resumed_from: Optional[str] = None) -> None:
+    def _runs(self, problem: Problem, trace: RunTrace, n: int) -> tuple[DialecticEngine, list[PipelineResult]]:
+        """Write ``trace``'s header, then run ``n`` runs from their start at
+        once, as the leaves of one fork/join group: the group's engine and
+        each run's result, in run order."""
+        self._write_header(trace, problem, runs=n)
+        group = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
+        tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(n)]
+        results = group.fork_join(tasks, reserve=run_reserve(self.config))
+        raise_first(results, spare=())  # a run records its own failed calls
+        return group, results
+
+    def _write_header(self, trace: RunTrace, problem: Problem, runs: int = 1) -> None:
         if trace.header is not None:
             return
         backend = self.gateway.backend
@@ -309,7 +341,6 @@ class Orchestrator:
                 "config": self.config.to_dict(),
                 "backend": {"backend_id": backend.backend_id},
                 "template_version": self.registry.version(),
-                "resumed_from": resumed_from,
             },
         )
         # The script rides along as an attachment: replay needs it, but it is
@@ -319,47 +350,40 @@ class Orchestrator:
 
     def _run_single(self, problem: Problem, leaf_engine: DialecticEngine, run_id: str) -> PipelineResult:
         """One run from its start, on the trace and lane of a leaf of the runs group."""
-        trace, lane = leaf_engine.trace, leaf_engine.lane
-        engine = DialecticEngine(self.gateway, self.registry, self.config, trace, run_id, lane=lane, state=RunState(run_id))
-        return self._machine(problem, engine, ("p1", 1))
-
-    def _machine(self, problem: Problem, engine: DialecticEngine, position: tuple) -> PipelineResult:
-        state, cfg = engine.state, self.config
+        cfg, state = self.config, RunState(run_id)
+        engine = DialecticEngine(self.gateway, self.registry, cfg, leaf_engine.trace, run_id, lane=leaf_engine.lane,
+                                 state=state)
         try:
-            if position[0] == "p1":
-                for i in range(position[1], cfg.initial_iterations + 1):
-                    engine.append(1, "phase_start", {"phase": 1, "iteration": i})
-                    # contexts come from the previous iterations' solutions
-                    branches = [Branch(problem, EMPTY_CONTEXT, Origin.FRESH)]
-                    for k in range(1, cfg.solver_width):
-                        ctx = select_kth_top(state.solution_memory, k)
-                        branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
-                    if verified := self._gated_round(problem, engine, branches, phase=1):
-                        return verified
-                    if i < cfg.initial_iterations:
-                        self._checkpoint(engine, f"p1.i{i}", ("p1", i + 1))
-                self._checkpoint(engine, "p1.done", ("outer", 1))
-                position = ("outer", 1)
+            for i in range(1, cfg.initial_iterations + 1):
+                engine.append(1, "phase_start", {"phase": 1, "iteration": i})
+                # contexts come from the previous iterations' solutions
+                branches = [Branch(problem, EMPTY_CONTEXT, Origin.FRESH)]
+                for k in range(1, cfg.solver_width):
+                    ctx = select_kth_top(state.solution_memory, k)
+                    branches.append(Branch(problem, ctx, Origin.FRESH if ctx.is_empty() else Origin.CONTEXTUAL))
+                if verified := self._gated_round(problem, engine, branches, phase=1):
+                    return verified
+                if i < cfg.initial_iterations:
+                    self._checkpoint(engine, f"p1.i{i}", 1)
+            self._checkpoint(engine, "p1.done", 3)
 
-            if position[0] == "outer":
-                for l in range(position[1], cfg.conjecture_iterations + 1):
-                    engine.append(2, "phase_start", {"phase": 2, "iteration": l})
-                    seeds = select_top(state.solution_memory, 2)
-                    outcome = NO_OUTCOME
-                    if not seeds:
-                        engine.append(2, "extract_skipped", {"reason": "no graded seeds"})
-                    else:
-                        # A failed extraction loses only itself; the guided round still runs.
-                        outcome = self._conjecture_round(problem, engine, seeds, TAU, phase=2)
+            for l in range(1, cfg.conjecture_iterations + 1):
+                engine.append(2, "phase_start", {"phase": 2, "iteration": l})
+                seeds = select_top(state.solution_memory, 2)
+                outcome = NO_OUTCOME
+                if not seeds:
+                    engine.append(2, "extract_skipped", {"reason": "no graded seeds"})
+                else:
+                    # A failed extraction loses only itself; the guided round still runs.
+                    outcome = self._conjecture_round(problem, engine, seeds, TAU, phase=2)
 
-                    engine.append(3, "phase_start", {"phase": 3, "iteration": l})
-                    ctx = self._guided_context(state, outcome)
-                    branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
-                    branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
-                    if verified := self._gated_round(problem, engine, branches, phase=3):
-                        return verified
-                    self._checkpoint(engine, f"outer.l{l}", self._after_outer(l))
-                position = ("p4", 0)
+                engine.append(3, "phase_start", {"phase": 3, "iteration": l})
+                ctx = self._guided_context(state, outcome)
+                branches = [Branch(problem, ctx, Origin.GUIDED, b) for b in range(cfg.solver_width - 1)]
+                branches.append(Branch(problem, EMPTY_CONTEXT, Origin.FRESH))
+                if verified := self._gated_round(problem, engine, branches, phase=3):
+                    return verified
+                self._checkpoint(engine, f"outer.l{l}", 3 if l < cfg.conjecture_iterations else 4)
 
             return self._phase4(problem, engine)
         except BudgetExceeded:
@@ -367,9 +391,6 @@ class Orchestrator:
             engine.append(0, "budget_exhausted", {})
             memory = state.solution_memory
             return self._finish(engine, best(memory) if memory else None, STATUS_BUDGET_EXHAUSTED)
-
-    def _after_outer(self, l: int) -> tuple:
-        return ("outer", l + 1) if l < self.config.conjecture_iterations else ("p4", 0)
 
     def _guided_context(self, state: RunState, outcome: VerifyOutcome) -> SolveContext:
         feedback = [unresolved(record) for record in outcome.failed]
@@ -456,55 +477,13 @@ class Orchestrator:
             return NO_OUTCOME
         return conj.verify_hypotheses(pairs, tau, phase)
 
-    def _checkpoint(self, engine: DialecticEngine, name: str, position: tuple, result: Optional[dict] = None) -> None:
-        """Record checkpoint ``<run_id>.<name>`` as a marker of constant size.
-
-        The trace sets its ``seq`` to the marker's own event: resume folds
-        the events before it.
-        """
-        marker = {
-            "position": list(position),
-            "state": {"run_id": engine.run_id},
-            "ids": engine.ids.to_dict(),
-            "cursors": self._cursors(engine.lane),
-        }
-        if result is not None:
-            marker["result"] = result
-        phase = {"p1": 1, "outer": 3, "p4": 4, "final": 4}.get(position[0], 0)
-        engine.lane.record(engine.trace.checkpoint, f"{engine.run_id}.{name}", marker, engine.run_id, phase)
-
-    def _cursors(self, lane) -> Optional[list[int]]:
-        """The scripted cursors a marker records, the same whatever the timing.
-
-        Once every rule is settled, its cursors are each rule's last
-        response index, however far the runs have got. Otherwise the marker
-        waits for the earlier runs to finish first, and then holds the
-        cursors of the sequential order: those runs' calls and this run's own.
-        """
-        backend = self.gateway.backend
-        if not hasattr(backend, "snapshot"):
-            return None
-        cursors = backend.snapshot()
-        if cursors != self._settled_cursors:
-            lane.wait_turn()
-            cursors = backend.snapshot()
-        return cursors
-
-    @cached_property
-    def _settled_cursors(self) -> Optional[list[int]]:
-        """The scripted cursors once every rule is settled
-        (:meth:`ScriptRule.settled`): each rule's last response index, or None
-        if a rule does not repeat its last response and so never settles.
-        Read once from the script, which backend wrappers forward as
-        ``to_dict``."""
-        rules = self.gateway.backend.to_dict()["rules"]
-        if not all(rule["repeat_last"] for rule in rules):
-            return None
-        return [len(rule["responses"]) - 1 for rule in rules]
+    def _checkpoint(self, engine: DialecticEngine, name: str, phase: int) -> None:
+        """Record checkpoint ``<run_id>.<name>``: a marker that names its run,
+        at the place in the trace where it is recorded."""
+        engine.lane.record(engine.trace.checkpoint, f"{engine.run_id}.{name}", engine.run_id, phase)
 
     def _finish(self, engine: DialecticEngine, solution: Optional[CandidateSolution], status: str) -> PipelineResult:
-        result = {"status": status, "solution_id": solution.id if solution else None}
-        self._checkpoint(engine, "final", ("final",), result)
+        self._checkpoint(engine, "final", 4)
         engine.append(
             4,
             "result",

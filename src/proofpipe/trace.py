@@ -5,9 +5,9 @@ payload digest) around a JSON payload; a trace line holds all but the
 digest, which follows from the payload. The digest covers only the payload,
 never the envelope, so wall-clock timestamps do not break replay
 comparison. The trace is the only store of run state: a checkpoint is a
-small marker (loop position, id counters, scripted cursors and its own seq)
-recorded as an event, and resuming from it folds the events before it.
-When the trace is backed by a file, each marker is also written to
+marker recorded as an event that only names its run, and resuming from it
+runs the solve again, answering each call the trace recorded from the
+trace. When the trace is backed by a file, each marker is also written to
 ``checkpoints/<id>.json`` next to it. The later leaves of a fork/join group
 do not write yet: each holds its ``append`` and ``checkpoint`` calls in its
 lane (:meth:`~proofpipe.gateway.Lane.record`) until the group joins, and a
@@ -32,7 +32,7 @@ per trace (a new one in the same ``texts`` map, before the text that uses
 it). Prompts quote earlier proofs one to a line (solver contexts, the
 judge's history), so a quoted proof is stored once however often it is
 quoted. A reference is ``{"$text": k}``, where ``k`` numbers the texts in
-the order the file stores them, from 0 (schema 12; schema 11 and older name
+the order the file stores them, from 0 (schema 12 on; schema 11 and older name
 the text by its address, and :meth:`RunTrace.load` still reads that). A
 payload's own dict whose only key is ``$text`` or ``$lit`` is stored as
 ``{"$lit": <the dict>}``, so a reader never takes it for a reference.
@@ -57,7 +57,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import Record, text_digest
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 # Strings this long or longer are stored once per trace, and referred to.
 TEXT_MIN = 256
@@ -255,9 +255,9 @@ class RunTrace:
             self._file.close()
             self._file = None
 
-    def checkpoint(self, checkpoint_id: str, snapshot: dict, run_id: str, phase: int) -> None:
-        """Record marker ``snapshot`` with ``seq`` set to its own event's seq."""
-        snapshot = {**snapshot, "seq": len(self.events)}
+    def checkpoint(self, checkpoint_id: str, run_id: str, phase: int) -> None:
+        """Record marker ``checkpoint_id`` of run ``run_id``; its snapshot only names the run."""
+        snapshot = {"state": {"run_id": run_id}}
         self.append(run_id, phase, "checkpoint", {"checkpoint_id": checkpoint_id, "snapshot": snapshot})
         if self.path:
             ckpt_dir = self.path.parent / "checkpoints"

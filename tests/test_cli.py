@@ -115,6 +115,14 @@ def _as_schema_11(event):
         event["payload"]["schema_version"] = 11
 
 
+def _as_schema_12(event):
+    """Schema 12 markers held their loop position, id counters, scripted
+    cursors and own seq, and its header named the marker a resumed run
+    started from."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 12
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -128,6 +136,7 @@ OLD_SCHEMAS = {
     9: _as_schema_9,
     10: _as_schema_10,
     11: _as_schema_11,
+    12: _as_schema_12,
 }
 
 
@@ -164,20 +173,22 @@ class TestSolve:
 
     def test_markers_land_where_they_are_committed(self, tmp_path, clean_script, problem_file):
         """Run 2's markers are committed at the join of the two runs: each
-        gets its own seq there, and its file; its cursors do not depend on
-        how far run 1 had got."""
+        gets its own seq there, after run 1's last event, and its file,
+        which only names its run."""
         out = tmp_path / "out"
         assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.VERIFIED
         events = [json.loads(line) for line in (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
-        rules = json.loads(clean_script.read_text(encoding="utf-8"))["rules"]
-        markers = [(i, e["payload"]) for i, e in enumerate(events) if e["kind"] == "checkpoint"]
-        assert {p["snapshot"]["state"]["run_id"] for _, p in markers} == {"run1", "run2"}
-        for index, payload in markers:
-            snapshot = payload["snapshot"]
-            assert snapshot["seq"] == index == events[index]["seq"]
+        markers = [(i, e) for i, e in enumerate(events) if e["kind"] == "checkpoint"]
+        assert {e["payload"]["snapshot"]["state"]["run_id"] for _, e in markers} == {"run1", "run2"}
+        run1_end = max(i for i, e in enumerate(events) if e["run_id"] == "run1")
+        for index, event in markers:
+            payload = event["payload"]
+            assert event["seq"] == index
+            assert payload["snapshot"] == {"state": {"run_id": event["run_id"]}}
+            assert payload["checkpoint_id"].startswith(event["run_id"] + ".")
+            assert (index > run1_end) == (event["run_id"] == "run2")
             path = out / "checkpoints" / f"{payload['checkpoint_id']}.json"
-            assert json.loads(path.read_text(encoding="utf-8")) == snapshot
-            assert all(c <= len(r["responses"]) - 1 for c, r in zip(snapshot["cursors"], rules))
+            assert json.loads(path.read_text(encoding="utf-8")) == payload["snapshot"]
 
     def test_single_run_has_no_judge_events(self, tmp_path, clean_script, problem_file):
         out = tmp_path / "out"
@@ -605,6 +616,7 @@ class TestTornTrace:
         text = (out / "solution.txt").read_text(encoding="utf-8").strip()
         config = PipelineConfig.from_dict(trace.header["config"])
         assert list(trace.checkpoints)[-1] == "run1.final"
+        assert not trace.of_kind("result")  # the torn line was the run's result
         for checkpoint_id in trace.checkpoints:
             gateway = ModelGateway(ScriptedBackend.from_file(script), token_budget=config.token_budget)
             resumed = Orchestrator(gateway, registry, config).resume(trace, checkpoint_id)
@@ -653,6 +665,9 @@ class TestTornTrace:
             ("replay", {"runs": "2"}, "runs is not a count"),
             ("replay", {"runs": 0}, "runs is not a count"),
             ("replay", {"problem": None}, "a Problem is stored as a dict"),
+            ("cost", {"backend": {"backend_id": ["scripted"]}}, "backend is not a table with a backend_id: {'backend_id': ['scripted']}"),
+            ("cost", {"backend": []}, "backend is not a table with a backend_id: []"),
+            ("cost", {"backend": None}, "backend is not a table with a backend_id: None"),
         ]
         for command, edits, named in cases:
             header = json.loads(lines[0])
@@ -688,6 +703,24 @@ class TestTornTrace:
         assert run_cli("cost", trace_path) == ExitCode.USAGE
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, err
+
+
+    @pytest.mark.parametrize("role", [["solver"], None, 5], ids=["list", "null", "number"])
+    def test_bad_call_role_is_usage_error(self, tmp_path, problem_file, capsys, role):
+        """A call event whose role is not a model role is bad input: ``cost``
+        exits 2 and names it, where it would otherwise crash summing by role."""
+        out, _ = self._solve(tmp_path, problem_file)
+        trace_path = out / "trace.jsonl"
+        lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if '"usage":' in line)
+        event = json.loads(lines[index])
+        event["payload"]["role"] = role
+        lines[index] = json.dumps(event) + "\n"
+        trace_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("cost", trace_path) == ExitCode.USAGE
+        err = capsys.readouterr().err
+        assert f"a call event's role is not a model role: {role!r}" in err and "Traceback" not in err, err
 
 
 class TestCallTexts:
@@ -937,7 +970,13 @@ class TestCallTexts:
             Problem.from_dict(header["problem"]), trace=fresh, n=header["runs"]
         )
         assert loaded.events[0].kind == fresh.events[0].kind == "run_start"
-        assert signature(loaded)[1:] == signature(fresh)[1:]
+
+        def comparable(trace):
+            # A marker's payload changed in schema 13; its place and envelope did not.
+            return [(run, phase, kind, None if kind == "checkpoint" else digest) for run, phase, kind, digest in signature(trace)[1:]]
+
+        assert comparable(loaded) == comparable(fresh)
+        assert any(kind == "checkpoint" for _, _, kind, _ in comparable(fresh))
         assert any(e.kind == "judge" for e in loaded.events)
         assert run_cli("cost", path) == ExitCode.VERIFIED
         assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.79960"

@@ -1,5 +1,6 @@
 """Fork/join groups: real overlap, and results independent of timing."""
 import random
+import sys
 import threading
 import time
 
@@ -8,9 +9,18 @@ import pytest
 from proofpipe.conjecture import ConjectureEngine
 from proofpipe.core import HypothesisPair, Origin, Problem, RunState
 from proofpipe.dialectic import EMPTY_CONTEXT, DialecticEngine, raise_first
-from proofpipe.gateway import BudgetExceeded, CallFailed, ModelGateway, ModelRequest, ScriptedBackend, ScriptRule
+from proofpipe.gateway import (
+    BudgetExceeded,
+    CallFailed,
+    ModelGateway,
+    ModelRequest,
+    ModelResponse,
+    ScriptedBackend,
+    ScriptRule,
+    Usage,
+)
 from proofpipe.orchestrator import STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED, Orchestrator, replay, run_reserve
-from proofpipe.trace import RunTrace, signature
+from proofpipe.trace import RunTrace, is_call, signature
 
 from conftest import (
     clean_problem,
@@ -22,7 +32,7 @@ from conftest import (
     small_config,
     well_problem,
 )
-from test_core import sol
+from test_core import fold, sol
 
 PROBLEM = Problem(id="p1", statement="Prove that 1 + 1 = 2 in Peano arithmetic.")
 
@@ -33,12 +43,6 @@ class Wrapper:
     def __init__(self, inner):
         self.inner = inner
         self.backend_id = inner.backend_id
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    def restore(self, cursors):
-        self.inner.restore(cursors)
 
     def to_dict(self):
         return self.inner.to_dict()
@@ -208,7 +212,7 @@ def rules_two_run_judge():
 
 def rules_late_extractor():
     """Two runs and a judge; the extractor rule settles only with run 1's
-    extraction, so run 2's first markers are taken while it can still move."""
+    extraction, so run 2's extraction waits for run 1 to finish."""
     narratives = [{"text": "Part 2 narrative with one load-bearing claim."}, {"text": "A second narrative."}]
     late = ScriptRule("extractor", None, narratives, repeat_last=True)
     rules = [late if r.role == "extractor" else r for r in rules_well()]
@@ -221,7 +225,7 @@ SCENARIOS = {
     "all_twos": (rules_all_twos, clean_problem, dict(initial_iterations=2, conjecture_iterations=2)),
     "cursored": (rules_cursored, clean_problem, dict(solver_width=4, conjecture_iterations=2)),
     "two_run_judge": (rules_two_run_judge, well_problem, dict(parallel_runs=2)),
-    # Run 2's calls and markers wait on run 1's unsettled cursors.
+    # Run 2's calls wait on run 1's unsettled cursors.
     "two_run_cursored": (rules_cursored, clean_problem, dict(parallel_runs=2)),
     "two_run_late_rule": (rules_late_extractor, well_problem, dict(parallel_runs=2)),
 }
@@ -262,19 +266,16 @@ def fingerprint(result, gateway):
 
 
 def assert_resumes_every_marker(name, registry, trace, gateway, config, seed):
-    """Resuming from each marker reproduces its run's text and ledger: the
-    ledger through the runs up to the marker's run, in run order."""
-    entries = [e.to_dict() for e in gateway.ledger.entries]
+    """Resuming from each marker reproduces its run's text and the ledger of
+    every run, in run order: every run runs again, with no judge."""
+    entries = [e.to_dict() for e in gateway.ledger.entries if e.run_id != "aggregate"]
     results = {e.run_id: e.payload["proof_text"] for e in trace.of_kind("result")}
-    runs = [f"run{i + 1}" for i in range(config.parallel_runs)]
     for checkpoint_id, snap in trace.checkpoints.items():
         run_id = snap["state"]["run_id"]
-        through = runs[: runs.index(run_id) + 1]
         resume_gateway = gateway_for(JitterBackend(ScriptedBackend(SCENARIOS[name][0]()), seed), config)
         resumed = Orchestrator(resume_gateway, registry, config).resume(trace, checkpoint_id)
         assert (resumed.solution and resumed.solution.proof_text) == results[run_id], checkpoint_id
-        expected = [e for e in entries if e["run_id"] in through]
-        assert [e.to_dict() for e in resume_gateway.ledger.entries] == expected, checkpoint_id
+        assert [e.to_dict() for e in resume_gateway.ledger.entries] == entries, checkpoint_id
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -307,12 +308,10 @@ def test_determinism_under_jitter(name, registry):
 
 @pytest.mark.parametrize("name", sorted(ONE_RUN))
 def test_live_state_is_the_fold_of_its_trace(name, registry):
-    """A run's state is what resume folds from its trace, also when the
+    """A run's state is the fold of its trace's state events, also when the
     budget runs out."""
     result, _, _ = run_scenario(name, registry, 0, ONE_RUN)
-    folded = RunState(result.state.run_id)
-    folded.fold(result.trace.events)
-    assert result.state == folded
+    assert result.state == fold(result.state.run_id, result.trace.events)
 
 
 def _criterion_9_budgets():
@@ -469,9 +468,7 @@ def test_a_budget_in_one_side_keeps_the_other_pairs_verdicts(registry):
         assert sides == [("h0", "pos"), ("h1", "pos"), ("h1", "neg"), ("h2", "pos"), ("h2", "neg")], seed
         assert [e.payload["pair_id"] for e in trace.of_kind("pair_proven", "pair_failed")] == ["h1", "h2"], seed
         assert [lemma.pair_id for lemma in engine.state.lemma_memory] == ["h1", "h2"], seed
-        folded = RunState("run1")
-        folded.fold(trace.events)
-        assert folded == engine.state, seed
+        assert fold("run1", trace.events) == engine.state, seed
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -498,3 +495,115 @@ def test_a_budget_inside_the_check_grades_keeps_the_grades_before_it(strict, reg
             engine.verified_success(sol("run1.s0000", 7), PROBLEM, 3)
         assert [e.payload["ordinal"] for e in trace.of_kind("check_grade")] == [0, 1], seed
         assert gateway.tokens_consumed == gateway.ledger.total_tokens() == 2 * grade
+
+
+# -- resume against a recorded trace -------------------------------------------
+
+
+class Unscripted:
+    """A backend that carries no script (no ``to_dict``), so resume answers
+    from the trace what it can; it answers as ``inner`` does and counts the
+    calls it is asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        with self.lock:
+            self.calls += 1
+        return self.inner.complete(req)
+
+
+class CountedGrades(Unscripted):
+    """All-twos with no script, whose grader replies depend on the order the
+    calls arrive in: the k-th grader call gets a 2 whose issue names k. So
+    the N check grades of one text get different replies."""
+
+    def __init__(self):
+        super().__init__(ScriptedBackend(rules_all_twos()))
+
+    def complete(self, req):
+        if req.role != "grader":
+            return super().complete(req)
+        with self.lock:
+            self.calls += 1
+            text = grader_text(2, issues=((f"the main claim is unsupported (reply {self.calls})", "Fallacy"),))
+        return ModelResponse(text, Usage(len(req.prompt) // 4, len(text) // 4), self.backend_id)
+
+
+class JitterGateway(ModelGateway):
+    """Sleeps a seeded random 0-3 ms before each call, ahead of the backend
+    that a resume wraps around the gateway's own, so the calls of concurrent
+    leaves reach it in an order that varies with the seed."""
+
+    def __init__(self, backend, config, seed):
+        super().__init__(backend, token_budget=config.token_budget, sleep=lambda _: None)
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        with self.lock:
+            delay = self.rng.uniform(0.0, 0.003)
+        time.sleep(delay)
+        return super().complete(req)
+
+
+def cut(trace, end):
+    """The first ``end`` events of ``trace``, as a kill leaves its file."""
+    part = RunTrace()
+    part.events = trace.events[:end]
+    return part
+
+
+def call_count(trace):
+    return sum(1 for e in trace.events if is_call(e.payload) and e.run_id != "aggregate")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_resume_answers_each_recorded_reply_in_the_sequential_order(seed, registry):
+    """Every grade of one text has one key (its role and prompt), and the
+    N check grades of a text reach the backend at once. Cut right after
+    check grade 0, the trace holds one reply of the check grades' key past
+    every earlier grade's: the call at its turn takes each, so the re-run
+    records what the trace holds and asks the backend only for what the cut
+    lacks. Handed out in arrival order, a concurrent branch or check grade
+    would take an earlier call's reply, and the re-run would differ."""
+    config = small_config(conjecture_iterations=1)
+    original = Orchestrator(JitterGateway(CountedGrades(), config, seed), registry, config).run(clean_problem())
+    end = next(e.seq for e in original.trace.of_kind("check_grade") if e.payload["ordinal"] == 0) + 1
+    source = cut(original.trace, end)
+    double = CountedGrades()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so the leaves' calls interleave
+    try:
+        resumed = Orchestrator(JitterGateway(double, config, seed + 100), registry, config).resume(
+            source, list(source.checkpoints)[-1]
+        )
+    finally:
+        sys.setswitchinterval(switch)
+    assert signature(resumed.trace)[: len(signature(source))] == signature(source)
+    assert double.calls == call_count(resumed.trace) - call_count(source) > 0
+
+
+@pytest.mark.parametrize("name", ["well", "all_twos", "two_run_judge", "all_twos_2run_9000", "two_run_judge_2run_25000"])
+def test_a_resume_asks_the_backend_only_for_the_calls_its_trace_lacks(name, registry):
+    """With replies that do not depend on call order, a resume from the last
+    marker of a trace cut after n events asks a backend with no script for
+    exactly the calls of the runs that the cut lacks: none for the whole
+    trace, also where the budget ran out inside a group."""
+    make_rules, _, overrides = SCENARIOS[name]
+    config = small_config(**overrides)
+    assert all(rule.settled() for rule in make_rules())  # every reply is a function of the prompt
+    result, _, _ = run_scenario(name, registry, 0)
+    n = len(result.trace.events)
+    for end in sorted({1, 2, 3, n // 4, n // 3, n // 2, 2 * n // 3, n - 5, n - 1, n}):
+        source = cut(result.trace, end)
+        if not source.checkpoints:
+            continue
+        double = Unscripted(ScriptedBackend(make_rules()))
+        resumed = Orchestrator(gateway_for(double, config), registry, config).resume(source, list(source.checkpoints)[-1])
+        assert double.calls == call_count(resumed.trace) - call_count(source), end
+    assert double.calls == 0  # the whole trace answers every call

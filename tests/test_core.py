@@ -15,6 +15,7 @@ from proofpipe.core import (
     PipelineConfig,
     Polarity,
     Problem,
+    STATE_EVENTS,
     RunState,
     Severity,
     best,
@@ -38,6 +39,17 @@ def sol(id_, score, issues=0, text=None, graded=True):
         phase=1,
         grade=grade,
     )
+
+
+def fold(run_id, events):
+    """The state of run ``run_id`` folded from ``events`` (trace events): each
+    of its state events grows the memory that :data:`STATE_EVENTS` names by the
+    item its payload stores, in order."""
+    state = RunState(run_id)
+    for event in events:
+        if event.run_id == run_id and event.kind in STATE_EVENTS:
+            state.grow(event.kind, STATE_EVENTS[event.kind][0].from_dict(event.payload))
+    return state
 
 
 class TestGradeReport:
@@ -159,9 +171,7 @@ class TestRunState:
         assert state.solution_memory == [solution]
         assert state.lemma_memory == [lemma, lemma]
         assert state.failure_context == [failure]
-        folded = RunState("r")
-        folded.fold(trace.events)
-        assert folded == state
+        assert fold("r", trace.events) == state
 
 
 @given(st.integers(min_value=0, max_value=7).filter(lambda s: s != 5), st.integers(0, 3))

@@ -160,14 +160,6 @@ class TestScriptedBackend:
         with pytest.raises(ValueError, match="no responses"):
             ScriptRule("solver", None, [], repeat_last=True)
 
-    def test_snapshot_restore(self):
-        backend = ScriptedBackend([ScriptRule("solver", None, [{"text": "one"}, {"text": "two"}])])
-        backend.complete(req())
-        snap = backend.snapshot()
-        assert backend.complete(req()).text == "two"
-        backend.restore(snap)
-        assert backend.complete(req()).text == "two"
-
     def test_serialization_roundtrip(self):
         backend = ScriptedBackend(
             [ScriptRule("solver", ["a", "b"], [{"text": "x", "usage": {"input_tokens": 3, "output_tokens": 4}}])]
@@ -387,6 +379,10 @@ def test_usage_takes_only_int_counts(counts):
         Usage(*counts)
 
 
+BILLED = {"prompt_tokens": 900, "completion_tokens": 463}
+NO_USAGE = object()  # a reply with no "usage" key
+
+
 class TestHttpBackend:
     """Offline: ``urllib.request.urlopen`` is replaced by a stub."""
 
@@ -423,7 +419,10 @@ class TestHttpBackend:
         [{}, {"choices": []}, {"choices": [{"message": {}}]}, [],
          pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": "5"}}, id="string_count"),
          pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"completion_tokens": 1.5}}, id="float_count"),
-         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": True}}, id="bool_count")],
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": True}}, id="bool_count"),
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": -3.0}}, id="negative_float_count"),
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": {"prompt_tokens": float("inf")}}, id="inf_count"),
+         pytest.param({"choices": [{"message": {"content": "p"}}], "usage": [900]}, id="list_usage")],
     )
     def test_malformed_payload_is_backend_failure(self, monkeypatch, payload):
         gw, calls = self._gateway(monkeypatch, payload)
@@ -433,26 +432,40 @@ class TestHttpBackend:
         assert not gw.ledger.entries
 
     @pytest.mark.parametrize(
-        "content, text, coerced",
+        "content, usage, text, tokens, coerced",
         [
-            pytest.param(None, "", "content NoneType read as an empty reply", id="null_content"),
-            pytest.param(["a"], "", "content list read as an empty reply", id="list_content"),
-            pytest.param("proof \ud800 and \udfff\ud800", "proof \ufffd and \ufffd\ufffd", "lone surrogates read as U+FFFD",
-                         id="lone_surrogate"),
+            pytest.param(None, BILLED, "", Usage(900, 463), "content NoneType read as an empty reply", id="null_content"),
+            pytest.param(["a"], BILLED, "", Usage(900, 463), "content list read as an empty reply", id="list_content"),
+            pytest.param("proof \ud800 and \udfff\ud800", BILLED, "proof \ufffd and \ufffd\ufffd", Usage(900, 463),
+                         "lone surrogates read as U+FFFD", id="lone_surrogate"),
+            pytest.param("p", None, "p", Usage(0, 0), "no usage read as 0 tokens", id="null_usage"),
+            pytest.param("p", NO_USAGE, "p", Usage(0, 0), "no usage read as 0 tokens", id="missing_usage"),
+            pytest.param("p", {"prompt_tokens": 900.0, "completion_tokens": 463}, "p", Usage(900, 463),
+                         "prompt_tokens 900.0 read as 900", id="integral_float_count"),
+            pytest.param(None, {"prompt_tokens": 900.0, "completion_tokens": 463.0, "reasoning_tokens": 7}, "",
+                         Usage(900, 463, 7),
+                         "content NoneType read as an empty reply; prompt_tokens 900.0 read as 900; completion_tokens 463.0 read as 463",
+                         id="null_content_and_float_counts"),
+            pytest.param(None, None, "", Usage(0, 0), "content NoneType read as an empty reply; no usage read as 0 tokens",
+                         id="null_content_and_null_usage"),
         ],
     )
-    def test_a_coerced_reply_is_metered(self, monkeypatch, content, text, coerced):
-        """The provider billed a reply whose content is not UTF-8 text, so it
-        is read as text, metered and put in the ledger like any other, and
+    def test_a_coerced_reply_is_metered(self, monkeypatch, content, usage, text, tokens, coerced):
+        """The provider billed a reply whose content is not UTF-8 text, or
+        whose usage is missing or holds an integral float, so it is read as
+        text and counts, metered and put in the ledger like any other, and
         says what was coerced; a well-formed one says nothing."""
-        payload = {"choices": [{"message": {"content": content}}], "usage": {"prompt_tokens": 900, "completion_tokens": 463}}
+        payload = {"choices": [{"message": {"content": content}}]}
+        if usage is not NO_USAGE:
+            payload["usage"] = usage
         gw, calls = self._gateway(monkeypatch, payload)
         resp = gw.complete(req())
         assert (resp.text, resp.coerced) == (text, coerced)
-        assert resp.usage == Usage(900, 463, 0) and gw.tokens_consumed == 1363
-        assert [entry.usage for entry in gw.ledger.entries] == [Usage(900, 463, 0)] and len(calls) == 1
+        assert resp.usage == tokens and gw.tokens_consumed == tokens.total
+        assert [entry.usage for entry in gw.ledger.entries] == [tokens] and len(calls) == 1
+        assert all(type(count) is int for count in tokens.to_dict().values())
         resp.text.encode("utf-8")
-        payload["choices"][0]["message"]["content"] = "proof \ud83d\ude00"  # a pair, not a lone surrogate
+        payload = {"choices": [{"message": {"content": "proof \ud83d\ude00"}}], "usage": BILLED}  # a pair, not a lone surrogate
         assert not self._gateway(monkeypatch, payload)[0].complete(req()).coerced
 
     def test_unpriced_backend_rejected_before_any_call(self):

@@ -21,7 +21,7 @@ from proofpipe.orchestrator import (
     select_kth_top,
     select_top,
 )
-from proofpipe.trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence
+from proofpipe.trace import SCHEMA_VERSION, RunTrace, TraceEvent, first_divergence, signature
 
 from conftest import (
     BREAKTHROUGH_TEXT,
@@ -435,43 +435,32 @@ class TestResume:
             assert gateway.ledger.to_dict() == baseline_ledger, checkpoint_id
 
     def test_resumed_events_keep_the_original_digests(self, registry):
-        """From every marker, the events a resume records after its header
-        equal the original's after the marker, apart from each marker's own
-        seq: an event's stored form, and so its digest, does not depend on
-        what the trace held before it."""
+        """From every marker, the final one included, a resume records every
+        event of the original, header and markers included, with the same
+        seq, payload and digest: an event's stored form, and so its digest,
+        does not depend on what the trace held before it."""
 
         def comparable(events):
-            out = []
-            for event in events:
-                record = {k: v for k, v in event.to_dict().items() if k not in ("seq", "ts")}
-                if event.kind == "checkpoint":
-                    del record["digest"]
-                    snapshot = {k: v for k, v in record["payload"]["snapshot"].items() if k != "seq"}
-                    record["payload"] = {**record["payload"], "snapshot": snapshot}
-                out.append(record)
-            return out
+            return [{k: v for k, v in event.to_dict().items() if k != "ts"} for event in events]
 
         config = small_config(initial_iterations=2, conjecture_iterations=2)
         for rules, status in ((rules_well(), STATUS_VERIFIED), (rules_all_twos(), STATUS_BEST_EFFORT)):
             rules = with_long_replies(rules)
             original, _ = run_pipeline(rules, config, registry, problem=well_problem())
             assert original.status == status
-            # A final marker's resume returns the stored result and records nothing.
-            markers = {c: m for c, m in original.trace.checkpoints.items() if not c.endswith(".final")}
-            assert markers
-            for checkpoint_id, marker in markers.items():
+            assert len(original.trace.checkpoints) > 2
+            for checkpoint_id in original.trace.checkpoints:
                 gateway = make_gateway(rules, config)
                 resumed = Orchestrator(gateway, registry, config).resume(original.trace, checkpoint_id)
-                recorded = [e for e in resumed.trace.events if e.run_id != "meta"]
-                assert comparable(recorded) == comparable(original.trace.events[marker["seq"] + 1 :]), checkpoint_id
+                assert comparable(resumed.trace.events) == comparable(original.trace.events), checkpoint_id
 
     def test_resume_from_final_returns_stored(self, registry):
         config = small_config()
-        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original, orig_gateway = run_pipeline(rules_well(), config, registry, problem=well_problem())
         orch, gateway = self._fresh_orchestrator(config, registry)
         resumed = orch.resume(original.trace, "run1.final")
         assert resumed.solution.proof_text == original.solution.proof_text
-        assert gateway.tokens_consumed > 0  # accounting restored, no re-execution
+        assert gateway.tokens_consumed == orig_gateway.tokens_consumed  # the run ran again, call for call
         assert resumed.status == original.status
 
     def test_unknown_checkpoint(self, registry):
@@ -510,14 +499,42 @@ class TestResume:
                 orch.resume(old, "run1.p1.done")
 
     def test_corrupt_checkpoint(self, registry):
+        """A marker with no run, or naming a run the header does not count."""
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        snap = dict(original.trace.checkpoints["run1.p1.done"])
-        del snap["state"]
-        original.trace.checkpoint("broken", snap, "run1", 1)
+        for snapshot in ({}, {"state": {"run_id": "run2"}}):
+            original.trace.append("run1", 1, "checkpoint", {"checkpoint_id": "broken", "snapshot": snapshot})
+            orch, _ = self._fresh_orchestrator(config, registry)
+            with pytest.raises(ResumeError, match="corrupt"):
+                orch.resume(original.trace, "broken")
+
+    @pytest.mark.parametrize("runs", ["1", 0, None])
+    def test_header_runs_must_be_a_count(self, registry, runs):
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original.trace.header["runs"] = runs
         orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError, match="corrupt"):
-            orch.resume(original.trace, "broken")
+        with pytest.raises(ResumeError, match="runs is not a count"):
+            orch.resume(original.trace, "run1.p1.done")
+
+    def test_backend_mismatch_refused(self, registry):
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original.trace.header["backend"] = {"backend_id": "flat-10"}
+        orch, _ = self._fresh_orchestrator(config, registry)
+        with pytest.raises(ResumeError, match="backend 'flat-10', not 'scripted'"):
+            orch.resume(original.trace, "run1.p1.done")
+
+    def test_a_re_run_that_differs_from_the_trace_is_refused(self, registry):
+        """A script that no longer gives the recorded replies re-runs to other
+        events: the resume names the first one that differs."""
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        orch, _ = self._fresh_orchestrator(config, registry)
+        orch.gateway.backend = ScriptedBackend(rules_clean())
+        first_call = next(i for i, e in enumerate(e for e in original.trace.events if e.kind != "script_attachment") if "usage" in e.payload)
+        with pytest.raises(ResumeError, match=rf"at event {first_call}: \('run1', 1, 'draft'\)"):
+            orch.resume(original.trace, "run1.p1.done")
 
     def test_header_with_no_call_attempts_refused(self, registry):
         config = small_config()
@@ -548,23 +565,30 @@ class TestResume:
             assert f"{run_id}.p1.done" in own and f"{run_id}.final" in own
         assert len(ids) == len([c for c in ids if c.startswith(("run1.", "run2."))])
 
-        run1_text = next(e.payload["proof_text"] for e in original.trace.of_kind("result") if e.run_id == "run1")
-        entries = [e.to_dict() for e in orig_gateway.ledger.entries]
-        last = max(i for i, e in enumerate(entries) if e["run_id"] == "run1")
-        gateway = make_gateway(rules(), config)
-        resumed = Orchestrator(gateway, registry, config).resume(original.trace, "run1.p1.done")
-        assert resumed.state.run_id == "run1"
-        assert resumed.solution.proof_text == run1_text
-        assert [e.to_dict() for e in gateway.ledger.entries] == entries[: last + 1]
+        # Every run runs again, with no judge: the ledger holds every run's entries.
+        entries = [e.to_dict() for e in orig_gateway.ledger.entries if e.run_id != "aggregate"]
+        assert {e["run_id"] for e in entries} == {"run1", "run2"}
+        for run_id in ("run1", "run2"):
+            text = next(e.payload["proof_text"] for e in original.trace.of_kind("result") if e.run_id == run_id)
+            gateway = make_gateway(rules(), config)
+            resumed = Orchestrator(gateway, registry, config).resume(original.trace, f"{run_id}.p1.done")
+            assert resumed.state.run_id == run_id
+            assert resumed.solution.proof_text == text
+            assert [e.to_dict() for e in gateway.ledger.entries] == entries
 
-    def test_resumed_trace_is_not_resumable(self, registry):
+    def test_a_resumed_trace_resumes_to_the_same_result(self, registry):
+        """A resumed trace holds every event of its runs from their start, so
+        it can be resumed again, from every marker, to the same result."""
         config = small_config()
-        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original, orig_gateway = run_pipeline(rules_well(), config, registry, problem=well_problem())
         orch, _ = self._fresh_orchestrator(config, registry)
         resumed = orch.resume(original.trace, "run1.p1.done")
-        orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError, match="resumed run"):
-            orch.resume(resumed.trace, "run1.final")
+        assert signature(resumed.trace) == signature(original.trace)
+        for checkpoint_id in resumed.trace.checkpoints:
+            orch, gateway = self._fresh_orchestrator(config, registry)
+            again = orch.resume(resumed.trace, checkpoint_id)
+            assert (again.status, again.solution.proof_text) == (original.status, original.solution.proof_text)
+            assert gateway.ledger.to_dict() == orig_gateway.ledger.to_dict()
 
     def test_checkpoint_markers_stay_small(self, registry):
         import json
