@@ -54,8 +54,7 @@ from .conjecture import (
 from .orchestrator import (
     Orchestrator,
     PipelineResult,
-    ResumeError,
-    ReplayError,
+    RerunError,
     call_ceilings,
     extract_decision,
     replay,

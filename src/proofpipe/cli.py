@@ -41,7 +41,7 @@ from .orchestrator import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_VERIFIED,
     Orchestrator,
-    ReplayError,
+    RerunError,
     ledger_from_trace,
     replay,
 )
@@ -294,7 +294,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         original = RunTrace.load(args.trace)
         divergence = replay(original)
-    except (ReplayError, OSError, KeyError, ValueError) as exc:
+    except (RerunError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.USAGE
     if divergence is None:

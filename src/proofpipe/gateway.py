@@ -506,6 +506,8 @@ class ScriptedBackend:
     @classmethod
     def from_dict(cls, d: dict) -> "ScriptedBackend":
         # A script is input, so each rule is checked as it loads and a bad one is named.
+        if not (isinstance(d, dict) and isinstance(d.get("rules"), list)):
+            raise ValueError(f"a script is a table whose 'rules' is a list, not {d!r:.80}")
         rules = []
         for index, r in enumerate(d["rules"]):
             try:

@@ -23,12 +23,11 @@ Every step appends to a :class:`RunTrace`, the only store of run state. A
 run's state grows only as its state events (``solution``, ``pair_proven``,
 ``pair_failed``) are recorded (:meth:`DialecticEngine.record`). A
 checkpoint marker at each phase boundary only names its run. The program is
-deterministic given its replies, so resuming (:meth:`Orchestrator.resume`)
-runs the solve again from its start and answers each call that the trace
-recorded from the trace: that rebuilds every run's state, ids, ledger and
-scripted cursors, and the re-run must record what the trace holds. Run 1
-writes its events as it goes; the events of every later run reach the
-trace, in run order, when the group joins.
+deterministic given its replies, so replay and resume are one re-run
+(:meth:`Orchestrator.rerun`): the solve runs again from its start, which
+rebuilds every run's state, ids, ledger and scripted cursors, and must
+record what the trace holds. Run 1 writes its events as it goes; the events
+of every later run reach the trace, in run order, when the group joins.
 """
 from __future__ import annotations
 
@@ -58,12 +57,13 @@ from .gateway import (
     ModelResponse,
     PriceTable,
     RecordedBackend,
+    ScriptedBackend,
     Usage,
     cost_of,
     failure_text,
 )
 from .prompts import PromptRegistry
-from .trace import SCHEMA_VERSION, RunTrace, first_divergence, is_call, signature
+from .trace import SCHEMA_VERSION, RunTrace, first_divergence, is_call
 
 STATUS_VERIFIED = "verified"
 STATUS_BEST_EFFORT = "best_effort"
@@ -81,12 +81,8 @@ HISTORY_CHAR_CAP = 4000
 NO_OUTCOME = VerifyOutcome((), (), ())
 
 
-class ResumeError(Exception):
-    """A checkpoint is missing, corrupt, or from an incompatible setup."""
-
-
-class ReplayError(Exception):
-    """The trace cannot be re-executed (typically: not a scripted run)."""
+class RerunError(Exception):
+    """A trace cannot be run again (replay, resume), and why."""
 
 
 @dataclass
@@ -108,6 +104,15 @@ def _decided(text: str) -> tuple[str, dict]:
     if decision is None:
         raise CallFailed("no decision tag")
     return decision, {"decision": decision}
+
+
+def _result(solution: Optional[CandidateSolution], status: str) -> dict:
+    """The payload of a ``result`` event: a run's, which adds the score, or the runs group's."""
+    return {
+        "status": status,
+        "solution_id": solution.id if solution else None,
+        "proof_text": solution.proof_text if solution else None,
+    }
 
 
 def select_kth_top(solutions: Sequence[CandidateSolution], k: int) -> SolveContext:
@@ -163,6 +168,32 @@ def recorded_calls(trace: RunTrace, registry: PromptRegistry, backend_id: str) -
         for p in (event.payload for event in trace.events)
         if is_call(p)
     ]
+
+
+def read_header(
+    source: RunTrace, registry: PromptRegistry
+) -> tuple[PipelineConfig, Problem, int, str, Optional[ScriptedBackend]]:
+    """What a re-run of ``source`` runs: its header's config, problem, count
+    of runs and ``backend_id``, and its attached script, if it has one. A
+    trace with no header, of another schema or other templates than
+    ``registry``'s, or whose header or script does not read as one, raises
+    :class:`RerunError` and says why."""
+    header = source.header
+    if header is None:
+        raise RerunError("the trace has no header event")
+    attachments = source.of_kind("script_attachment")
+    try:
+        if header["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"trace schema {header['schema_version']!r} is not supported (want {SCHEMA_VERSION})")
+        if header["template_version"] != registry.version():
+            raise ValueError("the trace was taken with other prompt templates")
+        runs, backend_id = header["runs"], header["backend"]["backend_id"]
+        if type(runs) is not int or runs < 1:
+            raise ValueError(f"the header's runs is not a count of at least 1: {runs!r}")
+        script = ScriptedBackend.from_dict(attachments[0].payload["script"]) if attachments else None
+        return PipelineConfig.from_dict(header["config"]), Problem.from_dict(header["problem"]), runs, backend_id, script
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RerunError(f"the trace cannot be re-run: {exc}") from exc
 
 
 def call_ceilings(config: PipelineConfig, runs: int = 1) -> dict[str, int]:
@@ -243,75 +274,59 @@ class Orchestrator:
         """
         n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
-        group, results = self._runs(problem, trace, n)
-        if n == 1:
-            return results[0]  # run 1 recorded straight into ``trace``
-        current = results[0]
-        for challenger in results[1:]:
-            current = self._judge(problem, current, challenger, group)
-        group.append(
-            4,
-            "result",
-            {
-                "status": current.status,
-                "solution_id": current.solution.id if current.solution else None,
-                "proof_text": current.solution.proof_text if current.solution else None,
-            },
-        )
-        return PipelineResult(current.solution, current.status, current.state, trace)
+        return self._judged(problem, *self._runs(problem, trace, n))
 
-    def resume(self, source: RunTrace, checkpoint_id: str) -> PipelineResult:
-        """The result of the run of checkpoint marker ``checkpoint_id``,
-        from running the solve of ``source`` again.
+    def rerun(self, source: RunTrace) -> tuple[RunTrace, DialecticEngine, Problem, list[PipelineResult]]:
+        """Run the header's runs of ``source`` again from their start, on a
+        fresh trace, as the same group, with no judge: the fresh trace, the
+        group's engine, the problem and each run's result. The header must
+        read (:func:`read_header`) and name this config and backend.
 
-        The header's runs run again from their start, on a fresh trace, as
-        the same fork/join group, with no judge. A backend that carries a
-        script (``to_dict``) answers every call, so its cursors stay in
-        step; any other is wrapped in a :class:`RecordedBackend` that answers
-        each call ``source`` recorded from the trace, so only the calls the
-        trace lacks reach it. Every call is admitted, metered and recorded
-        as usual: the gateway's budget and ledger (every run's entries) and
-        the fresh trace come out as the uninterrupted run's. Each event of
-        ``source`` must equal the fresh one over their common prefix, or
-        :class:`ResumeError` names the first that differs.
+        A backend that carries a script (``to_dict``) answers every call; any
+        other is wrapped in a :class:`RecordedBackend`, so only the calls the
+        trace lacks reach it. Every call is admitted, metered and recorded as
+        usual, so the budget, the ledger and the trace come out as the
+        uninterrupted solve's.
         """
-        marker = source.checkpoints.get(checkpoint_id)
-        if marker is None:
-            raise ResumeError(f"unknown checkpoint {checkpoint_id!r}")
-        header = source.header
-        if header is None:
-            raise ResumeError("trace has no header event")
+        config, problem, runs, backend_id, _ = read_header(source, self.registry)
         backend = self.gateway.backend
-        try:
-            if header["schema_version"] != SCHEMA_VERSION:
-                raise ResumeError(f"trace schema {header['schema_version']} != {SCHEMA_VERSION}")
-            if header["template_version"] != self.registry.version():
-                raise ResumeError("checkpoint was taken with different prompt templates")
-            if PipelineConfig.from_dict(header["config"]).to_dict() != self.config.to_dict():
-                raise ResumeError("checkpoint was taken under a different pipeline config")
-            if header["backend"]["backend_id"] != backend.backend_id:
-                taken = header["backend"]["backend_id"]
-                raise ResumeError(f"checkpoint was taken with backend {taken!r}, not {backend.backend_id!r}")
-            runs = header["runs"]
-            if type(runs) is not int or runs < 1:
-                raise ResumeError(f"the header's runs is not a count of at least 1: {runs!r}")
-            problem = Problem.from_dict(header["problem"])
-            run = [f"run{i + 1}" for i in range(runs)].index(marker["state"]["run_id"])
-            if not hasattr(backend, "to_dict"):
-                calls = recorded_calls(source, self.registry, backend.backend_id)
-                self.gateway.backend = RecordedBackend(backend, calls)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ResumeError(f"corrupt checkpoint: {exc}") from exc
-
+        if config.to_dict() != self.config.to_dict():
+            raise RerunError("the trace was taken under another pipeline config")
+        if backend_id != backend.backend_id:
+            raise RerunError(f"the trace was taken with backend {backend_id!r}, not {backend.backend_id!r}")
+        if not hasattr(backend, "to_dict"):
+            try:
+                calls = recorded_calls(source, self.registry, backend_id)
+            except (KeyError, TypeError, ValueError) as exc:  # a call event that does not read
+                raise RerunError(f"the trace cannot be re-run: {exc}") from exc
+            self.gateway.backend = RecordedBackend(backend, calls)
         trace = RunTrace()
         try:
-            _, results = self._runs(problem, trace, runs)
+            group, results = self._runs(problem, trace, runs)
         finally:
             self.gateway.backend = backend
-        for index, (held, rerun) in enumerate(zip(signature(source), signature(trace))):
-            if held != rerun:
-                raise ResumeError(f"the re-run differs from the trace at event {index}: {rerun[:3]}, not {held[:3]}")
-        return results[run]
+        return trace, group, problem, results
+
+    def resume(self, source: RunTrace, checkpoint_id: str) -> PipelineResult:
+        """The result of the run of checkpoint marker ``checkpoint_id``, from
+        running the solve of ``source`` again (:meth:`rerun`). Each event of
+        ``source`` must equal the re-run's over their common prefix, or
+        :class:`RerunError` names the first that differs."""
+        marker = source.checkpoints.get(checkpoint_id)
+        if marker is None:
+            raise RerunError(f"unknown checkpoint {checkpoint_id!r}")
+        trace, _, _, results = self.rerun(source)
+        divergence = first_divergence(source, trace)
+        if divergence is not None and "length" not in divergence:  # a longer or shorter trace is no divergence
+            held, rerun = divergence["expected"], divergence["actual"]
+            raise RerunError(
+                f"the re-run differs from the trace at event {divergence['index']}: "
+                f"{rerun['run_id'], rerun['phase'], rerun['kind']}, not {held['run_id'], held['phase'], held['kind']}"
+            )
+        for result in results:
+            if marker == {"state": {"run_id": result.state.run_id}}:
+                return result
+        raise RerunError(f"corrupt checkpoint {checkpoint_id!r}: it names none of the trace's runs: {marker!r}")
 
     # -- internals -------------------------------------------------------------
 
@@ -326,9 +341,18 @@ class Orchestrator:
         raise_first(results, spare=())  # a run records its own failed calls
         return group, results
 
+    def _judged(self, problem: Problem, group: DialecticEngine, results: list[PipelineResult]) -> PipelineResult:
+        """The result of the runs ``results`` of ``group``: the only run's,
+        or the judge ladder's pick, recorded as the group's ``result``."""
+        if len(results) == 1:
+            return results[0]  # run 1 recorded straight into the trace
+        current = results[0]
+        for challenger in results[1:]:
+            current = self._judge(problem, current, challenger, group)
+        group.append(4, "result", _result(current.solution, current.status))
+        return PipelineResult(current.solution, current.status, current.state, group.trace)
+
     def _write_header(self, trace: RunTrace, problem: Problem, runs: int = 1) -> None:
-        if trace.header is not None:
-            return
         backend = self.gateway.backend
         trace.append(
             "meta",
@@ -484,16 +508,7 @@ class Orchestrator:
 
     def _finish(self, engine: DialecticEngine, solution: Optional[CandidateSolution], status: str) -> PipelineResult:
         self._checkpoint(engine, "final", 4)
-        engine.append(
-            4,
-            "result",
-            {
-                "status": status,
-                "solution_id": solution.id if solution else None,
-                "proof_text": solution.proof_text if solution else None,
-                "score": solution.grade.score if solution else None,
-            },
-        )
+        engine.append(4, "result", {**_result(solution, status), "score": solution.grade.score if solution else None})
         return PipelineResult(solution, status, engine.state, engine.trace)
 
     def _judge(self, problem: Problem, a: PipelineResult, b: PipelineResult, judge: DialecticEngine) -> PipelineResult:
@@ -527,40 +542,18 @@ class Orchestrator:
 
 
 def replay(original: RunTrace, registry: Optional[PromptRegistry] = None) -> Optional[dict]:
-    """Re-execute a scripted trace and report its first divergence.
-
-    Returns None when the re-run is identical. Raises :class:`ReplayError`
-    for traces whose backend cannot be reconstructed (live backends).
-    """
-    from .gateway import ScriptedBackend  # local import keeps module deps one-way
-
-    header = original.header
-    if header is None:
-        raise ReplayError("trace has no header event")
-    attachments = original.of_kind("script_attachment")
-    if not attachments:
-        raise ReplayError("only scripted-backend traces can be replayed")
-    if header["schema_version"] != SCHEMA_VERSION:
-        raise ReplayError(
-            f"trace schema {header['schema_version']} is not supported (want {SCHEMA_VERSION})"
-        )
-
-    if type(header["runs"]) is not int or header["runs"] < 1:
-        raise ReplayError(f"the header's runs is not a count of at least 1: {header['runs']!r}")
-    config = PipelineConfig.from_dict(header["config"])
-    problem = Problem.from_dict(header["problem"])
-    backend = ScriptedBackend.from_dict(attachments[0].payload["script"])
-    gateway = ModelGateway(
-        backend,
-        token_budget=config.token_budget,
-        retry_attempts=config.retry_attempts,
-        strict_budget=config.strict_budget,
-        sleep=lambda _: None,
-    )
+    """Run the solve of a scripted trace again (:meth:`Orchestrator.rerun`),
+    against its attached script and under its header's config, judge
+    included, and report its first divergence: None when the re-run is
+    identical. A trace with no script raises :class:`RerunError`, as does
+    one that cannot be re-run."""
     registry = registry or PromptRegistry.load()
-    if header["template_version"] != registry.version():
-        raise ReplayError("trace was produced with different prompt templates")
+    config, _, _, _, script = read_header(original, registry)
+    if script is None:
+        raise RerunError("only scripted-backend traces can be replayed")
+    gateway = ModelGateway(script, token_budget=config.token_budget, retry_attempts=config.retry_attempts,
+                           strict_budget=config.strict_budget, sleep=lambda _: None)
     orch = Orchestrator(gateway, registry, config)
-    fresh = RunTrace()
-    orch.run_parallel(problem, trace=fresh, n=header["runs"])
+    fresh, group, problem, results = orch.rerun(original)
+    orch._judged(problem, group, results)
     return first_divergence(original, fresh)

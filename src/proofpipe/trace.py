@@ -135,6 +135,9 @@ def _event(record, texts: dict[str, str], numbered: list[str]) -> TraceEvent:
         and isinstance(record.get("texts", {}), dict)
     ):
         raise ValueError("not a trace event")
+    for field, want in (("run_id", str), ("phase", int), ("kind", str)):
+        if type(record[field]) is not want:
+            raise ValueError(f"the event's {field} is not of type {want.__name__}: {record[field]!r}")
     for address, text in record.get("texts", {}).items():
         if type(text) is list:  # a text stored as its lines
             puts = []

@@ -398,6 +398,16 @@ class TestSolve:
         assert message in err and "(rule 1 of the script)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("script", [[], {"rules": 5}, "rules", {}], ids=["list", "int_rules", "string", "no_rules"])
+    def test_a_script_that_is_not_a_table_of_rules_is_usage_error(self, tmp_path, problem_file, capsys, script):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("solve", problem_file, "--script", path, "--out", out) == ExitCode.USAGE
+        err = capsys.readouterr().err
+        assert f"a script is a table whose 'rules' is a list, not {script!r}" in err and "Traceback" not in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fault, message",
         [
@@ -638,22 +648,29 @@ class TestTornTrace:
             "valid JSON, not an event": lines + ["123\n"],
             "payload not an object": lines[:3] + [not_an_object] + lines[4:],
         }
+        # An envelope field of another type, on a call event; such a case is the message that names it.
+        call = next(i for i, line in enumerate(lines) if '"usage":' in line)
+        for field, value, want in (("run_id", 1, "str"), ("kind", 5, "str"), ("phase", "x", "int"), ("phase", 1.0, "int")):
+            case = f"line {call + 1}: the event's {field} is not of type {want}: {value!r}"
+            bad[case] = lines[:call] + [json.dumps({**json.loads(lines[call]), field: value}) + "\n"] + lines[call + 1:]
         for case, edited in bad.items():
             trace_path.write_text("".join(edited), encoding="utf-8")
             with pytest.raises(ValueError):
                 RunTrace.load(trace_path)
             assert run_cli("cost", trace_path) == ExitCode.USAGE, case
             assert run_cli("replay", trace_path) == ExitCode.USAGE, case
-            assert "line " in capsys.readouterr().err, case
+            err = capsys.readouterr().err
+            assert (case if case.startswith("line ") else "line ") in err and "Traceback" not in err, case
 
     def test_bad_header_is_usage_error(self, tmp_path, problem_file, capsys):
-        """A header whose config, runs or problem is not a valid one is bad
-        input, not a bug."""
+        """A header whose config, runs or problem is not a valid one, or a
+        script attachment that is not a script, is bad input, not a bug."""
         out, _ = self._solve(tmp_path, problem_file)
         trace_path = out / "trace.jsonl"
         lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
         bad_price = {"scripted": {"input_usd_per_million": "abc", "output_usd_per_million": "10"}}
-        # Each case's edits to the header: a dict updates the config; any other value replaces its key.
+        # Each case's edits to the header, or to the script attachment for its
+        # "script": a dict updates the config; any other value replaces its key.
         cases = [
             ("replay", {"config": {"no_such_setting": 1}}, "no_such_setting"),
             ("replay", {"config": {"retry_attempts": 0}}, "retry_attempts must be >= 1"),
@@ -668,12 +685,17 @@ class TestTornTrace:
             ("cost", {"backend": {"backend_id": ["scripted"]}}, "backend is not a table with a backend_id: {'backend_id': ['scripted']}"),
             ("cost", {"backend": []}, "backend is not a table with a backend_id: []"),
             ("cost", {"backend": None}, "backend is not a table with a backend_id: None"),
+            ("replay", {"script": "rules"}, "a script is a table whose 'rules' is a list, not 'rules'"),
+            ("replay", {"script": {"rules": 5}}, "a script is a table whose 'rules' is a list, not {'rules': 5}"),
         ]
         for command, edits, named in cases:
-            header = json.loads(lines[0])
+            header, attachment = (json.loads(line) for line in lines[:2])
+            assert attachment["kind"] == "script_attachment"
             for key, value in edits.items():
-                header["payload"][key] = {**header["payload"][key], **value} if isinstance(value, dict) else value
-            trace_path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+                payload = attachment["payload"] if key == "script" else header["payload"]
+                payload[key] = {**payload[key], **value} if isinstance(value, dict) else value
+            edited = [json.dumps(header) + "\n", json.dumps(attachment) + "\n", *lines[2:]]
+            trace_path.write_text("".join(edited), encoding="utf-8")
             capsys.readouterr()
             assert run_cli(command, trace_path) == ExitCode.USAGE, (command, edits)
             err = capsys.readouterr().err

@@ -266,16 +266,21 @@ def fingerprint(result, gateway):
 
 
 def assert_resumes_every_marker(name, registry, trace, gateway, config, seed):
-    """Resuming from each marker reproduces its run's text and the ledger of
-    every run, in run order: every run runs again, with no judge."""
+    """One re-run of the trace, as every resume runs it, records the trace's
+    events over their common prefix, reproduces each marker's run's text,
+    and the ledger of every run, in run order: every run runs again, with
+    no judge."""
     entries = [e.to_dict() for e in gateway.ledger.entries if e.run_id != "aggregate"]
-    results = {e.run_id: e.payload["proof_text"] for e in trace.of_kind("result")}
+    texts = {e.run_id: e.payload["proof_text"] for e in trace.of_kind("result")}
+    rerun_gateway = gateway_for(JitterBackend(ScriptedBackend(SCENARIOS[name][0]()), seed), config)
+    fresh, _, _, results = Orchestrator(rerun_gateway, registry, config).rerun(trace)
+    held, rerun = signature(trace), signature(fresh)
+    assert rerun == held[: len(rerun)]
+    resumed = {result.state.run_id: result for result in results}
     for checkpoint_id, snap in trace.checkpoints.items():
-        run_id = snap["state"]["run_id"]
-        resume_gateway = gateway_for(JitterBackend(ScriptedBackend(SCENARIOS[name][0]()), seed), config)
-        resumed = Orchestrator(resume_gateway, registry, config).resume(trace, checkpoint_id)
-        assert (resumed.solution and resumed.solution.proof_text) == results[run_id], checkpoint_id
-        assert [e.to_dict() for e in resume_gateway.ledger.entries] == entries, checkpoint_id
+        result = resumed[snap["state"]["run_id"]]
+        assert (result.solution and result.solution.proof_text) == texts[result.state.run_id], checkpoint_id
+    assert [e.to_dict() for e in rerun_gateway.ledger.entries] == entries
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

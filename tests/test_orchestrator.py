@@ -13,7 +13,7 @@ from proofpipe.orchestrator import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_VERIFIED,
     Orchestrator,
-    ResumeError,
+    RerunError,
     call_ceilings,
     extract_decision,
     replay,
@@ -467,8 +467,20 @@ class TestResume:
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
         orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError):
+        with pytest.raises(RerunError, match="unknown checkpoint 'nope'"):
             orch.resume(original.trace, "nope")
+
+    @staticmethod
+    def refusal(trace, orch):
+        """The message with which resume and replay both refuse ``trace``:
+        one header check, so one error and one message."""
+        messages = []
+        for rerun in (lambda: orch.resume(trace, "run1.p1.done"), lambda: replay(trace, orch.registry)):
+            with pytest.raises(RerunError) as refused:
+                rerun()
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        return messages[0]
 
     def test_template_version_guard(self, registry):
         from proofpipe.prompts import PromptRegistry
@@ -480,8 +492,7 @@ class TestResume:
         other_registry = PromptRegistry(templates)
         gateway = make_gateway(rules_well(), config)
         orch = Orchestrator(gateway, other_registry, config)
-        with pytest.raises(ResumeError, match="template"):
-            orch.resume(original.trace, "run1.p1.done")
+        assert "the trace was taken with other prompt templates" in self.refusal(original.trace, orch)
 
     def test_schema_2_trace_refused(self, registry):
         from test_cli import OLD_SCHEMAS
@@ -495,8 +506,7 @@ class TestResume:
                 edit(record)
                 old.events.append(TraceEvent.from_dict(record))
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match=f"trace schema {schema} != {SCHEMA_VERSION}"):
-                orch.resume(old, "run1.p1.done")
+            assert f"trace schema {schema} is not supported (want {SCHEMA_VERSION})" in self.refusal(old, orch)
 
     def test_corrupt_checkpoint(self, registry):
         """A marker with no run, or naming a run the header does not count."""
@@ -505,7 +515,7 @@ class TestResume:
         for snapshot in ({}, {"state": {"run_id": "run2"}}):
             original.trace.append("run1", 1, "checkpoint", {"checkpoint_id": "broken", "snapshot": snapshot})
             orch, _ = self._fresh_orchestrator(config, registry)
-            with pytest.raises(ResumeError, match="corrupt"):
+            with pytest.raises(RerunError, match="corrupt"):
                 orch.resume(original.trace, "broken")
 
     @pytest.mark.parametrize("runs", ["1", 0, None])
@@ -514,16 +524,16 @@ class TestResume:
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
         original.trace.header["runs"] = runs
         orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError, match="runs is not a count"):
-            orch.resume(original.trace, "run1.p1.done")
+        assert f"the header's runs is not a count of at least 1: {runs!r}" in self.refusal(original.trace, orch)
 
     def test_backend_mismatch_refused(self, registry):
+        """A scripted trace whose header names another backend is refused by
+        replay too, which re-runs it against its attached script."""
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
         original.trace.header["backend"] = {"backend_id": "flat-10"}
         orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError, match="backend 'flat-10', not 'scripted'"):
-            orch.resume(original.trace, "run1.p1.done")
+        assert "the trace was taken with backend 'flat-10', not 'scripted'" in self.refusal(original.trace, orch)
 
     def test_a_re_run_that_differs_from_the_trace_is_refused(self, registry):
         """A script that no longer gives the recorded replies re-runs to other
@@ -533,7 +543,7 @@ class TestResume:
         orch, _ = self._fresh_orchestrator(config, registry)
         orch.gateway.backend = ScriptedBackend(rules_clean())
         first_call = next(i for i, e in enumerate(e for e in original.trace.events if e.kind != "script_attachment") if "usage" in e.payload)
-        with pytest.raises(ResumeError, match=rf"at event {first_call}: \('run1', 1, 'draft'\)"):
+        with pytest.raises(RerunError, match=rf"at event {first_call}: \('run1', 1, 'draft'\)"):
             orch.resume(original.trace, "run1.p1.done")
 
     def test_header_with_no_call_attempts_refused(self, registry):
@@ -541,7 +551,30 @@ class TestResume:
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
         original.trace.header["config"]["retry_attempts"] = 0
         orch, _ = self._fresh_orchestrator(config, registry)
-        with pytest.raises(ResumeError, match="retry_attempts must be >= 1"):
+        assert "retry_attempts must be >= 1" in self.refusal(original.trace, orch)
+
+    def test_header_with_no_problem_refused(self, registry):
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original.trace.header["problem"] = None
+        orch, _ = self._fresh_orchestrator(config, registry)
+        assert "a Problem is stored as a dict, not None" in self.refusal(original.trace, orch)
+
+    def test_a_call_event_that_does_not_read_is_refused(self, registry):
+        """A backend with no script is answered from the trace's call events,
+        so one that does not read is refused before the re-run."""
+
+        class Unscripted:
+            backend_id = "scripted"
+
+            def complete(self, req):
+                raise AssertionError("the trace answers every call")
+
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        del next(e for e in original.trace.events if "usage" in e.payload).payload["response"]
+        orch = Orchestrator(ModelGateway(Unscripted(), token_budget=config.token_budget), registry, config)
+        with pytest.raises(RerunError, match="the trace cannot be re-run: 'response'"):
             orch.resume(original.trace, "run1.p1.done")
 
     def test_config_mismatch_guard(self, registry):
@@ -550,7 +583,7 @@ class TestResume:
         other = small_config(solver_width=3)
         gateway = make_gateway(rules_well(), other)
         orch = Orchestrator(gateway, registry, other)
-        with pytest.raises(ResumeError, match="config"):
+        with pytest.raises(RerunError, match="the trace was taken under another pipeline config"):
             orch.resume(original.trace, "run1.p1.done")
 
 
@@ -681,9 +714,7 @@ class TestReplay:
         config = small_config()
         result, _ = run_pipeline(rules_clean(), config, registry)
         result.trace.events[:] = [e for e in result.trace.events if e.kind != "script_attachment"]
-        from proofpipe.orchestrator import ReplayError
-
-        with pytest.raises(ReplayError):
+        with pytest.raises(RerunError, match="only scripted-backend traces can be replayed"):
             replay(result.trace, registry=registry)
 
     def test_deterministic_signature(self, registry):
