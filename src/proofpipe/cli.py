@@ -205,7 +205,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     orch = Orchestrator(gateway, registry, config)
     trace = RunTrace(path=trace_path)
     try:
-        result = orch.run_parallel(problem, trace=trace, n=config.parallel_runs)
+        result = orch.run(problem, trace=trace)
     finally:
         trace.close()
 

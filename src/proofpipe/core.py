@@ -271,6 +271,10 @@ class PipelineConfig:
     strict_budget: bool = False          # reserve max_output_tokens before each call
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # a header's config may hold any JSON value: 1.5 and true are no counts
+            value, want = getattr(self, f.name), {"int": int, "bool": bool}.get(f.type)
+            if want is not None and type(value) is not want:
+                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         if self.solver_width < 1:
             raise ValueError("solver_width must be >= 1")
         if self.token_budget <= 0:

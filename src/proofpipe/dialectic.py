@@ -12,7 +12,8 @@ exception that ended it; the caller records its units' outcomes after the
 group's events, and one rule (:func:`raise_first`) decides which errors it
 then raises. The module also owns grader-transcript parsing and the
 acceptance check, which needs all N check grades to be clean 7s; it never
-decides when the outer loop stops.
+decides when the outer loop stops. The engine reads K (``solver_width``)
+and N (``verify_repeats``) from its config; no method takes either.
 
 :meth:`DialecticEngine._call` is the one call path of the package: every
 model call, including those of conjecture extraction and the judge, is
@@ -409,19 +410,11 @@ class DialecticEngine:
             grade=grade,
         )
 
-    def dialectic_solve(
-        self,
-        problem: Problem,
-        ctx: SolveContext,
-        count: int,
-        phase: int,
-        origin: Origin,
-    ) -> list[CandidateSolution]:
-        """Run ``count`` independent branches; results ordered by branch index
-        (:meth:`solve_branches`)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return self.solve_branches([Branch(problem, ctx, origin, b) for b in range(count)], phase)
+    def dialectic_solve(self, problem: Problem, ctx: SolveContext, phase: int, origin: Origin) -> list[CandidateSolution]:
+        """Run the config's ``solver_width`` independent branches in ``ctx``;
+        results ordered by branch index (:meth:`solve_branches`)."""
+        branches = [Branch(problem, ctx, origin, b) for b in range(self.config.solver_width)]
+        return self.solve_branches(branches, phase)
 
     def solve_branches(self, branches: Sequence[Branch], phase: int) -> list[CandidateSolution]:
         """Solve ``branches`` as one fork/join group; solutions in branch order.
@@ -496,30 +489,26 @@ class DialecticEngine:
         finally:
             lane.done.set()  # later leaves may be waiting for their turn
 
-    def verified_success(self, solution: CandidateSolution, problem: Problem, n: Optional[int] = None) -> bool:
-        """True iff all ``n`` fresh grades (:meth:`check_grades`) are perfect
+    def verified_success(self, solution: CandidateSolution, problem: Problem) -> bool:
+        """True iff all N fresh grades (:meth:`check_grades`) are perfect
         with zero issues; a grade whose call failed is a miss. A miss does
-        not stop its sibling grades: all ``n`` are made."""
-        n = n if n is not None else self.config.verify_repeats
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        not stop its sibling grades: all N are made."""
         return all(
-            not isinstance(g, CallFailed) and g.clean_perfect for g in self.check_grades(solution, problem, solution.phase, n)
+            not isinstance(g, CallFailed) and g.clean_perfect for g in self.check_grades(solution, problem, solution.phase)
         )
 
-    def grade_independent(self, solution: CandidateSolution, problem: Problem, n: int, phase: int) -> list[GradeReport]:
+    def grade_independent(self, solution: CandidateSolution, problem: Problem, phase: int) -> list[GradeReport]:
         """N fresh grades (:meth:`check_grades`) for mean-score comparisons; a
         grade whose call failed counts as a 0, with the error in its notes."""
         return [
             GradeReport(score=0, notes=(failure_text(g),)) if isinstance(g, CallFailed) else g
-            for g in self.check_grades(solution, problem, phase, n)
+            for g in self.check_grades(solution, problem, phase)
         ]
 
-    def check_grades(
-        self, solution: CandidateSolution, problem: Problem, phase: int, n: int
-    ) -> list[GradeReport | CallFailed]:
-        """Grade ``solution`` ``n`` times as one fork/join group, ordinals
-        0..n-1; for each grade its report, or the failure that ended it.
+    def check_grades(self, solution: CandidateSolution, problem: Problem, phase: int) -> list[GradeReport | CallFailed]:
+        """Grade ``solution`` N times (the config's ``verify_repeats``) as one
+        fork/join group, ordinals 0..N-1; for each grade its report, or the
+        failure that ended it.
 
         The grades do not depend on each other, so all of them are in
         flight at once; each earlier leaf keeps one grader call at
@@ -528,7 +517,8 @@ class DialecticEngine:
         budget exhaustion among them.
         """
         tasks = [
-            partial(DialecticEngine._check_grade, solution=solution, problem=problem, phase=phase, ordinal=k) for k in range(n)
+            partial(DialecticEngine._check_grade, solution=solution, problem=problem, phase=phase, ordinal=k)
+            for k in range(self.config.verify_repeats)
         ]
         grades = self.fork_join(tasks, self.config.max_output_tokens)
         raise_first(grades)

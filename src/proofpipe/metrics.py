@@ -195,10 +195,13 @@ def load_records(path: str | Path) -> list[GradingRecord]:
 
 def _coerce(rec: dict, line: int) -> GradingRecord:
     try:
-        human = int(rec["human"])
-        predicted = float(rec["predicted"])
+        human, predicted = rec["human"], rec["predicted"]
+        if isinstance(human, bool) or isinstance(predicted, bool):
+            raise ValueError(f"a grade is a number, not a boolean: human={human!r}, predicted={predicted!r}")
+        if isinstance(human, float) and not human.is_integer():
+            raise ValueError(f"a human grade is a whole number, not {human!r}")
         problem_id = rec.get("problem_id") or None
-        return GradingRecord(human=human, predicted=predicted, problem_id=problem_id)
+        return GradingRecord(human=int(human), predicted=float(predicted), problem_id=problem_id)
     except (KeyError, TypeError, ValueError) as exc:
         raise MetricsInputError(str(exc), line=line) from exc
 

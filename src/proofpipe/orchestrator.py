@@ -8,9 +8,12 @@ lemma memory for guided solving (one solver always stays fresh for
 diversity). If the iteration budget runs out unverified, a post-enhancement
 pass grades the best candidate independently, runs two extraction sessions
 at the softer threshold, and keeps whichever of (incumbent, enhanced)
-grades higher on average. Two whole-pipeline runs can be aggregated by a
-judge call that must end with an explicit decision tag; the runs execute at
-once, as the leaves of one fork/join group, and the judge after them.
+grades higher on average. The config's ``parallel_runs`` whole-pipeline
+runs are aggregated by a judge call that must end with an explicit decision
+tag; the runs execute at once, as the leaves of one fork/join group, and
+the judge after them. Every size of a solve (runs, the K branches of a
+round, the N check grades of a gate) is read from the config, never passed
+in, and the header stores only the config.
 
 A failed model call ends only the unit that made it (a branch, a bisection
 side, an extraction, a grade, the judge) and is recorded; the run goes on.
@@ -170,13 +173,11 @@ def recorded_calls(trace: RunTrace, registry: PromptRegistry, backend_id: str) -
     ]
 
 
-def read_header(
-    source: RunTrace, registry: PromptRegistry
-) -> tuple[PipelineConfig, Problem, int, str, Optional[ScriptedBackend]]:
-    """What a re-run of ``source`` runs: its header's config, problem, count
-    of runs and ``backend_id``, and its attached script, if it has one. A
-    trace with no header, of another schema or other templates than
-    ``registry``'s, or whose header or script does not read as one, raises
+def read_header(source: RunTrace, registry: PromptRegistry) -> tuple[PipelineConfig, Problem, str, Optional[ScriptedBackend]]:
+    """What a re-run of ``source`` runs: its header's config, problem and
+    ``backend_id``, and its attached script, if it has one. A trace with no
+    header, of another schema or other templates than ``registry``'s, or
+    whose header or script does not read as one, raises
     :class:`RerunError` and says why."""
     header = source.header
     if header is None:
@@ -187,11 +188,9 @@ def read_header(
             raise ValueError(f"trace schema {header['schema_version']!r} is not supported (want {SCHEMA_VERSION})")
         if header["template_version"] != registry.version():
             raise ValueError("the trace was taken with other prompt templates")
-        runs, backend_id = header["runs"], header["backend"]["backend_id"]
-        if type(runs) is not int or runs < 1:
-            raise ValueError(f"the header's runs is not a count of at least 1: {runs!r}")
         script = ScriptedBackend.from_dict(attachments[0].payload["script"]) if attachments else None
-        return PipelineConfig.from_dict(header["config"]), Problem.from_dict(header["problem"]), runs, backend_id, script
+        return (PipelineConfig.from_dict(header["config"]), Problem.from_dict(header["problem"]),
+                header["backend"]["backend_id"], script)
     except (KeyError, TypeError, ValueError) as exc:
         raise RerunError(f"the trace cannot be re-run: {exc}") from exc
 
@@ -254,13 +253,8 @@ class Orchestrator:
     # -- public entry points --------------------------------------------------
 
     def run(self, problem: Problem, trace: Optional[RunTrace] = None) -> PipelineResult:
-        """One run, with no judge."""
-        return self.run_parallel(problem, trace, n=1)
-
-    def run_parallel(
-        self, problem: Problem, trace: Optional[RunTrace] = None, n: Optional[int] = None
-    ) -> PipelineResult:
-        """Aggregate n independent runs (separate states, shared ledger).
+        """The config's ``parallel_runs`` independent runs (separate states,
+        shared ledger), aggregated by a judge when there is more than one.
 
         The runs execute at once, as the leaves of one fork/join group
         (:meth:`DialecticEngine.fork_join`): run 1 writes to the trace as it
@@ -272,9 +266,12 @@ class Orchestrator:
         comparator over the two finals, as do a failed judge call and one
         the token budget refuses.
         """
-        n = n if n is not None else self.config.parallel_runs
         trace = trace if trace is not None else RunTrace()
-        return self._judged(problem, *self._runs(problem, trace, n))
+        return self._judged(problem, *self._runs(problem, trace))
+
+    # The traced benchmark (bench/instrument.py) wraps both names; ROADMAP item 3's
+    # change to the benchmark drops this alias.
+    run_parallel = run
 
     def rerun(self, source: RunTrace) -> tuple[RunTrace, DialecticEngine, Problem, list[PipelineResult]]:
         """Run the header's runs of ``source`` again from their start, on a
@@ -288,7 +285,7 @@ class Orchestrator:
         usual, so the budget, the ledger and the trace come out as the
         uninterrupted solve's.
         """
-        config, problem, runs, backend_id, _ = read_header(source, self.registry)
+        config, problem, backend_id, _ = read_header(source, self.registry)
         backend = self.gateway.backend
         if config.to_dict() != self.config.to_dict():
             raise RerunError("the trace was taken under another pipeline config")
@@ -302,7 +299,7 @@ class Orchestrator:
             self.gateway.backend = RecordedBackend(backend, calls)
         trace = RunTrace()
         try:
-            group, results = self._runs(problem, trace, runs)
+            group, results = self._runs(problem, trace)
         finally:
             self.gateway.backend = backend
         return trace, group, problem, results
@@ -330,13 +327,13 @@ class Orchestrator:
 
     # -- internals -------------------------------------------------------------
 
-    def _runs(self, problem: Problem, trace: RunTrace, n: int) -> tuple[DialecticEngine, list[PipelineResult]]:
-        """Write ``trace``'s header, then run ``n`` runs from their start at
-        once, as the leaves of one fork/join group: the group's engine and
-        each run's result, in run order."""
-        self._write_header(trace, problem, runs=n)
+    def _runs(self, problem: Problem, trace: RunTrace) -> tuple[DialecticEngine, list[PipelineResult]]:
+        """Write ``trace``'s header, then run the config's ``parallel_runs``
+        runs from their start at once, as the leaves of one fork/join group:
+        the group's engine and each run's result, in run order."""
+        self._write_header(trace, problem)
         group = DialecticEngine(self.gateway, self.registry, self.config, trace, "aggregate")
-        tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(n)]
+        tasks = [partial(self._run_single, problem, run_id=f"run{i + 1}") for i in range(self.config.parallel_runs)]
         results = group.fork_join(tasks, reserve=run_reserve(self.config))
         raise_first(results, spare=())  # a run records its own failed calls
         return group, results
@@ -352,7 +349,7 @@ class Orchestrator:
         group.append(4, "result", _result(current.solution, current.status))
         return PipelineResult(current.solution, current.status, current.state, group.trace)
 
-    def _write_header(self, trace: RunTrace, problem: Problem, runs: int = 1) -> None:
+    def _write_header(self, trace: RunTrace, problem: Problem) -> None:
         backend = self.gateway.backend
         trace.append(
             "meta",
@@ -360,7 +357,6 @@ class Orchestrator:
             "run_start",
             {
                 "schema_version": SCHEMA_VERSION,
-                "runs": runs,
                 "problem": problem.to_dict(),
                 "config": self.config.to_dict(),
                 "backend": {"backend_id": backend.backend_id},
@@ -427,13 +423,12 @@ class Orchestrator:
         return SolveContext(lemmas=tuple(state.lemma_memory), feedback=tuple(feedback), prior_solutions=prior)
 
     def _phase4(self, problem: Problem, engine: DialecticEngine) -> PipelineResult:
-        cfg = self.config
         state = engine.state
         engine.append(4, "phase_start", {"phase": 4})
         if not state.solution_memory:
             return self._finish(engine, None, STATUS_BEST_EFFORT)
         s_star = best(state.solution_memory)
-        g_check = engine.grade_independent(s_star, problem, cfg.verify_repeats, phase=4)
+        g_check = engine.grade_independent(s_star, problem, phase=4)
         if all(g.clean_perfect for g in g_check):
             return self._finish(engine, s_star, STATUS_VERIFIED)
 
@@ -449,11 +444,11 @@ class Orchestrator:
             feedback=tuple(enhance_feedback + check_issue_texts),
             prior_solutions=(s_star,),
         )
-        batch = engine.dialectic_solve(problem, ctx, cfg.solver_width, phase=4, origin=Origin.POST_ENHANCED)
+        batch = engine.dialectic_solve(problem, ctx, phase=4, origin=Origin.POST_ENHANCED)
         final, final_grades = s_star, g_check
         if batch:  # a round in which every branch failed keeps the incumbent
             s_better = best(batch)
-            g_better = engine.grade_independent(s_better, problem, cfg.verify_repeats, phase=4)
+            g_better = engine.grade_independent(s_better, problem, phase=4)
             # argmax over mean independent grades; ties keep the incumbent
             if sum(g.score for g in g_better) > sum(g.score for g in g_check):
                 final, final_grades = s_better, g_better
@@ -548,7 +543,7 @@ def replay(original: RunTrace, registry: Optional[PromptRegistry] = None) -> Opt
     identical. A trace with no script raises :class:`RerunError`, as does
     one that cannot be re-run."""
     registry = registry or PromptRegistry.load()
-    config, _, _, _, script = read_header(original, registry)
+    config, _, _, script = read_header(original, registry)
     if script is None:
         raise RerunError("only scripted-backend traces can be replayed")
     gateway = ModelGateway(script, token_budget=config.token_budget, retry_attempts=config.retry_attempts,

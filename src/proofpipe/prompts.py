@@ -57,12 +57,15 @@ class PromptTemplate:
 
         Required slots must be present. Optional slots that are absent or
         blank render as the literal empty marker. Passing a slot the
-        template does not declare is an error.
+        template does not declare is an error, and a value that is not a
+        string raises ``TypeError``.
         """
         declared = self.required_slots | self.optional_slots
         for name in sorted(slots):
             if name not in declared:
                 raise UnknownSlot(name)
+            if not isinstance(slots[name], str):
+                raise TypeError(f"slot {name!r} is not a string: {slots[name]!r}")
         for name in sorted(self.required_slots):
             if name not in slots:
                 raise MissingSlot(name)

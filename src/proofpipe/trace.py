@@ -57,7 +57,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import Record, text_digest
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 # Strings this long or longer are stored once per trace, and referred to.
 TEXT_MIN = 256

@@ -111,11 +111,11 @@ def test_criterion_2_branch_call_shape(registry):
     assert len(scenarios) >= 10
     problem = Problem(id="shape", statement="Prove the toy identity.")
     for idx, (lazy, rules) in enumerate(scenarios):
-        config = small_config()
+        config = small_config(solver_width=1)
         gateway = make_gateway(rules, config)
         trace = RunTrace(clock=lambda: 0.0)
         engine = DialecticEngine(gateway, registry, config, trace, f"run{idx}")
-        engine.dialectic_solve(problem, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)
+        engine.dialectic_solve(problem, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         kinds = [
             e.kind for e in trace.events if e.kind in ("draft", "censor", "grade", "refine", "regrade")
         ]
@@ -149,12 +149,12 @@ def test_criterion_3_verified_success_gate(registry):
                 repeat_last=True,
             ),
         ]
-        config = small_config()
+        config = small_config(solver_width=1, verify_repeats=3)
         gateway = make_gateway(rules, config)
         trace = RunTrace(clock=lambda: 0.0)
         engine = DialecticEngine(gateway, registry, config, trace, "gate")
-        solution = engine.dialectic_solve(problem, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)[0]
-        accepted = engine.verified_success(solution, problem, 3)
+        solution = engine.dialectic_solve(problem, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)[0]
+        accepted = engine.verified_success(solution, problem)
         checks = trace.of_kind("check_grade")
         return accepted, checks, solution
 

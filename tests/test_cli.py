@@ -64,7 +64,7 @@ def _as_schema_4(event):
     event["budget_remaining"] = None
     if event["kind"] == "run_start":
         payload["schema_version"] = 4
-        payload["mode"] = "single" if payload["runs"] == 1 else "parallel"
+        payload["mode"] = "single" if payload["config"]["parallel_runs"] == 1 else "parallel"
         payload["backend"]["kind"] = "scripted"
 
 
@@ -123,6 +123,15 @@ def _as_schema_12(event):
         event["payload"]["schema_version"] = 12
 
 
+def _as_schema_13(event):
+    """Schema 13 headers stored the count of runs apart from the config's
+    ``parallel_runs``."""
+    payload = event["payload"]
+    if event["kind"] == "run_start":
+        payload["schema_version"] = 13
+        payload["runs"] = payload["config"]["parallel_runs"]
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -137,6 +146,7 @@ OLD_SCHEMAS = {
     10: _as_schema_10,
     11: _as_schema_11,
     12: _as_schema_12,
+    13: _as_schema_13,
 }
 
 
@@ -155,14 +165,15 @@ class TestSolve:
         assert "status: verified" in capsys.readouterr().out
 
     def test_trace_stores_no_derived_facts(self, tmp_path, clean_script, problem_file):
-        """The budget left, the run mode, the backend kind and the iteration
-        counters follow from other facts of the trace and are not stored."""
+        """The budget left, the run mode, the count of runs, the backend kind
+        and the iteration counters follow from other facts of the trace (the
+        count of runs is the config's ``parallel_runs``) and are not stored."""
         out = tmp_path / "out"
         assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.VERIFIED
         events = [json.loads(line) for line in (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
         assert not [e for e in events if "budget_remaining" in e]
         header = events[0]["payload"]
-        assert header["runs"] == 2
+        assert "runs" not in header and header["config"]["parallel_runs"] == 2
         assert "mode" not in header and header["backend"] == {"backend_id": "scripted"}
         markers = [e["payload"]["snapshot"] for e in events if e["kind"] == "checkpoint"]
         assert {m["state"]["run_id"] for m in markers} == {"run1", "run2"}
@@ -439,7 +450,7 @@ class TestSolve:
         def broken(*args, **kwargs):
             raise RuntimeError("an invariant broke")
 
-        monkeypatch.setattr(Orchestrator, "run_parallel", broken)
+        monkeypatch.setattr(Orchestrator, "run", broken)
         code = run_cli("solve", problem_file, "--script", clean_script, "--out", tmp_path / "o")
         assert code == ExitCode.INTERNAL == 4
         err = capsys.readouterr().err
@@ -663,8 +674,9 @@ class TestTornTrace:
             assert (case if case.startswith("line ") else "line ") in err and "Traceback" not in err, case
 
     def test_bad_header_is_usage_error(self, tmp_path, problem_file, capsys):
-        """A header whose config, runs or problem is not a valid one, or a
-        script attachment that is not a script, is bad input, not a bug."""
+        """A header whose config or problem is not a valid one, a size of the
+        config that is not an int or a switch that is not a bool among them,
+        or a script attachment that is not a script, is bad input, not a bug."""
         out, _ = self._solve(tmp_path, problem_file)
         trace_path = out / "trace.jsonl"
         lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -679,8 +691,16 @@ class TestTornTrace:
             ("cost", {"config": {"price_table": {"scripted": "10"}}}, "'scripted'"),
             ("cost", {"config": {"price_table": {"scripted": []}}}, "'scripted'"),
             ("cost", {"config": []}, "config is not a table"),
-            ("replay", {"runs": "2"}, "runs is not a count"),
-            ("replay", {"runs": 0}, "runs is not a count"),
+            ("replay", {"config": {"parallel_runs": "1"}}, "parallel_runs must be of type int, not '1'"),
+            ("replay", {"config": {"parallel_runs": 0}}, "parallel_runs must be >= 1"),
+            ("replay", {"config": {"parallel_runs": None}}, "parallel_runs must be of type int, not None"),
+            ("replay", {"config": {"parallel_runs": 1.5}}, "parallel_runs must be of type int, not 1.5"),
+            ("replay", {"config": {"solver_width": 1.5}}, "solver_width must be of type int, not 1.5"),
+            ("replay", {"config": {"initial_iterations": 1.5}}, "initial_iterations must be of type int, not 1.5"),
+            ("replay", {"config": {"retry_attempts": 1.5}}, "retry_attempts must be of type int, not 1.5"),
+            ("replay", {"config": {"verify_repeats": 1.5}}, "verify_repeats must be of type int, not 1.5"),
+            ("replay", {"config": {"verify_repeats": True}}, "verify_repeats must be of type int, not True"),
+            ("replay", {"config": {"strict_budget": 1}}, "strict_budget must be of type bool, not 1"),
             ("replay", {"problem": None}, "a Problem is stored as a dict"),
             ("cost", {"backend": {"backend_id": ["scripted"]}}, "backend is not a table with a backend_id: {'backend_id': ['scripted']}"),
             ("cost", {"backend": []}, "backend is not a table with a backend_id: []"),
@@ -758,12 +778,10 @@ class TestCallTexts:
 
         judge = ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)
         rules = with_long_replies(rules_well() + [judge])
-        config = small_config(initial_iterations=2)
+        config = small_config(initial_iterations=2, parallel_runs=2)
         trace = RunTrace(tmp_path / "trace.jsonl")
         try:
-            result = Orchestrator(make_gateway(rules, config), registry, config).run_parallel(
-                well_problem(), trace=trace, n=2
-            )
+            result = Orchestrator(make_gateway(rules, config), registry, config).run(well_problem(), trace=trace)
         finally:
             trace.close()
         assert result.status == "verified"
@@ -984,13 +1002,14 @@ class TestCallTexts:
         assert re.search(r'\{"\$text":"[0-9a-f]{64}"\}', path.read_text(encoding="utf-8"))
         loaded = RunTrace.load(path)
         header = loaded.header
-        config = PipelineConfig.from_dict(header["config"])
+        # That writer stored the count of runs apart from the config, whose
+        # parallel_runs it left at 1.
+        assert (header["runs"], header["config"]["parallel_runs"]) == (2, 1)
+        config = PipelineConfig.from_dict({**header["config"], "parallel_runs": header["runs"]})
         backend = ScriptedBackend.from_dict(loaded.of_kind("script_attachment")[0].payload["script"])
         gateway = ModelGateway(backend, token_budget=config.token_budget, sleep=lambda _: None)
         fresh = RunTrace()
-        Orchestrator(gateway, registry, config).run_parallel(
-            Problem.from_dict(header["problem"]), trace=fresh, n=header["runs"]
-        )
+        Orchestrator(gateway, registry, config).run(Problem.from_dict(header["problem"]), trace=fresh)
         assert loaded.events[0].kind == fresh.events[0].kind == "run_start"
 
         def comparable(trace):

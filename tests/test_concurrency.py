@@ -111,10 +111,10 @@ class TestOverlap:
     if every leaf of the group has a call in flight at the same time."""
 
     def test_k_branches_in_flight_at_once(self, registry):
-        config = small_config()
+        config = small_config(solver_width=4)
         gateway = gateway_for(BarrierBackend(ScriptedBackend(rules_clean()), 4), config)
         engine = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
-        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
+        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         assert [s.id for s in out] == [f"run1.s000{b}" for b in range(4)]
 
     def test_all_six_sides_in_flight_at_once(self, registry):
@@ -137,9 +137,9 @@ class TestOverlap:
         engine = DialecticEngine(gateway_for(backend, config), registry, config, trace, "run1")
         solution = sol("run1.s0000", 7)
         if use == "verified_success":
-            assert engine.verified_success(solution, PROBLEM, n)
+            assert engine.verified_success(solution, PROBLEM)
         else:
-            assert [g.score for g in engine.grade_independent(solution, PROBLEM, n, phase=4)] == [7] * n
+            assert [g.score for g in engine.grade_independent(solution, PROBLEM, phase=4)] == [7] * n
         assert [e.payload["ordinal"] for e in trace.of_kind("check_grade")] == list(range(n))
 
     def test_runs_are_one_group(self, registry):
@@ -148,7 +148,7 @@ class TestOverlap:
         config = small_config(parallel_runs=2)
         backend = BarrierBackend(ScriptedBackend(rules_two_run_judge()), 2, role="extractor")
         gateway = gateway_for(backend, config)
-        result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+        result = Orchestrator(gateway, registry, config).run(well_problem(), trace=RunTrace(clock=lambda: 0.0))
         assert result.status == STATUS_VERIFIED
         assert result.trace.count("extract") == 2
 
@@ -176,11 +176,11 @@ class TestTurnOrder:
             ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
             ScriptRule("grader", None, [{"text": grader_text(6, issues=(("slip", "Slip"),))}], repeat_last=True),
         ]
-        config = small_config()
+        config = small_config(solver_width=4)
         for seed in range(5):
             gateway = gateway_for(JitterBackend(ScriptedBackend(rules_copy(rules)), seed), config)
             engine = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
-            out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
+            out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
             # branch b drafts with reply 2b and refines with reply 2b+1
             assert [s.proof_text for s in out] == ["S1", "S3", "S5", "S7"], seed
 
@@ -254,7 +254,7 @@ def run_scenario(name, registry, seed, scenarios=SCENARIOS):
     make_rules, make_problem, overrides = scenarios[name]
     config = small_config(**overrides)
     gateway = gateway_for(JitterBackend(ScriptedBackend(make_rules()), seed), config)
-    result = Orchestrator(gateway, registry, config).run_parallel(make_problem(), trace=RunTrace(clock=lambda: 0.0))
+    result = Orchestrator(gateway, registry, config).run(make_problem(), trace=RunTrace(clock=lambda: 0.0))
     return result, gateway, config
 
 
@@ -333,7 +333,7 @@ def test_budget_safety_under_jitter(budget, registry):
     for runs in (1, 2):
         config = small_config(token_budget=budget, parallel_runs=runs)
         gateway = gateway_for(JitterBackend(ScriptedBackend(rules_two_run_judge()), budget), config)
-        result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+        result = Orchestrator(gateway, registry, config).run(well_problem(), trace=RunTrace(clock=lambda: 0.0))
         assert result.status in (STATUS_BUDGET_EXHAUSTED, STATUS_VERIFIED)
         assert gateway.tokens_consumed <= budget + config.max_output_tokens
         assert gateway.ledger.total_tokens() == gateway.tokens_consumed
@@ -345,7 +345,7 @@ def test_budget_safety_under_jitter(budget, registry):
 def two_run_solve(registry, budget, runs, seed=0):
     config = small_config(token_budget=budget, parallel_runs=runs)
     gateway = gateway_for(JitterBackend(ScriptedBackend(rules_late_extractor()), seed), config)
-    result = Orchestrator(gateway, registry, config).run_parallel(well_problem(), trace=RunTrace(clock=lambda: 0.0))
+    result = Orchestrator(gateway, registry, config).run(well_problem(), trace=RunTrace(clock=lambda: 0.0))
     return result, gateway
 
 
@@ -483,21 +483,21 @@ def test_a_budget_inside_the_check_grades_keeps_the_grades_before_it(strict, reg
     the refusal is raised once the group has joined."""
 
     def gate(budget, seed):
-        config = small_config(token_budget=budget, strict_budget=strict)
+        config = small_config(token_budget=budget, strict_budget=strict, verify_repeats=3)
         gateway = gateway_for(JitterBackend(ScriptedBackend(rules_clean()), seed), config)
         trace = RunTrace(clock=lambda: 0.0)
         engine = DialecticEngine(gateway, registry, config, trace, "run1")
         return engine, trace, gateway
 
     engine, _, gateway = gate(10_000_000, 0)
-    assert engine.verified_success(sol("run1.s0000", 7), PROBLEM, 3)
+    assert engine.verified_success(sol("run1.s0000", 7), PROBLEM)
     grade = gateway.tokens_consumed // 3  # each check grade costs the same
     # The last budget at which the third grade is refused.
     budget = 2 * grade + (small_config().max_output_tokens - 1 if strict else 0)
     for seed in range(3):
         engine, trace, gateway = gate(budget, seed)
         with pytest.raises(BudgetExceeded):
-            engine.verified_success(sol("run1.s0000", 7), PROBLEM, 3)
+            engine.verified_success(sol("run1.s0000", 7), PROBLEM)
         assert [e.payload["ordinal"] for e in trace.of_kind("check_grade")] == [0, 1], seed
         assert gateway.tokens_consumed == gateway.ledger.total_tokens() == 2 * grade
 

@@ -145,7 +145,7 @@ def make_engine(rules, registry, config=None):
 
 
 def seed_solution(registry, text="SEED_PROOF: nearly there"):
-    config = small_config()
+    config = small_config(solver_width=1)
     rules = [
         ScriptRule("solver", None, [{"text": text}], repeat_last=True),
         ScriptRule("processor", None, [{"text": "NO_ISSUES"}], repeat_last=True),
@@ -153,7 +153,7 @@ def seed_solution(registry, text="SEED_PROOF: nearly there"):
     ]
     gateway = make_gateway(rules, config)
     engine = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "seed")
-    return engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)[0]
+    return engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)[0]
 
 
 class TestExtractHypotheses:

@@ -111,8 +111,8 @@ def branch_kinds(trace, branch=None):
 
 class TestDialecticSolve:
     def test_clean_branch_shape(self, registry):
-        engine, trace = engine_for(rules_clean(), registry=registry)
-        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)
+        engine, trace = engine_for(rules_clean(), config=small_config(solver_width=1), registry=registry)
+        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         assert len(out) == 1
         assert out[0].grade.score == 7 and out[0].origin is Origin.FRESH
         assert branch_kinds(trace) == ["draft", "censor", "grade", "refine", "regrade"]
@@ -137,8 +137,8 @@ class TestDialecticSolve:
             ),
             ScriptRule("grader", None, [{"text": grader_text(6, issues=(("small slip", "Slip"),))}], repeat_last=True),
         ]
-        engine, trace = engine_for(rules, registry=registry)
-        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)
+        engine, trace = engine_for(rules, config=small_config(solver_width=1), registry=registry)
+        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         assert branch_kinds(trace) == ["draft", "censor", "draft", "grade", "refine", "regrade"]
         # exactly 2 draft (solver) calls, 1 processor, 2 grader-kind, 1 refine
         assert branch_kinds(trace).count("draft") == 2
@@ -148,8 +148,8 @@ class TestDialecticSolve:
         assert "Derive explicitly" in registry.render(redraft["role"], redraft["slots"])
 
     def test_count_four_gives_four_lanes(self, registry):
-        engine, trace = engine_for(rules_clean(), registry=registry)
-        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
+        engine, trace = engine_for(rules_clean(), config=small_config(solver_width=4), registry=registry)
+        out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         assert len(out) == 4
         assert [s.id for s in out] == sorted(s.id for s in out)  # ordered by branch index
         for b in range(4):
@@ -157,8 +157,8 @@ class TestDialecticSolve:
 
     def test_determinism_same_script_same_output(self, registry):
         def run():
-            engine, _ = engine_for(rules_clean(), registry=registry)
-            out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 2, phase=1, origin=Origin.FRESH)
+            engine, _ = engine_for(rules_clean(), config=small_config(solver_width=2), registry=registry)
+            out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
             return [(s.id, s.proof_text, s.grade.score) for s in out]
 
         assert run() == run()
@@ -172,24 +172,28 @@ class TestDialecticSolve:
         """The branches that completed before the budget ran out are in the
         run's state, each as its recorded solution event, once the budget
         exhaustion is raised."""
-        config = small_config(token_budget=9000, max_output_tokens=2048)
+        config = small_config(token_budget=9000, max_output_tokens=2048, solver_width=4)
         engine, trace = engine_for(rules_clean(), config=config, registry=registry)
         engine.state = RunState("run1")
         with pytest.raises(BudgetExceeded):
-            engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 4, phase=1, origin=Origin.FRESH)
+            engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         recorded = [CandidateSolution.from_dict(e.payload) for e in trace.of_kind("solution")]
         assert recorded  # at least one branch completed before the budget died
         assert engine.state.solution_memory == recorded
 
 
 class TestVerifiedSuccess:
+    def _engine(self, rules, registry):
+        """One branch, then the gate's three check grades."""
+        return engine_for(rules, config=small_config(solver_width=1, verify_repeats=3), registry=registry)
+
     def _solution(self, engine):
-        return engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 1, phase=1, origin=Origin.FRESH)[0]
+        return engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)[0]
 
     def test_three_sevens_pass_exactly_three_checks(self, registry):
-        engine, trace = engine_for(rules_clean(), registry=registry)
+        engine, trace = self._engine(rules_clean(), registry)
         solution = self._solution(engine)
-        assert engine.verified_success(solution, PROBLEM, 3)
+        assert engine.verified_success(solution, PROBLEM)
         assert trace.count("check_grade") == 3
 
     def _checks(self, trace, solution):
@@ -214,9 +218,9 @@ class TestVerifiedSuccess:
             ],
             repeat_last=True,
         )
-        engine, trace = engine_for(rules, registry=registry)
+        engine, trace = self._engine(rules, registry)
         solution = self._solution(engine)
-        assert not engine.verified_success(solution, PROBLEM, 3)
+        assert not engine.verified_success(solution, PROBLEM)
         assert self._checks(trace, solution) == [7, 6, 7]
 
     def test_seven_with_slip_blocks(self, registry):
@@ -231,9 +235,9 @@ class TestVerifiedSuccess:
             ],
             repeat_last=True,
         )
-        engine, trace = engine_for(rules, registry=registry)
+        engine, trace = self._engine(rules, registry)
         solution = self._solution(engine)
-        assert not engine.verified_success(solution, PROBLEM, 3)
+        assert not engine.verified_success(solution, PROBLEM)
         assert self._checks(trace, solution) == [6, 6, 6]  # each slipped 7 is demoted
 
 
@@ -243,11 +247,11 @@ def test_split_issue_lines_variants():
 
 
 def test_parallel_branches_ordered_by_index(registry):
-    config = small_config()
+    config = small_config(solver_width=3)
     gateway = make_gateway(rules_clean(), config)
     trace = RunTrace(clock=lambda: 0.0)
     engine = DialecticEngine(gateway, registry, config, trace, "run1")
-    out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, 3, phase=1, origin=Origin.FRESH)
+    out = engine.dialectic_solve(PROBLEM, EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
     assert len(out) == 3
     assert all(s.grade.score == 7 for s in out)
     branches = {e.payload["branch"] for e in trace.of_kind("draft")}

@@ -43,10 +43,7 @@ FAIL = {"fail": True}
 def solve(make_rules, config, problem, registry):
     gateway = make_gateway(make_rules(), config)
     orch = Orchestrator(gateway, registry, config)
-    trace = RunTrace(clock=lambda: 0.0)
-    if config.parallel_runs > 1:
-        return orch.run_parallel(problem, trace=trace), gateway
-    return orch.run(problem, trace=trace), gateway
+    return orch.run(problem, trace=RunTrace(clock=lambda: 0.0)), gateway
 
 
 def assert_resumes(make_rules, config, result, gateway, registry):
@@ -212,11 +209,11 @@ class TestOneUnitFails:
         assert result.solution.id == incumbent
 
     def test_failed_independent_grade_counts_as_zero(self, registry):
-        config = small_config()
+        config = small_config(verify_repeats=2)
         gateway = make_gateway([ScriptRule("grader", None, [{"text": GARBAGE}, FAIL], repeat_last=True)], config)
         dialectic = DialecticEngine(gateway, registry, config, RunTrace(clock=lambda: 0.0), "run1")
         seed = CandidateSolution(id="run1.s0000", problem_id="clean-1", proof_text="SKETCH", origin=Origin.FRESH, phase=4)
-        reports = dialectic.grade_independent(seed, clean_problem(), n=2, phase=4)
+        reports = dialectic.grade_independent(seed, clean_problem(), phase=4)
         assert [r.score for r in reports] == [0, 0]
         assert reports[0].notes == ("GradeParseFailure: no Final Grade anchor in grader output",)
         assert reports[1].notes[0].startswith("BackendFailure: backend failed after 3 attempts")

@@ -196,3 +196,23 @@ class TestLoaders:
         path.write_text('{"human": 7, "predicted": 6}\n{broken\n', encoding="utf-8")
         with pytest.raises(MetricsInputError, match="line 2"):
             load_records(path)
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ('{"human": 6.9, "predicted": 6}', "a human grade is a whole number, not 6.9"),
+            ('{"human": Infinity, "predicted": 6}', "a human grade is a whole number, not inf"),
+            ('{"human": true, "predicted": 6}', "a grade is a number, not a boolean: human=True, predicted=6"),
+            ('{"human": 6, "predicted": true}', "a grade is a number, not a boolean: human=6, predicted=True"),
+        ],
+        ids=["fraction", "infinity", "human_bool", "predicted_bool"],
+    )
+    def test_a_jsonl_grade_that_is_no_grade_is_refused(self, tmp_path, row, named):
+        """A JSONL grade reads as a CSV one does: a human grade with a
+        fraction, or a boolean in either place, is refused with its line,
+        not truncated or read as a 1."""
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"human": 6.0, "predicted": 6.5}\n' + row + "\n", encoding="utf-8")
+        with pytest.raises(MetricsInputError) as refused:
+            load_records(path)
+        assert str(refused.value) == f"line 2: {named}"

@@ -39,15 +39,9 @@ from conftest import (
 from test_core import sol
 
 
-def run_pipeline(rules, config, registry, problem=None, parallel=False, n=None):
+def run_pipeline(rules, config, registry, problem=None):
     gateway = make_gateway(rules, config)
-    orch = Orchestrator(gateway, registry, config)
-    trace = RunTrace(clock=lambda: 0.0)
-    problem = problem or clean_problem()
-    if parallel:
-        result = orch.run_parallel(problem, trace=trace, n=n)
-    else:
-        result = orch.run(problem, trace=trace)
+    result = Orchestrator(gateway, registry, config).run(problem or clean_problem(), trace=RunTrace(clock=lambda: 0.0))
     return result, gateway
 
 
@@ -95,7 +89,7 @@ class TestInstantSuccess:
     def test_phase_one_attempts_reach_memory_and_judge(self, registry):
         config = small_config(parallel_runs=2)
         rules = rules_clean() + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
-        result, _ = run_pipeline(rules, config, registry, parallel=True, n=2)
+        result, _ = run_pipeline(rules, config, registry)
         assert result.status == STATUS_VERIFIED
         memory = result.state.solution_memory
         assert [s.id for s in memory] == ["run1.s0000", "run1.s0001"]
@@ -261,8 +255,6 @@ class TestJudge:
             self._two_run_rules(["verdict\n<decision>B</decision>"]),
             config,
             registry,
-            parallel=True,
-            n=2,
         )
         assert result.state.run_id == "run2"
         judge_events = result.trace.of_kind("judge")
@@ -275,8 +267,6 @@ class TestJudge:
             self._two_run_rules(["<decision>B</decision> but on reflection\n<decision>A</decision>"]),
             config,
             registry,
-            parallel=True,
-            n=2,
         )
         assert result.state.run_id == "run1"
 
@@ -286,8 +276,6 @@ class TestJudge:
             self._two_run_rules(["no tag here", "still no tag"]),
             config,
             registry,
-            parallel=True,
-            n=2,
         )
         trace = result.trace
         assert trace.count("judge") == 2
@@ -297,11 +285,11 @@ class TestJudge:
     def test_budget_exhausted_at_judge_falls_back(self, registry):
         rules = self._two_run_rules(["<decision>B</decision>"])
         config = small_config(parallel_runs=2)
-        _, unlimited = run_pipeline(rules, config, registry, parallel=True, n=2)
+        _, unlimited = run_pipeline(rules, config, registry)
         judge_tokens = sum(e.usage.total for e in unlimited.ledger.entries if e.role == "judge")
         # Exactly enough for both runs: the judge call is the first one refused.
         config = small_config(parallel_runs=2, token_budget=unlimited.tokens_consumed - judge_tokens)
-        result, gateway = run_pipeline(self._two_run_rules(["<decision>B</decision>"]), config, registry, parallel=True, n=2)
+        result, gateway = run_pipeline(self._two_run_rules(["<decision>B</decision>"]), config, registry)
         trace = result.trace
         assert trace.count("judge") == 0
         assert [e.payload["reason"] for e in trace.of_kind("judge_fallback")] == ["token budget exhausted before a decision"]
@@ -320,7 +308,7 @@ class TestJudge:
         rules = [ScriptRule("solver", None, solver, repeat_last=True), *rules_clean()[1:]]
         rules.append(ScriptRule("judge", None, [{"text": f"<decision>{empty}</decision>"}], repeat_last=True))
         config = small_config(parallel_runs=2, solver_width=1, conjecture_iterations=0, retry_attempts=1)
-        result, _ = run_pipeline(rules, config, registry, parallel=True, n=2)
+        result, _ = run_pipeline(rules, config, registry)
         trace = result.trace
         assert trace.count("judge") == 0
         assert [e.payload for e in trace.of_kind("judge_fallback")] == [{"reason": f"run {empty} produced no solution"}]
@@ -330,7 +318,7 @@ class TestJudge:
 
     def test_single_run_no_judge(self, registry):
         config = small_config(parallel_runs=1)
-        result, _ = run_pipeline(rules_clean(), config, registry, parallel=True, n=1)
+        result, _ = run_pipeline(rules_clean(), config, registry)
         assert result.trace.count("judge") == 0
         assert result.status == STATUS_VERIFIED
 
@@ -341,17 +329,13 @@ class TestJudge:
             self._two_run_rules(["<decision>B</decision>", "<decision>A</decision>"]),
             config,
             registry,
-            parallel=True,
-            n=3,
         )
         assert result.trace.count("judge") == 2
         assert result.state.run_id == "run2"
 
     def test_judge_history_materials_mention_both_runs(self, registry):
         config = small_config(parallel_runs=2)
-        result, _ = run_pipeline(
-            self._two_run_rules(["<decision>A</decision>"]), config, registry, parallel=True, n=2
-        )
+        result, _ = run_pipeline(self._two_run_rules(["<decision>A</decision>"]), config, registry)
         judge = result.trace.of_kind("judge")[0].payload
         prompt = registry.render(judge["role"], judge["slots"])
         assert "pipeline run1" in prompt and "pipeline run2" in prompt
@@ -410,8 +394,9 @@ class TestCeilings:
             return fork_join(self, tasks, reserve)
 
         monkeypatch.setattr(DialecticEngine, "fork_join", recording_fork_join)
-        engine = DialecticEngine(make_gateway(rules_clean(), config), registry, config, RunTrace(), "run1")
-        engine.dialectic_solve(clean_problem(), EMPTY_CONTEXT, 2, phase=1, origin=Origin.FRESH)
+        two = dataclasses.replace(config, solver_width=2)
+        engine = DialecticEngine(make_gateway(rules_clean(), two), registry, two, RunTrace(), "run1")
+        engine.dialectic_solve(clean_problem(), EMPTY_CONTEXT, phase=1, origin=Origin.FRESH)
         assert reserves == [196_608]  # a branch's worst case: six calls of 32,768 tokens
 
 
@@ -518,13 +503,30 @@ class TestResume:
             with pytest.raises(RerunError, match="corrupt"):
                 orch.resume(original.trace, "broken")
 
-    @pytest.mark.parametrize("runs", ["1", 0, None])
+    @pytest.mark.parametrize("runs", ["1", 0, None, 1.5])
     def test_header_runs_must_be_a_count(self, registry, runs):
+        """The count of runs is the header config's parallel_runs."""
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        original.trace.header["runs"] = runs
+        original.trace.header["config"]["parallel_runs"] = runs
         orch, _ = self._fresh_orchestrator(config, registry)
-        assert f"the header's runs is not a count of at least 1: {runs!r}" in self.refusal(original.trace, orch)
+        want = "parallel_runs must be >= 1" if runs == 0 else f"parallel_runs must be of type int, not {runs!r}"
+        assert want in self.refusal(original.trace, orch)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("solver_width", 1.5), ("initial_iterations", 1.5), ("retry_attempts", True), ("verify_repeats", 3.0),
+         ("strict_budget", 0)],
+    )
+    def test_a_header_size_that_is_no_int_is_refused(self, registry, field, value):
+        """Each size of a header's config is an int and its switch a bool:
+        1.5, true, 3.0 and 0 in their places are refused before a re-run."""
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        original.trace.header["config"][field] = value
+        orch, _ = self._fresh_orchestrator(config, registry)
+        want = "bool" if field == "strict_budget" else "int"
+        assert f"{field} must be of type {want}, not {value!r}" in self.refusal(original.trace, orch)
 
     def test_backend_mismatch_refused(self, registry):
         """A scripted trace whose header names another backend is refused by
@@ -560,9 +562,42 @@ class TestResume:
         orch, _ = self._fresh_orchestrator(config, registry)
         assert "a Problem is stored as a dict, not None" in self.refusal(original.trace, orch)
 
+    @staticmethod
+    def unscripted(config, registry):
+        """An orchestrator whose backend has no script, so the trace's call
+        events answer its calls."""
+
+        class Unscripted:
+            backend_id = "scripted"
+
+            def complete(self, req):
+                raise AssertionError("the trace answers every call")
+
+        return Orchestrator(ModelGateway(Unscripted(), token_budget=config.token_budget), registry, config)
+
     def test_a_call_event_that_does_not_read_is_refused(self, registry):
         """A backend with no script is answered from the trace's call events,
         so one that does not read is refused before the re-run."""
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        del next(e for e in original.trace.events if "usage" in e.payload).payload["response"]
+        with pytest.raises(RerunError, match="the trace cannot be re-run: 'response'"):
+            self.unscripted(config, registry).resume(original.trace, "run1.p1.done")
+
+    @pytest.mark.parametrize("value", [5, None, ["a"]])
+    def test_a_call_event_whose_slot_is_no_string_is_refused(self, registry, value):
+        """A slot value that is not a string does not render: the prompt of
+        that call cannot be rebuilt, so the re-run is refused."""
+        config = small_config()
+        original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
+        next(e for e in original.trace.events if "usage" in e.payload).payload["slots"]["additional_materials"] = value
+        with pytest.raises(RerunError, match=f"slot 'additional_materials' is not a string: {re.escape(repr(value))}"):
+            self.unscripted(config, registry).resume(original.trace, "run1.p1.done")
+
+    @pytest.mark.parametrize("value", [5, None, ["a"]])
+    def test_a_call_event_whose_slot_is_no_string_is_refused(self, registry, value):
+        """A slot value that is not a string does not render: the prompt of
+        that call cannot be rebuilt, so the re-run is refused."""
 
         class Unscripted:
             backend_id = "scripted"
@@ -572,9 +607,9 @@ class TestResume:
 
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        del next(e for e in original.trace.events if "usage" in e.payload).payload["response"]
+        next(e for e in original.trace.events if "usage" in e.payload).payload["slots"]["additional_materials"] = value
         orch = Orchestrator(ModelGateway(Unscripted(), token_budget=config.token_budget), registry, config)
-        with pytest.raises(RerunError, match="the trace cannot be re-run: 'response'"):
+        with pytest.raises(RerunError, match=f"slot 'additional_materials' is not a string: {re.escape(repr(value))}"):
             orch.resume(original.trace, "run1.p1.done")
 
     def test_config_mismatch_guard(self, registry):
@@ -590,7 +625,7 @@ class TestResume:
     def test_two_run_checkpoints_are_per_run(self, registry):
         config = small_config(parallel_runs=2)
         rules = lambda: rules_well() + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
-        original, orig_gateway = run_pipeline(rules(), config, registry, problem=well_problem(), parallel=True, n=2)
+        original, orig_gateway = run_pipeline(rules(), config, registry, problem=well_problem())
         ids = [e.payload["checkpoint_id"] for e in original.trace.of_kind("checkpoint")]
         assert len(ids) == len(set(ids)) == len(original.trace.checkpoints)
         for run_id in ("run1", "run2"):
@@ -630,7 +665,7 @@ class TestResume:
 
         config = PipelineConfig()
         rules = rules_all_twos() + [ScriptRule("judge", None, [{"text": "<decision>A</decision>"}], repeat_last=True)]
-        result, _ = run_pipeline(rules, config, registry, parallel=True, n=2)
+        result, _ = run_pipeline(rules, config, registry)
         checkpoints = result.trace.of_kind("checkpoint")
         assert len(checkpoints) == 2 * (config.conjecture_iterations + 2)
         for event in checkpoints:
@@ -675,7 +710,7 @@ class TestCallEvents:
         config = small_config(parallel_runs=2, retry_attempts=2)
         backend = RecordingBackend(rules)
         gateway = ModelGateway(backend, token_budget=config.token_budget, retry_attempts=2, sleep=lambda _: None)
-        result = Orchestrator(gateway, registry, config).run_parallel(make_problem(), trace=RunTrace(clock=lambda: 0.0))
+        result = Orchestrator(gateway, registry, config).run(make_problem(), trace=RunTrace(clock=lambda: 0.0))
         events = result.trace.events
 
         assert not [e.seq for e in events if "prompt" in e.payload]
