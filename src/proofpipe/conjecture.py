@@ -282,7 +282,7 @@ class ConjectureEngine:
                 # no materials from the parent proof.
                 side_problem = Problem(id=f"{pair.id}.{side}", statement=statement)
                 branches.append(Branch(side_problem, EMPTY_CONTEXT, Origin.FRESH))
-        outcomes = [outcome for _, outcome in self.dialectic.fork_branches(branches, phase)]
+        outcomes = self.dialectic.fork_branches(branches, phase)
         for pair, pos, neg in zip(pairs, outcomes[::2], outcomes[1::2]):
             pos = self._side_attempt(pair, "pos", pair.conjecture, pos, phase)
             neg = self._side_attempt(pair, "neg", pair.negation, neg, phase)

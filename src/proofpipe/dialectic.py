@@ -19,8 +19,8 @@ and N (``verify_repeats``) from its config; no method takes either.
 model call, including those of conjecture extraction and the judge, is
 rendered, sent, recorded as one trace event and, where its reply must
 parse, checked there. A failed call (:class:`~proofpipe.gateway.CallFailed`)
-ends only the unit that made it: a branch is dropped and recorded as
-``branch_failed``; a check grade is recorded as ``check_grade_failed``, and
+is recorded by its own event, with the ``error`` or the ``parse_error``,
+and ends only the unit that made it: a branch is dropped, and a check grade
 fails the verify gate or, as an independent grade, counts as a 0. Any other
 error, budget exhaustion among them, ends the run.
 """
@@ -301,7 +301,10 @@ class DialecticEngine:
         the value is returned. A reply it rejects is recorded with
         ``parse_error`` and re-prompted until ``attempts`` calls have been
         made; then the parse error is raised. With more than one attempt
-        allowed, each event records its ``attempt``.
+        allowed, each event records its ``attempt``. A call that fails in
+        the backend was not metered: its event holds its ``error`` in place
+        of ``response`` and ``usage``, and the failure is raised. A call that
+        the budget refuses records nothing.
         """
         request = ModelRequest(
             role=role,
@@ -312,12 +315,17 @@ class DialecticEngine:
             lane=self.lane,
         )
         for attempt in range(attempts):
-            resp = self.gateway.complete(request)
-            payload = {"role": role, "slots": slots, "response": resp.text, "usage": resp.usage.to_dict(), **extra}
-            if resp.coerced:
-                payload["coerced"] = resp.coerced
+            payload = {"role": role, "slots": slots, **extra}
             if attempts > 1:
                 payload["attempt"] = attempt
+            try:
+                resp = self.gateway.complete(request)
+            except CallFailed as exc:
+                self.append(phase, kind, {**payload, "error": failure_text(exc)})
+                raise
+            payload.update(response=resp.text, usage=resp.usage.to_dict())
+            if resp.coerced:
+                payload["coerced"] = resp.coerced
             error = None
             try:
                 value, fields = parse(resp.text) if parse else (resp, {})
@@ -420,34 +428,28 @@ class DialecticEngine:
         """Solve ``branches`` as one fork/join group; solutions in branch order.
 
         Every branch runs to its end even when a sibling fails. After the
-        join each branch is recorded, in branch order: a completed solution
-        as a ``solution`` event (:meth:`record`), so it is in the run's state
-        whatever happens next; a branch that a failed call ended is dropped
-        and recorded as ``branch_failed``. Then :func:`raise_first` raises
+        join each completed solution is recorded, in branch order, as a
+        ``solution`` event (:meth:`record`), so it is in the run's state
+        whatever happens next; a branch that a failed call ended is dropped,
+        and that call's event is its record. Then :func:`raise_first` raises
         any other error, budget exhaustion among them.
         """
-        done: list[CandidateSolution] = []
         outcomes = self.fork_branches(branches, phase)
-        for solution_id, outcome in outcomes:
-            if isinstance(outcome, CandidateSolution):
-                done.append(outcome)
-                self.record(phase, "solution", outcome)
-            elif isinstance(outcome, CallFailed):
-                failure = {"solution_id": solution_id, "error": failure_text(outcome)}
-                self.append(phase, "branch_failed", failure)
-        raise_first(outcome for _, outcome in outcomes)
+        done = [outcome for outcome in outcomes if isinstance(outcome, CandidateSolution)]
+        for solution in done:
+            self.record(phase, "solution", solution)
+        raise_first(outcomes)
         return done
 
-    def fork_branches(self, branches: Sequence[Branch], phase: int) -> list[tuple[str, CandidateSolution | BaseException]]:
-        """:meth:`fork_join` over solve branches: ``(solution id, outcome)``
-        in branch order, each outcome a :class:`CandidateSolution` or the
-        exception that ended its branch. Solution ids are allocated at the
-        fork, in branch order. Each earlier branch keeps its worst case,
+    def fork_branches(self, branches: Sequence[Branch], phase: int) -> list[CandidateSolution | BaseException]:
+        """:meth:`fork_join` over solve branches: in branch order, each
+        branch's :class:`CandidateSolution` or the exception that ended it.
+        Solution ids are allocated at the fork, in branch order, so a failed
+        branch's id is skipped. Each earlier branch keeps its worst case,
         :data:`BRANCH_CALLS` at ``max_output_tokens`` each."""
-        ids = [self.ids.next("s") for _ in branches]
-        tasks = [partial(DialecticEngine._branch, spec=b, phase=phase, solution_id=i) for b, i in zip(branches, ids)]
+        tasks = [partial(DialecticEngine._branch, spec=b, phase=phase, solution_id=self.ids.next("s")) for b in branches]
         reserve = sum(BRANCH_CALLS.values()) * self.config.max_output_tokens
-        return list(zip(ids, self.fork_join(tasks, reserve)))
+        return self.fork_join(tasks, reserve)
 
     def fork_join(self, tasks: Sequence[Callable[["DialecticEngine"], object]], reserve: int) -> list:
         """Run every task at once, each on its own thread, as the leaves of
@@ -512,30 +514,17 @@ class DialecticEngine:
 
         The grades do not depend on each other, so all of them are in
         flight at once; each earlier leaf keeps one grader call at
-        ``max_output_tokens`` as its reserve. Each grade records itself, so
-        after the join :func:`raise_first` only raises any other error,
-        budget exhaustion among them.
+        ``max_output_tokens`` as its reserve. Each grade is one
+        ``check_grade`` call event, failed or not, whose
+        ``slots["solution"]`` is the exact text graded; after the join
+        :func:`raise_first` only raises any other error, budget exhaustion
+        among them.
         """
         tasks = [
-            partial(DialecticEngine._check_grade, solution=solution, problem=problem, phase=phase, ordinal=k)
+            partial(DialecticEngine.grade, proof_text=solution.proof_text, problem=problem, phase=phase,
+                    kind="check_grade", extra={"solution_id": solution.id, "ordinal": k})
             for k in range(self.config.verify_repeats)
         ]
         grades = self.fork_join(tasks, self.config.max_output_tokens)
         raise_first(grades)
         return grades
-
-    def _check_grade(self, solution: CandidateSolution, problem: Problem, phase: int, ordinal: int) -> GradeReport:
-        """One check grade; a failed one is recorded as ``check_grade_failed``
-        and raised. The event's ``slots["solution"]`` is the exact text graded."""
-        try:
-            return self.grade(
-                solution.proof_text,
-                problem,
-                phase=phase,
-                kind="check_grade",
-                extra={"solution_id": solution.id, "ordinal": ordinal},
-            )
-        except CallFailed as exc:
-            failure = {"solution_id": solution.id, "ordinal": ordinal, "error": failure_text(exc)}
-            self.append(phase, "check_grade_failed", failure)
-            raise

@@ -55,14 +55,19 @@ class CallFailed(Exception):
     """A model call gave no usable reply.
 
     It ends only the unit of work that made the call (a branch, a bisection
-    side, an extraction, a grade, the judge); the run records it and goes
-    on. Budget exhaustion is not a call failure: it ends the run.
+    side, an extraction, a grade, the judge); its call's event records it.
+    Budget exhaustion is not a call failure: it ends the run.
     """
 
 
 def failure_text(exc: BaseException) -> str:
-    """An error as failure records store it: ``Type: message``."""
-    return f"{type(exc).__name__}: {exc}"
+    """An error as the trace stores it: ``Type: message``, or a :class:`RecordedFailure`'s recorded text."""
+    return str(exc) if isinstance(exc, RecordedFailure) else f"{type(exc).__name__}: {exc}"
+
+
+class RecordedFailure(CallFailed):
+    """A failed call that a trace recorded, raised again at its turn
+    (:class:`RecordedBackend`); its message is the recorded ``error``."""
 
 
 class BackendFailure(CallFailed):
@@ -527,21 +532,22 @@ class RecordedBackend:
     """Answers each call that a trace recorded with the reply it recorded,
     and asks ``inner`` for any other: the backend of a resumed solve.
 
-    ``calls`` are ``(role, prompt, response)`` in trace order, which is the
-    sequential, leaf-by-leaf order of the calls. A call whose key, its role
-    and prompt, is recorded first waits for its turn (:meth:`Lane.wait_turn`),
+    ``calls`` are ``(role, prompt, reply)`` in trace order, which is the
+    sequential, leaf-by-leaf order of the calls; a failed call's reply is
+    a :class:`RecordedFailure`, raised again. A call whose key, its role and
+    prompt, is recorded first waits for its turn (:meth:`Lane.wait_turn`),
     so every call before it in that order has taken its reply, and then it
     takes the next reply of its key. A trace cut by a kill can hold fewer
     replies of a key than the re-run asks for: the calls past them go to
     ``inner``, and only the sequential order says which calls those are.
     """
 
-    def __init__(self, inner, calls: Iterable[tuple[str, str, ModelResponse]]):
+    def __init__(self, inner, calls: Iterable[tuple[str, str, ModelResponse | RecordedFailure]]):
         self.inner = inner
         self.backend_id = inner.backend_id
-        self._replies: dict[tuple[str, str], deque[ModelResponse]] = {}
-        for role, prompt, response in calls:
-            self._replies.setdefault((role, prompt), deque()).append(response)
+        self._replies: dict[tuple[str, str], deque] = {}
+        for role, prompt, reply in calls:
+            self._replies.setdefault((role, prompt), deque()).append(reply)
 
     def complete(self, req: ModelRequest) -> ModelResponse:
         replies = self._replies.get((req.role, req.prompt))
@@ -549,9 +555,12 @@ class RecordedBackend:
             if req.lane is not None:
                 req.lane.wait_turn()
             try:
-                return replies.popleft()
+                reply = replies.popleft()
             except IndexError:  # the re-run asks for more calls of this key than the trace holds
-                pass
+                return self.inner.complete(req)
+            if isinstance(reply, RecordedFailure):
+                raise reply
+            return reply
         return self.inner.complete(req)
 
 

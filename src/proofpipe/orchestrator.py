@@ -16,7 +16,8 @@ round, the N check grades of a gate) is read from the config, never passed
 in, and the header stores only the config.
 
 A failed model call ends only the unit that made it (a branch, a bisection
-side, an extraction, a grade, the judge) and is recorded; the run goes on.
+side, an extraction, a grade, the judge); its own call event records the
+error, and the run goes on.
 Only budget exhaustion ends a run early, with the best graded solution in
 its state. A group's units finish before that error is raised
 (:func:`~proofpipe.dialectic.raise_first`), and what they finished is
@@ -60,6 +61,7 @@ from .gateway import (
     ModelResponse,
     PriceTable,
     RecordedBackend,
+    RecordedFailure,
     ScriptedBackend,
     Usage,
     cost_of,
@@ -162,15 +164,20 @@ def ledger_from_trace(trace: RunTrace, price_table: PriceTable) -> CostLedger:
     return ledger
 
 
-def recorded_calls(trace: RunTrace, registry: PromptRegistry, backend_id: str) -> list[tuple[str, str, ModelResponse]]:
-    """Each call event of ``trace`` as :class:`RecordedBackend` takes it, in
-    trace order: its role, its prompt rebuilt from its slots, and its reply."""
-    return [
-        (p["role"], registry.render(p["role"], p["slots"]),
-         ModelResponse(p["response"], Usage.from_dict(p["usage"]), backend_id, coerced=p.get("coerced", "")))
-        for p in (event.payload for event in trace.events)
-        if is_call(p)
-    ]
+def recorded_calls(trace: RunTrace, registry: PromptRegistry, backend_id: str) -> list[tuple[str, str, ModelResponse | RecordedFailure]]:
+    """Each call event of ``trace``, a failed one's too, as :class:`RecordedBackend`
+    takes it, in trace order: its role, its prompt rebuilt from its slots, and
+    its reply or its :class:`RecordedFailure`. A ``response`` or ``error``
+    that is not a string raises ``ValueError`` naming the event."""
+    calls = []
+    for event in (event for event in trace.events if "role" in event.payload):
+        p, field = event.payload, "error" if "error" in event.payload else "response"
+        if not isinstance(p[field], str):
+            raise ValueError(f"event {event.seq} ({event.kind}): the {field} is not a string: {p[field]!r}")
+        reply = RecordedFailure(p[field]) if field == "error" else ModelResponse(
+            p[field], Usage.from_dict(p["usage"]), backend_id, coerced=p.get("coerced", ""))
+        calls.append((p["role"], registry.render(p["role"], p["slots"]), reply))
+    return calls
 
 
 def read_header(source: RunTrace, registry: PromptRegistry) -> tuple[PipelineConfig, Problem, str, Optional[ScriptedBackend]]:
@@ -436,7 +443,7 @@ class Orchestrator:
         enhance_feedback: list[str] = []
         for session in (1, 2):
             engine.append(4, "enhance_session", {"session": session})
-            outcome = self._conjecture_round(problem, engine, [s_star], TAU_E, 4, check_issue_texts, session=session)
+            outcome = self._conjecture_round(problem, engine, [s_star], TAU_E, 4, check_issue_texts)
             enhance_feedback.extend(unresolved(record) for record in outcome.failed)
 
         ctx = SolveContext(
@@ -475,24 +482,14 @@ class Orchestrator:
             engine.append(phase, "verify_failed", {"solution_id": candidate.id})
         return None
 
-    def _conjecture_round(
-        self,
-        problem: Problem,
-        engine: DialecticEngine,
-        seeds: Sequence[CandidateSolution],
-        tau: int,
-        phase: int,
-        reports: Sequence[str] = (),
-        **failure_fields,
-    ) -> VerifyOutcome:
+    def _conjecture_round(self, problem: Problem, engine: DialecticEngine, seeds: Sequence[CandidateSolution], tau: int,
+                          phase: int, reports: Sequence[str] = ()) -> VerifyOutcome:
         """Extract conjecture pairs from ``seeds`` (with grader ``reports``)
-        and bisect them at ``tau``. A failed extraction is recorded as
-        ``extraction_failed``, with ``failure_fields``, and bisects nothing."""
+        and bisect them at ``tau``. A failed extraction bisects nothing."""
         conj, state = ConjectureEngine(engine), engine.state
         try:
             pairs = conj.extract_hypotheses(problem, seeds, state.lemma_memory, state.failure_context, reports, phase)
-        except CallFailed as exc:
-            engine.append(phase, "extraction_failed", {"error": failure_text(exc), **failure_fields})
+        except CallFailed:
             return NO_OUTCOME
         return conj.verify_hypotheses(pairs, tau, phase)
 

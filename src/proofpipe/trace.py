@@ -2,9 +2,10 @@
 
 Events are JSONL-friendly dicts: an envelope (seq, ts, run id, phase, kind,
 payload digest) around a JSON payload; a trace line holds all but the
-digest, which follows from the payload. The digest covers only the payload,
-never the envelope, so wall-clock timestamps do not break replay
-comparison. The trace is the only store of run state: a checkpoint is a
+digest, which follows from the payload, and the seq, the event's place in
+the file. The digest covers only the payload, never the envelope, so
+wall-clock timestamps do not break replay comparison. The trace is the
+only store of run state: a checkpoint is a
 marker recorded as an event that only names its run, and resuming from it
 runs the solve again, answering each call the trace recorded from the
 trace. When the trace is backed by a file, each marker is also written to
@@ -17,7 +18,8 @@ header's ``token_budget`` minus the usage of the call events up to it.
 
 A model call's event holds its ``role`` and ``slots`` but not the rendered
 prompt: rendering is pure and the header pins ``template_version``, so
-``registry.render(role, slots)`` rebuilds the exact prompt.
+``registry.render(role, slots)`` rebuilds the exact prompt. A call that
+failed in the backend has no ``response`` or ``usage``, but its ``error``.
 
 Long texts repeat (the graded text is the draft, a ``solution`` event holds
 the regrade's text, the script attachment holds every scripted reply), so a
@@ -57,7 +59,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import Record, text_digest
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 # Strings this long or longer are stored once per trace, and referred to.
 TEXT_MIN = 256
@@ -69,7 +71,7 @@ PLAIN_KINDS = frozenset({"result"})
 # wrapper; a payload's own such dict is stored inside {"$lit": ...}.
 _MARKERS = frozenset({"$text", "$lit"})
 
-_ENVELOPE = frozenset({"seq", "ts", "run_id", "phase", "kind", "payload"})
+_ENVELOPE = frozenset({"ts", "run_id", "phase", "kind", "payload"})
 
 # ``core.canonical_json`` and a compact dump, with one encoder each: ``json.dumps``
 # builds an encoder per call, and ``append`` dumps up to three times per line.
@@ -89,7 +91,7 @@ class TraceEvent(Record):
 
 
 def is_call(payload: dict) -> bool:
-    """Whether ``payload`` is a model call's: it has a ``role`` and a ``usage``."""
+    """Whether ``payload`` is a metered model call's: it has a ``role`` and a ``usage`` (a failed call's has none)."""
     return "role" in payload and "usage" in payload
 
 
@@ -123,11 +125,12 @@ def _put(puts: list) -> None:
         container[key] = item
 
 
-def _event(record, texts: dict[str, str], numbered: list[str]) -> TraceEvent:
-    """The event a trace line holds, with its digest and its texts put back.
-    The line's own texts are checked against their addresses, join
-    ``texts`` and are numbered in ``numbered`` in the order they are
-    stored; a stored ``digest`` (schema 8 and older) is not read."""
+def _event(record, seq: int, texts: dict[str, str], numbered: list[str]) -> TraceEvent:
+    """The event a trace line holds, at place ``seq``, with its digest and
+    its texts put back. The line's own texts are checked against their
+    addresses, join ``texts`` and are numbered in ``numbered`` in the order
+    they are stored; a stored ``digest`` (schema 8 and older) or ``seq``
+    (schema 14 and older) is not read."""
     if not (
         isinstance(record, dict)
         and _ENVELOPE <= record.keys()
@@ -152,7 +155,7 @@ def _event(record, texts: dict[str, str], numbered: list[str]) -> TraceEvent:
         numbered.append(address)
     puts = []
     _resolve(record["payload"], texts, numbered, puts)
-    event = TraceEvent.from_dict({**record, "digest": text_digest(_canonical(record["payload"]))})
+    event = TraceEvent.from_dict({**record, "seq": seq, "digest": text_digest(_canonical(record["payload"]))})
     _put(puts)  # after the digest, which covers the payload with each text's address
     return event
 
@@ -242,7 +245,7 @@ class RunTrace:
                 else:
                     for address, number in numbers.items():
                         stored_json = stored_json.replace(f'{{"$text":"{address}"}}', f'{{"$text":{number}}}')
-            head = {"seq": event.seq, "ts": event.ts, "run_id": run_id, "phase": phase, "kind": kind}
+            head = {"ts": event.ts, "run_id": run_id, "phase": phase, "kind": kind}
             if texts:
                 head["texts"] = texts
             line = _compact(head)[:-1] + ',"payload":' + stored_json + "}\n"
@@ -306,7 +309,7 @@ class RunTrace:
                         break
                     raise
                 try:
-                    trace.events.append(_event(record, texts, numbered))
+                    trace.events.append(_event(record, len(trace.events), texts, numbered))
                 except ValueError as exc:
                     raise ValueError(f"line {number}: {exc}") from None
         trace.path = None  # loaded traces are read-only views

@@ -132,6 +132,13 @@ def _as_schema_13(event):
         payload["runs"] = payload["config"]["parallel_runs"]
 
 
+def _as_schema_14(event):
+    """Schema 14 lines stored each event's seq, and a call that failed in the
+    backend left no event of its own: its unit's failure record named it."""
+    if event["kind"] == "run_start":
+        event["payload"]["schema_version"] = 14
+
+
 # Turn an event of a current trace (as its JSON dict) into its form under an
 # older schema.
 OLD_SCHEMAS = {
@@ -147,6 +154,7 @@ OLD_SCHEMAS = {
     11: _as_schema_11,
     12: _as_schema_12,
     13: _as_schema_13,
+    14: _as_schema_14,
 }
 
 
@@ -184,17 +192,22 @@ class TestSolve:
 
     def test_markers_land_where_they_are_committed(self, tmp_path, clean_script, problem_file):
         """Run 2's markers are committed at the join of the two runs: each
-        gets its own seq there, after run 1's last event, and its file,
-        which only names its run."""
+        lands there, after run 1's last event, and gets its file, which only
+        names its run. A line stores no seq: the loaded event's seq is its
+        place in the file."""
+        from proofpipe.trace import RunTrace
+
         out = tmp_path / "out"
         assert run_cli("solve", problem_file, "--script", clean_script, "--out", out) == ExitCode.VERIFIED
         events = [json.loads(line) for line in (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert not [e for e in events if "seq" in e]
+        loaded = RunTrace.load(out / "trace.jsonl").events
         markers = [(i, e) for i, e in enumerate(events) if e["kind"] == "checkpoint"]
         assert {e["payload"]["snapshot"]["state"]["run_id"] for _, e in markers} == {"run1", "run2"}
         run1_end = max(i for i, e in enumerate(events) if e["run_id"] == "run1")
         for index, event in markers:
             payload = event["payload"]
-            assert event["seq"] == index
+            assert (loaded[index].seq, loaded[index].kind, loaded[index].payload) == (index, "checkpoint", payload)
             assert payload["snapshot"] == {"state": {"run_id": event["run_id"]}}
             assert payload["checkpoint_id"].startswith(event["run_id"] + ".")
             assert (index > run1_end) == (event["run_id"] == "run2")
@@ -275,7 +288,8 @@ class TestSolve:
     def test_a_reply_with_a_lone_surrogate_ends_only_its_unit(self, tmp_path, problem_file, monkeypatch, capsys):
         """A billed reply that UTF-8 cannot encode is read with U+FFFD in place
         of its lone surrogate: the call is metered and recorded with what was
-        coerced, and its parse rules end only its unit (here each grade)."""
+        coerced, and its parse rules end only its unit (here each grade's
+        branch, which leaves no solution)."""
         import re
         import urllib.request
 
@@ -306,8 +320,9 @@ class TestSolve:
         calls = [event.payload for event in trace.events if "usage" in event.payload]
         assert len(calls) == len(billed)
         assert all(call["response"] == "proof \ufffd" and call["coerced"] == "lone surrogates read as U+FFFD" for call in calls)
-        failures = trace.of_kind("branch_failed")
-        assert failures and all(event.payload["error"].startswith("GradeParseFailure") for event in failures)
+        grades = trace.of_kind("grade")
+        assert grades and all(event.payload["parse_error"] == "no Final Grade anchor in grader output" for event in grades)
+        assert not trace.of_kind("solution")
 
     def test_missing_config_file_is_usage_error(self, tmp_path, clean_script, problem_file, capsys):
         out = tmp_path / "o"
@@ -970,6 +985,8 @@ class TestCallTexts:
         assert lines[0]["payload"]["schema_version"] == 8
         loaded = RunTrace.load(path)
         assert [e.digest for e in loaded.events] == [line["digest"] for line in lines]
+        # Its lines store each seq; the loaded events are numbered by their place, which is that seq.
+        assert [e.seq for e in loaded.events] == [line["seq"] for line in lines]
         assert run_cli("cost", path) == ExitCode.VERIFIED
         assert capsys.readouterr().out.strip().splitlines()[-1] == "total: $0.13981"
         assert run_cli("replay", path) == ExitCode.USAGE

@@ -398,7 +398,7 @@ class RefusingGateway(ModelGateway):
 def test_budget_in_one_leaf_salvages_its_siblings(registry):
     # Drafts and refines take solver replies in branch order: branch 1
     # drafts the marked proof, and its refine is refused; branch 3's draft
-    # call fails.
+    # call fails, and its event, the group's last leaf event, records that.
     solver = [{"text": t} for t in ("DRAFT_0", "REFINED_0", "DRAFT_1 REFUSE_ME", "DRAFT_2", "REFINED_2")]
     rules = [
         ScriptRule("solver", None, [*solver, {"fail": True}], repeat_last=True),
@@ -422,11 +422,13 @@ def test_budget_in_one_leaf_salvages_its_siblings(registry):
     # the refusal ends the run only after them.
     events = result.trace.events
     last_leaf = max(i for i, e in enumerate(events) if "branch" in e.payload)
-    records = [(e.kind, e.payload.get("id", e.payload.get("solution_id"))) for e in events[last_leaf + 1 :]]
-    assert records[:4] == [
+    failed = events[last_leaf]
+    assert (failed.kind, "usage" in failed.payload) == ("draft", False)
+    assert failed.payload["error"].startswith("BackendFailure: backend failed after 3 attempts")
+    records = [(e.kind, e.payload.get("id")) for e in events[last_leaf + 1 :]]
+    assert records[:3] == [
         ("solution", "run1.s0000"),
         ("solution", "run1.s0002"),
-        ("branch_failed", "run1.s0003"),
         ("budget_exhausted", None),
     ]
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed

@@ -1,17 +1,20 @@
 """One failure policy: a failed model call ends only the unit that made it.
 
 The regression tests each break one unit with one kind of failed call and
-check that the run still returns, records the failure, keeps its ledger
-whole and resumes to the same result. The property test mixes backend
+check that the run still returns, records the failure on the failed call's
+own event, keeps its ledger whole and resumes to the same result. The property test mixes backend
 failures and garbage replies into whole scripts and checks the pipeline's
 invariants on every run.
 """
+import threading
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from proofpipe.core import CandidateSolution, Origin
 from proofpipe.dialectic import DialecticEngine
-from proofpipe.gateway import DEFAULT_PRICES, ScriptRule, Usage
+from proofpipe.gateway import DEFAULT_PRICES, BackendFailure, ScriptedBackend, ScriptRule, Usage
 from proofpipe.orchestrator import (
     STATUS_BEST_EFFORT,
     STATUS_VERIFIED,
@@ -22,7 +25,7 @@ from proofpipe.orchestrator import (
     replay,
 )
 from proofpipe.prompts import PromptRegistry
-from proofpipe.trace import RunTrace, is_call
+from proofpipe.trace import RunTrace, is_call, signature
 
 from conftest import (
     clean_problem,
@@ -35,6 +38,7 @@ from conftest import (
     small_config,
     well_problem,
 )
+from test_concurrency import Unscripted, cut, gateway_for, rules_two_run_judge
 
 GARBAGE = "%% the reply was cut off mid-sentence and carries no verdict %%"
 FAIL = {"fail": True}
@@ -62,16 +66,34 @@ def assert_resumes(make_rules, config, result, gateway, registry):
         assert [e.to_dict() for e in fresh.ledger.entries] == entries, checkpoint_id
 
 
+def failures(trace, kind):
+    """The payloads of the ``kind`` events that record a failure: each call
+    event that holds an ``error`` or a ``parse_error``, and every event of a
+    kind that is not a call's."""
+    return [
+        e.payload for e in trace.of_kind(kind)
+        if "role" not in e.payload or "error" in e.payload or "parse_error" in e.payload
+    ]
+
+
 def assert_degraded(make_rules, config, problem, registry, failure_kind):
-    """Run the scenario; check it returned, recorded ``failure_kind`` and kept
-    its ledger whole; return the result and the recorded failures."""
+    """Run the scenario; check it returned, recorded a failure as a
+    ``failure_kind`` event (:func:`failures`) and kept its ledger whole; a
+    call that failed in the backend holds no ``response`` and no ``usage``.
+    Return the result and the recorded failures."""
     result, gateway = solve(make_rules, config, problem, registry)
     assert isinstance(result, PipelineResult)
-    failures = result.trace.of_kind(failure_kind)
-    assert failures
+    failed = failures(result.trace, failure_kind)
+    assert failed
+    assert all(not {"response", "usage"} & f.keys() for f in failed if "error" in f)
     assert gateway.ledger.total_tokens() == gateway.tokens_consumed
+    assert ledger_from_trace(result.trace, DEFAULT_PRICES).to_dict() == gateway.ledger.to_dict()
     assert_resumes(make_rules, config, result, gateway, registry)
-    return result, [e.payload for e in failures]
+    return result, failed
+
+
+def solution_ids(trace):
+    return [e.payload["id"] for e in trace.of_kind("solution")]
 
 
 def replace_rule(rules, role, responses):
@@ -86,13 +108,12 @@ class TestOneUnitFails:
     def test_unparseable_main_branch_grade_drops_the_branch(self, registry):
         # Branch 0's first grade is garbage; branch 1 verifies.
         make_rules = lambda: replace_rule(rules_clean(), "grader", [{"text": GARBAGE}])
-        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "branch_failed")
-        assert failed == [{"solution_id": "run1.s0000", "error": "GradeParseFailure: no Final Grade anchor in grader output"}]
-        grades = result.trace.of_kind("grade")
-        assert grades[0].payload["parse_error"] == "no Final Grade anchor in grader output"
-        assert "score" not in grades[0].payload
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "grade")
+        assert [(f["branch"], f["parse_error"]) for f in failed] == [(0, "no Final Grade anchor in grader output")]
+        assert "score" not in failed[0]
         assert result.status == STATUS_VERIFIED
         assert [s.id for s in result.state.solution_memory] == ["run1.s0001"]
+        assert solution_ids(result.trace) == ["run1.s0001"]
 
     def test_unparseable_verify_gate_grade_fails_the_gate(self, registry):
         # One branch grades 7 twice inline; its first check grade is garbage.
@@ -117,7 +138,7 @@ class TestOneUnitFails:
 
     def test_backend_failure_in_verify_gate_fails_the_gate(self, registry):
         # As above, but the first check grade's backend call fails on every
-        # retry: the failure is recorded, since the call itself leaves no event.
+        # retry: its event records the error.
         make_rules = lambda: replace_rule(
             rules_clean()
             + [
@@ -128,7 +149,7 @@ class TestOneUnitFails:
             [{"text": grader_text(7)}, {"text": grader_text(7)}, FAIL, FAIL, FAIL],
         )
         config = small_config(solver_width=1)
-        result, failed = assert_degraded(make_rules, config, clean_problem(), registry, "check_grade_failed")
+        result, failed = assert_degraded(make_rules, config, clean_problem(), registry, "check_grade")
         assert [(f["solution_id"], f["ordinal"]) for f in failed] == [("run1.s0000", 0)]
         assert failed[0]["error"].startswith("BackendFailure: backend failed after 3 attempts")
         assert [e.payload for e in result.trace.of_kind("verify_failed")] == [{"solution_id": "run1.s0000"}]
@@ -137,32 +158,37 @@ class TestOneUnitFails:
 
     def test_solver_backend_failure_drops_the_branch(self, registry):
         make_rules = lambda: replace_rule(rules_clean(), "solver", [FAIL] * 3)
-        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "branch_failed")
-        assert [f["solution_id"] for f in failed] == ["run1.s0000"]
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "draft")
+        assert [f["branch"] for f in failed] == [0]
         assert failed[0]["error"].startswith("BackendFailure: backend failed after 3 attempts")
         assert result.status == STATUS_VERIFIED
         assert result.solution.id == "run1.s0001"
+        assert solution_ids(result.trace) == ["run1.s0001"]
 
     def test_missing_processor_rule_drops_every_branch(self, registry):
         make_rules = lambda: [r for r in rules_clean() if r.role != "processor"]
-        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "branch_failed")
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "censor")
         # Two branches in phase 1 and in each of the two phase-3 rounds.
+        assert [e.phase for e in result.trace.of_kind("censor")] == [1, 1, 3, 3, 3, 3]
         assert len(failed) == 6
         assert all(f["error"].startswith("ScriptError: no scripted response for role='processor'") for f in failed)
+        assert solution_ids(result.trace) == []
         assert result.trace.count("extract_skipped") == 2
         assert result.status == STATUS_BEST_EFFORT
         assert result.solution is None
 
-    def test_extractor_backend_failure_records_extraction_failed(self, registry):
+    def test_extractor_backend_failure_loses_only_its_iteration(self, registry):
         make_rules = lambda: replace_rule(rules_all_twos(), "extractor", [FAIL] * 3)
-        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "extraction_failed")
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "extract")
         assert len(failed) == 1
         assert failed[0]["error"].startswith("BackendFailure: backend failed after 3 attempts")
+        assert result.trace.of_kind("extract")[0].payload is failed[0]
         # The failed iteration still runs its guided round; the second outer
         # iteration and both phase-4 sessions extract again.
         phases = [(e.payload["phase"], e.payload.get("iteration")) for e in result.trace.of_kind("phase_start")]
         assert phases == [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, None)]
-        assert result.trace.count("extract") == 3
+        assert result.trace.count("extract") == 4
+        assert result.trace.count("extract_parse") == 3  # the failed extraction is not parsed
         assert result.trace.count("pair_failed") == 3
         assert result.status == STATUS_BEST_EFFORT
 
@@ -171,17 +197,17 @@ class TestOneUnitFails:
         # every retry, and its second extracts again.
         extracted = {"text": "One conjecture identified."}
         make_rules = lambda: replace_rule(rules_all_twos(), "extractor", [extracted, extracted] + [FAIL] * 3)
-        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "extraction_failed")
-        assert failed == [{"error": failed[0]["error"], "session": 1}]
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "extract")
+        assert len(failed) == 1
         assert failed[0]["error"].startswith("BackendFailure: backend failed after 3 attempts")
         events = result.trace.events
         first, second = [i for i, e in enumerate(events) if e.kind == "enhance_session"]
-        assert [e.kind for e in events[first + 1 : second]] == ["extraction_failed"]
+        assert [e.payload for e in events[first + 1 : second]] == failed  # session 1 holds only its failed call
         session_two = [e.kind for e in events[second + 1 :]]
         assert session_two.count("extract") == 1
         assert session_two.count("side_solved") == 2
         assert session_two.count("pair_failed") == 1
-        assert [e.phase for e in result.trace.of_kind("extract")] == [2, 2, 4]
+        assert [e.phase for e in result.trace.of_kind("extract")] == [2, 2, 4, 4]
         assert result.status == STATUS_BEST_EFFORT
 
     def test_judge_backend_failure_falls_back_to_the_comparator(self, registry):
@@ -190,7 +216,9 @@ class TestOneUnitFails:
         result, failed = assert_degraded(make_rules, config, clean_problem(), registry, "judge_fallback")
         assert len(failed) == 1
         assert failed[0]["reason"].startswith("BackendFailure: backend failed after 3 attempts")
-        assert result.trace.count("judge") == 0
+        # The failed call is not re-prompted: one judge event, which holds the error.
+        assert failures(result.trace, "judge") == [e.payload for e in result.trace.of_kind("judge")]
+        assert [e.payload["error"] for e in result.trace.of_kind("judge")] == [failed[0]["reason"]]
         # Both finished runs survive; equal finals keep the earlier one.
         assert result.status == STATUS_VERIFIED
         assert result.state.run_id == "run1"
@@ -201,9 +229,10 @@ class TestOneUnitFails:
         # unresolved conjecture in their feedback; every one of them fails.
         phase4_draft = ["Unresolved conjecture", "- **Fallacy**: the main claim is unsupported"]
         make_rules = lambda: [ScriptRule("solver", phase4_draft, [FAIL], repeat_last=True)] + rules_all_twos()
-        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "branch_failed")
-        assert [e.phase for e in result.trace.of_kind("branch_failed")] == [4, 4]
+        result, failed = assert_degraded(make_rules, small_config(), clean_problem(), registry, "draft")
+        assert [(e.phase, e.payload["branch"]) for e in result.trace.of_kind("draft") if "error" in e.payload] == [(4, 0), (4, 1)]
         assert all(f["error"].startswith("BackendFailure") for f in failed)
+        assert not [e for e in result.trace.of_kind("solution") if e.phase == 4]
         incumbent = result.trace.of_kind("check_grade", run_id="run1")[-1].payload["solution_id"]
         assert result.status == STATUS_BEST_EFFORT
         assert result.solution.id == incumbent
@@ -217,14 +246,11 @@ class TestOneUnitFails:
         assert [r.score for r in reports] == [0, 0]
         assert reports[0].notes == ("GradeParseFailure: no Final Grade anchor in grader output",)
         assert reports[1].notes[0].startswith("BackendFailure: backend failed after 3 attempts")
-        assert [e.payload.get("parse_error") for e in dialectic.trace.of_kind("check_grade")] == [
-            "no Final Grade anchor in grader output"
-        ]
-        failed = [e.payload for e in dialectic.trace.of_kind("check_grade_failed")]
-        assert [(f["solution_id"], f["ordinal"], f["error"]) for f in failed] == [
-            ("run1.s0000", 0, reports[0].notes[0]),
-            ("run1.s0000", 1, reports[1].notes[0]),
-        ]
+        checks = [e.payload for e in dialectic.trace.of_kind("check_grade")]
+        assert [(c["solution_id"], c["ordinal"]) for c in checks] == [("run1.s0000", 0), ("run1.s0000", 1)]
+        assert "GradeParseFailure: " + checks[0]["parse_error"] == reports[0].notes[0]
+        assert checks[1]["error"] == reports[1].notes[0]
+        assert not {"response", "usage"} & checks[1].keys()
 
 
 # -- fault injection ------------------------------------------------------------
@@ -318,3 +344,76 @@ def test_injected_faults_never_crash_a_run(case):
         sid = event.payload["solution_id"]
         checks = [e.payload for e in trace.of_kind("check_grade", run_id=event.run_id) if e.payload["solution_id"] == sid]
         assert clean_run(checks, config.verify_repeats, event.payload["proof_text"]), sid
+
+
+# -- a live solve that met a backend failure -----------------------------------
+
+
+class FailsFirst:
+    """A live backend, with no script: its first call of ``role`` fails as a
+    provider's error does once the gateway's retries are spent, and ``inner``
+    answers every other call."""
+
+    def __init__(self, inner, role):
+        self.inner = inner
+        self.role = role
+        self.backend_id = inner.backend_id
+        self.failed = False
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        with self.lock:
+            fail = req.role == self.role and not self.failed
+            self.failed |= fail
+        if fail:
+            raise BackendFailure("HTTP 500: Internal Server Error")
+        return self.inner.complete(req)
+
+
+PROBED = {**SCENARIOS, "two_run_judge": (rules_two_run_judge, well_problem)}
+PROBES = [
+    (name, role)
+    for name in PROBED
+    for role in ("grader", "solver", "extractor", "judge")
+    if (role != "judge" or name == "two_run_judge") and (name, role) != ("clean", "extractor")  # clean never extracts
+]
+
+
+def run_result(result):
+    """A run's result as its ``result`` event records it."""
+    solution = result.solution
+    return {"status": result.status, "solution_id": solution and solution.id,
+            "proof_text": solution and solution.proof_text, "score": solution and solution.grade.score}
+
+
+@pytest.mark.parametrize("name, role", PROBES)
+def test_a_trace_with_a_failed_call_resumes_from_the_trace_alone(name, role):
+    """A failed call's event is the one record of its failure, and a re-run
+    raises it again at its turn: from every marker, a backend with no script
+    is asked for no call and each resume returns its run's recorded result;
+    cut right after the failed call's event, the trace asks that backend for
+    exactly the calls it lacks."""
+    make_rules, make_problem = PROBED[name]
+    config = small_config(parallel_runs=2 if name == "two_run_judge" else 1)
+    gateway = gateway_for(FailsFirst(ScriptedBackend(make_rules()), role), config)
+    trace = Orchestrator(gateway, REGISTRY, config).run(make_problem(), trace=RunTrace(clock=lambda: 0.0)).trace
+    (failed,) = [e for e in trace.events if "error" in e.payload]
+    assert failed.payload["role"] == role
+    assert failed.payload["error"] == "BackendFailure: HTTP 500: Internal Server Error"
+    assert not {"response", "usage"} & failed.payload.keys()
+    assert ledger_from_trace(trace, DEFAULT_PRICES).to_dict() == gateway.ledger.to_dict()
+
+    runs = [event for event in signature(trace) if event[0] != "aggregate"]  # a re-run has no judge
+    for checkpoint_id, marker in trace.checkpoints.items():
+        backend = Unscripted(ScriptedBackend(make_rules()))
+        resumed = Orchestrator(gateway_for(backend, config), REGISTRY, config).resume(trace, checkpoint_id)
+        run_id = marker["state"]["run_id"]
+        assert run_result(resumed) == trace.of_kind("result", run_id=run_id)[-1].payload, checkpoint_id
+        assert signature(resumed.trace) == runs, checkpoint_id
+        assert backend.calls == 0, checkpoint_id
+
+    backend = Unscripted(ScriptedBackend(make_rules()))
+    fresh, _, _, _ = Orchestrator(gateway_for(backend, config), REGISTRY, config).rerun(cut(trace, failed.seq + 1))
+    assert signature(fresh) == runs
+    lacked = [e for e in trace.events[failed.seq + 1 :] if "role" in e.payload and e.run_id != "aggregate"]
+    assert backend.calls == len(lacked)

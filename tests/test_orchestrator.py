@@ -594,23 +594,24 @@ class TestResume:
         with pytest.raises(RerunError, match=f"slot 'additional_materials' is not a string: {re.escape(repr(value))}"):
             self.unscripted(config, registry).resume(original.trace, "run1.p1.done")
 
-    @pytest.mark.parametrize("value", [5, None, ["a"]])
-    def test_a_call_event_whose_slot_is_no_string_is_refused(self, registry, value):
-        """A slot value that is not a string does not render: the prompt of
-        that call cannot be rebuilt, so the re-run is refused."""
-
-        class Unscripted:
-            backend_id = "scripted"
-
-            def complete(self, req):
-                raise AssertionError("the trace answers every call")
-
+    @pytest.mark.parametrize(
+        "field, value",
+        [("response", 5), ("response", None), ("response", ["a"]), ("response", {"x": 1}),
+         ("error", 5), ("error", None), ("error", ["a"])],
+    )
+    def test_a_call_event_whose_reply_is_no_string_is_refused(self, registry, field, value):
+        """A recorded reply, or a failed call's recorded error, that is not a
+        string cannot answer a call: the re-run is refused, naming the event,
+        before any call is made."""
         config = small_config()
         original, _ = run_pipeline(rules_well(), config, registry, problem=well_problem())
-        next(e for e in original.trace.events if "usage" in e.payload).payload["slots"]["additional_materials"] = value
-        orch = Orchestrator(ModelGateway(Unscripted(), token_budget=config.token_budget), registry, config)
-        with pytest.raises(RerunError, match=f"slot 'additional_materials' is not a string: {re.escape(repr(value))}"):
-            orch.resume(original.trace, "run1.p1.done")
+        censor = original.trace.of_kind("censor")[0]
+        if field == "error":  # the event of a call that failed in the backend
+            del censor.payload["response"], censor.payload["usage"]
+        censor.payload[field] = value
+        want = f"the trace cannot be re-run: event {censor.seq} (censor): the {field} is not a string: {value!r}"
+        with pytest.raises(RerunError, match=re.escape(want)):
+            self.unscripted(config, registry).resume(original.trace, "run1.p1.done")
 
     def test_config_mismatch_guard(self, registry):
         config = small_config()
@@ -719,7 +720,10 @@ class TestCallEvents:
         assert Counter(rebuilt) == Counter(backend.received)
         assert len(calls) == len(gateway.ledger.entries)
         if name == "faulted":
-            assert {"branch_failed", "check_grade_failed", "pair_failed"} <= {e.kind for e in events}
+            # A failed call's own event holds its error: a censor's ends its
+            # branch, a grade's its branch or its gate.
+            assert {"censor", "grade", "check_grade"} <= {e.kind for e in events if "error" in e.payload}
+            assert "pair_failed" in {e.kind for e in events}
             assert {"grade", "check_grade", "extract_parse", "judge"} <= {e.kind for e in events if "parse_error" in e.payload}
 
 
